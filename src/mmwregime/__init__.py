@@ -41,9 +41,6 @@ from .detector import (
 )
 from .interference import (
     ChannelConfig,
-    DivergentIntegralError,
-    SeriesControl,
-    SeriesDivergenceError,
     aggregate_mgf,
     dbm_to_watts,
     gamma_n,

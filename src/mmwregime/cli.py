@@ -128,7 +128,6 @@ def cmd_regime_map(run: RunConfig, out: Path, fmt: str, workers: int) -> int:
             points = detector.regime_map(
                 blk, net.geo, chan, net.band, net.spectral, net.noise,
                 run.sweeps.v0_grid, run.beta_th, fit_mode=run.fit_mode,
-                workers=workers,
             )
             for pt in points:
                 rows.append({

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .blockage import BlockageConfig, GeometryConfig
 from .detector import FIT_MODES, NoiseConfig, thermal_noise_power
-from .interference import ChannelConfig, SeriesControl, dbm_to_watts
+from .interference import ChannelConfig, dbm_to_watts
 from .mcsim import BLOCKING_MODES
 from .numerics import DomainError
 from .spectral import BandConfig, GaussianPsd, RaisedCosineFilter, RectangularPsd, SpectralModel
@@ -32,7 +32,7 @@ __all__ = [
     "config_hash",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ConfigError(Exception):
@@ -71,7 +71,6 @@ class RunConfig:
 
     network: NetworkConfig
     blockage: BlockageConfig
-    series: SeriesControl
     sweeps: SweepSpec
     beta_th: float
     fit_mode: str
@@ -296,19 +295,6 @@ def load_config(path) -> RunConfig:
             noise_sec.reject_unknown()
             noise = NoiseConfig(sigma2=sigma2, phi=phi)
 
-        series_sec = root.subsection("series", optional=True)
-        if series_sec is None:
-            defaulted.append("series")
-            series = SeriesControl()
-        else:
-            series = SeriesControl(
-                n_max=series_sec.optional("n_max", int, 400, lambda v: v >= 1, ">= 1"),
-                term_rel_floor=series_sec.optional(
-                    "term_rel_floor", float, 1e-14, lambda v: v >= 0.0, ">= 0"
-                ),
-            )
-            series_sec.reject_unknown()
-
         det_sec = root.subsection("detection", optional=True)
         if det_sec is None:
             defaulted.extend(["detection.beta_th", "detection.fit_mode"])
@@ -393,16 +379,16 @@ def load_config(path) -> RunConfig:
 
     network = NetworkConfig(geo=geo, band=band, spectral=model, channel=channel, noise=noise)
     run = RunConfig(
-        network=network, blockage=blockage, series=series, sweeps=sweeps,
+        network=network, blockage=blockage, sweeps=sweeps,
         beta_th=beta_th, fit_mode=fit_mode, blocking=blocking,
         trials=trials, seed=seed, defaulted=tuple(defaulted),
-        resolved=_resolved_dict(network, blockage, series, sweeps, beta_th,
+        resolved=_resolved_dict(network, blockage, sweeps, beta_th,
                                 fit_mode, blocking, trials, seed),
     )
     return run
 
 
-def _resolved_dict(network, blockage, series, sweeps, beta_th, fit_mode,
+def _resolved_dict(network, blockage, sweeps, beta_th, fit_mode,
                    blocking, trials, seed) -> dict:
     """Canonical physical-unit view of a run, used for hashing and echoes."""
     geo, band, model, channel, noise = (
@@ -440,7 +426,6 @@ def _resolved_dict(network, blockage, series, sweeps, beta_th, fit_mode,
             "n_interferers": channel.n, "occupancy": channel.p,
         },
         "noise": {"sigma2_watts": noise.sigma2, "phi_watts": noise.phi},
-        "series": {"n_max": series.n_max, "term_rel_floor": series.term_rel_floor},
         "detection": {"beta_th": beta_th, "fit_mode": fit_mode},
         "sweeps": {
             "v0_grid_m": list(sweeps.v0_grid), "beta_grid": list(sweeps.beta_grid),

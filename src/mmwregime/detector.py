@@ -12,7 +12,6 @@ threshold is set by the significance level through an inverse-erf formula.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -224,15 +223,6 @@ def lrt(y, fit: MeFit, noise: NoiseConfig):
             * np.sqrt(shifted / (2.0 * s2))
             * np.exp((1.0 / (2.0 * s2) - fit.lam) * shifted)
         )
-    if __debug__:
-        # cross-check against the defining ratio where the denominator
-        # is representable (the closed form is exact algebra, so any
-        # disagreement means a coding slip, not roundoff)
-        u = shifted / (2.0 * s2)
-        safe = u < 600.0
-        if np.any(safe):
-            ratio = h1_pdf(y[safe], fit, noise.phi) / h0_pdf(y[safe], noise)
-            assert np.allclose(out[safe], ratio, rtol=1e-9), "lrt closed form diverged from density ratio"
     return float(out[0]) if scalar else out
 
 
@@ -367,14 +357,13 @@ def regime_map(
     fit_mode: str = "transcendental",
     tol: Tolerance = DEFAULT_TOL,
     p_b_override: Optional[float] = None,
-    workers: int = 1,
 ) -> list[RegimePoint]:
     """Recompute the full detection chain at each receiver offset.
 
     Per-location failures are recorded on the returned point instead of
-    aborting the sweep.  Points are independent, so the sweep may run on a
-    thread pool; results are returned in grid order regardless of worker
-    count and are bitwise identical for any worker count.
+    aborting the sweep.  Points are returned in grid order.  The sweep runs
+    serially: the quadrature is pure Python and holds the interpreter
+    lock, so a thread pool only adds contention.
 
     p_b_override replaces the analytic blockage probability at every
     location (0.0 reproduces a blockage-free network).
@@ -382,9 +371,8 @@ def regime_map(
     for v in v0_grid:
         if not (0.0 <= v < geo.radius):
             raise DomainError(f"v0 grid value {v} outside [0, radius)")
-    args = (blockage_cfg, geo, channel, band, model, noise, beta_th,
-            fit_mode, tol, p_b_override)
-    if workers <= 1:
-        return [_regime_point(v, *args) for v in v0_grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda v: _regime_point(v, *args), v0_grid))
+    return [
+        _regime_point(v, blockage_cfg, geo, channel, band, model, noise, beta_th,
+                      fit_mode, tol, p_b_override)
+        for v in v0_grid
+    ]

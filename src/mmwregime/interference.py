@@ -1,18 +1,17 @@
 """Aggregate interference-power statistics via moment generating functions.
 
 The received power from one interferer is q * h * ell^(-alpha) * Upsilon(omega)
-with Nakagami-m power fading h (unit-mean Gamma), random position (disk
-distance density) and random spectral offset.  Averaging exp(s * power)
-over all three produces a power series in s whose n-th coefficient splits
-into a fading moment, a pathloss moment kappa_n and an overlap moment
-gamma_n.  Thinning by occupancy and blockage then lifts the single-AP MGF
-to the network MGF.
+with Nakagami-m power fading h (unit-mean Gamma), random position and random
+spectral offset.  The position follows the disk-distance law conditioned on
+ell >= eps_min, the law the Monte-Carlo oracle samples when it redraws
+interferers inside the exclusion radius; every pathloss quantity here takes
+its lower limit and its normalisation from that one law.
 
-kappa_n integrands ell^(1 - n*alpha) are non-integrable at the origin once
-n*alpha >= 2 (already true at n = 1 for typical alpha), so those moments
-are cut off at the geometry's exclusion radius eps_min; the Monte-Carlo
-oracle applies the same truncation.  Series terms are assembled in log
-space because kappa_n alone overflows double precision near n ~ 100.
+The fading averages out in closed form, (1 - s*q*ell^(-alpha)*Upsilon/m)^(-m),
+which leaves the single-interferer MGF as a 2-D average over distance and
+offset, evaluated on fixed nodes.  Thinning by occupancy and blockage then
+lifts it to the network MGF.  The mean needs no transform: it is the
+product of the first pathloss moment kappa_1 and overlap moment gamma_1.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -31,11 +29,6 @@ from .spectral import BandConfig, SpectralModel, upsilon_table
 
 __all__ = [
     "ChannelConfig",
-    "SeriesControl",
-    "DEFAULT_SERIES",
-    "SeriesDivergenceError",
-    "DivergentIntegralError",
-    "MgfValue",
     "kappa_n",
     "gamma_n",
     "interferer_power_mgf",
@@ -46,13 +39,8 @@ __all__ = [
     "watts_to_dbm",
 ]
 
-
-class SeriesDivergenceError(numerics.NumericsError):
-    """The MGF power series grew instead of converging (|s| too large)."""
-
-
-class DivergentIntegralError(numerics.NumericsError):
-    """A pathloss moment diverges at the origin and no exclusion radius is set."""
+# Gauss-Legendre nodes in log(ell) per branch of the distance law
+_DISTANCE_NODES = np.polynomial.legendre.leggauss(64)
 
 
 def dbm_to_watts(x_dbm: float) -> float:
@@ -95,32 +83,8 @@ class ChannelConfig:
             raise DomainError(f"p must be in [0, 1], got {self.p}")
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the MGF power series."""
-
-    n_max: int = 400
-    term_rel_floor: float = 1e-14
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise DomainError(f"n_max must be >= 1, got {self.n_max}")
-        if not (self.term_rel_floor >= 0.0):
-            raise DomainError(f"term_rel_floor must be >= 0, got {self.term_rel_floor}")
-
-
-DEFAULT_SERIES = SeriesControl()
-
-
-class MgfValue(NamedTuple):
-    """A truncated series value together with the order actually used."""
-
-    value: float
-    order: int
-
-
 # ---------------------------------------------------------------------------
-# pathloss moments kappa_n
+# the conditioned distance law and its pathloss moments kappa_n
 # ---------------------------------------------------------------------------
 
 def _arccos_weight(l, R: float, v: float):
@@ -128,71 +92,50 @@ def _arccos_weight(l, R: float, v: float):
     return np.arccos(arg) / math.pi
 
 
+def _branch_integral(power: float, lo: float, hi: float, far: bool,
+                     geo: GeometryConfig, tol: Tolerance) -> float:
+    R, v = geo.radius, geo.v0_norm
+    if far:
+        return numerics.integrate(lambda l: l**power * _arccos_weight(l, R, v), lo, hi, tol)
+    return numerics.integrate(lambda l: l**power, lo, hi, tol)
+
+
+@lru_cache(maxsize=512)
+def _distance_law(geo: GeometryConfig, tol: Tolerance) -> tuple[tuple, float]:
+    """Branches and mass of the disk-distance law conditioned on ell >= eps_min.
+
+    The unconditioned density is (2*ell/R^2) * w(ell), with w = 1 on the
+    near branch up to R - v0 and the arccos weight on the far branch out to
+    R + v0.  Both branches start no lower than eps_min.  Returns the
+    branches as (lower, upper, far) triples and the mass P(ell >= eps_min)
+    that normalises them.
+    """
+    R, v, eps = geo.radius, geo.v0_norm, geo.eps_min
+    branches = []
+    if R - v > eps:
+        branches.append((eps, R - v, False))
+    if v > 0.0:
+        branches.append((max(R - v, eps), R + v, True))
+    mass = 2.0 * sum(_branch_integral(1.0, *b, geo, tol) for b in branches) / (R * R)
+    return tuple(branches), mass
+
+
 @lru_cache(maxsize=4096)
 def _kappa_cached(n: int, geo: GeometryConfig, alpha: float, tol: Tolerance) -> float:
-    R, v = geo.radius, geo.v0_norm
-    na = n * alpha
-    lo = 0.0
-    if na >= 2.0:
-        if geo.eps_min <= 0.0:
-            raise DivergentIntegralError(
-                f"kappa_{n} diverges at the origin for n*alpha = {na} >= 2; "
-                "a positive eps_min exclusion radius is required"
-            )
-        lo = geo.eps_min
-    total = 0.0
-    if R - v > lo:
-        total += numerics.integrate(lambda l: l ** (1.0 - na), lo, R - v, tol)
-    if v > 0.0:
-        start = max(R - v, lo)
-        if R + v > start:
-            total += numerics.integrate(
-                lambda l: l ** (1.0 - na) * _arccos_weight(l, R, v), start, R + v, tol
-            )
-    return total
+    branches, mass = _distance_law(geo, tol)
+    return sum(_branch_integral(1.0 - n * alpha, *b, geo, tol) for b in branches) / mass
 
 
 def kappa_n(n: int, geo: GeometryConfig, alpha: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """n-th pathloss moment: integral of ell^(1 - n*alpha) over the disk-distance law.
+    """n-th pathloss moment of the distance law conditioned on ell >= eps_min.
 
-    Relates to the plain distance moment through E[ell^(-n*alpha)] =
-    2*kappa_n / R^2.  The lower limit is replaced by eps_min whenever
-    n*alpha >= 2 (otherwise the integral diverges and
-    DivergentIntegralError is raised for eps_min = 0).
+    Scaled so that E[ell^(-n*alpha) | ell >= eps_min] = 2*kappa_n / R^2,
+    which keeps kappa_0 = R^2 / 2: the integral of ell^(1 - n*alpha) over
+    the distance law from eps_min, divided by P(ell >= eps_min).
     """
     if n < 0:
-        raise DomainError(f"series order n must be >= 0, got {n}")
+        raise DomainError(f"moment order n must be >= 0, got {n}")
     return _kappa_cached(int(n), geo, float(alpha), tol)
-
-
-@lru_cache(maxsize=65536)
-def _log_kappa_cached(n: int, geo: GeometryConfig, alpha: float, tol: Tolerance) -> float:
-    """log(kappa_n), evaluated in a scaled variable so large n cannot overflow."""
-    na = n * alpha
-    if na < 2.0:
-        return math.log(_kappa_cached(n, geo, alpha, tol))
-    eps = geo.eps_min
-    if eps <= 0.0:
-        raise DivergentIntegralError(
-            f"kappa_{n} diverges at the origin for n*alpha = {na} >= 2"
-        )
-    R, v = geo.radius, geo.v0_norm
-    # substitute u = ell / eps: kappa_n = eps^(2 - na) * J_n with J_n bounded
-    total = 0.0
-    u_break = (R - v) / eps
-    if u_break > 1.0:
-        total += numerics.integrate(lambda u: u ** (1.0 - na), 1.0, u_break, tol)
-    if v > 0.0:
-        u_start = max(u_break, 1.0)
-        u_top = (R + v) / eps
-        if u_top > u_start:
-            total += numerics.integrate(
-                lambda u: u ** (1.0 - na) * _arccos_weight(u * eps, R, v),
-                u_start, u_top, tol,
-            )
-    if total <= 0.0:
-        return -math.inf
-    return (2.0 - na) * math.log(eps) + math.log(total)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +153,7 @@ def gamma_n(
     numerically zero.
     """
     if n < 0:
-        raise DomainError(f"series order n must be >= 0, got {n}")
+        raise DomainError(f"moment order n must be >= 0, got {n}")
     near, far = band.offset_edges
     if n == 0:
         return near + far
@@ -219,25 +162,8 @@ def gamma_n(
 
 
 # ---------------------------------------------------------------------------
-# MGF series
+# MGF
 # ---------------------------------------------------------------------------
-
-def _log_series_coefficient(
-    n: int, geo: GeometryConfig, band: BandConfig, model: SpectralModel,
-    alpha: float, tol: Tolerance,
-) -> float:
-    """log of 2 * gamma_n * kappa_n / (R^2 * (f_e - f_s)) = log E[Upsilon^n] E[ell^-n*alpha]."""
-    g = gamma_n(n, band, model, tol)
-    if g <= 0.0:
-        return -math.inf
-    lk = _log_kappa_cached(n, geo, alpha, tol)
-    if lk == -math.inf:
-        return -math.inf
-    return (
-        math.log(2.0) + math.log(g) + lk
-        - 2.0 * math.log(geo.radius) - math.log(band.f_e - band.f_s)
-    )
-
 
 def interferer_power_mgf(
     s: float,
@@ -245,63 +171,39 @@ def interferer_power_mgf(
     geo: GeometryConfig,
     band: BandConfig,
     model: SpectralModel,
-    ctl: SeriesControl = DEFAULT_SERIES,
-    tol: Tolerance = DEFAULT_TOL,
-) -> MgfValue:
+) -> float:
     """MGF of a single interferer's received power, E[exp(s * P)].
 
-    Power series in (q*s) with per-order fading, pathloss and overlap
-    moments; terms are accumulated until they fall below term_rel_floor of
-    the running sum or the order cap n_max is hit.  The series has a finite
-    convergence radius set by the fading shape, the transmit power and the
-    exclusion radius; sustained term growth in the back half of the budget
-    raises SeriesDivergenceError, which is the signal to shrink |s|.
+    Averages the Nakagami MGF (1 - s*q*ell^(-alpha)*Upsilon/m)^(-m) over the
+    conditioned distance law (Gauss-Legendre nodes in log ell on each
+    branch) crossed with the offset law (the overlap table's trapezoid
+    weights over both slabs, the rule gamma_n uses).  Summed as
+    1 + sum(W * expm1(-m * log1p(x))), so M(0) = 1 exactly and small |s|
+    keeps full relative precision in 1 - M.  Finite for every s <= 0; for
+    s > 0 the transform is infinite from s = m / (q * eps_min^-alpha *
+    max Upsilon) on, and DomainError is raised there.
     """
     s = float(s)
-    if s == 0.0:
-        return MgfValue(1.0, 0)
-    log_qs = math.log(abs(cfg.q * s))
-    negative = s < 0.0
-    log_gamma_m = numerics.log_gamma(cfg.m)
-    log_m = math.log(cfg.m)
-
-    total = 0.0
-    prev_mag = math.inf
-    growth_run = 0
-    order = ctl.n_max
-    for n in range(0, ctl.n_max + 1):
-        log_coef = _log_series_coefficient(n, geo, band, model, cfg.alpha, tol)
-        if log_coef == -math.inf:
-            order = n
-            break
-        log_term = (
-            n * log_qs
-            - numerics.log_gamma(n + 1.0)
-            + numerics.log_gamma(n + cfg.m) - log_gamma_m - n * log_m
-            + log_coef
+    table = upsilon_table(band, model)
+    if s > 0.0 and s >= cfg.m / (cfg.q * geo.eps_min ** -cfg.alpha * table.values.max()):
+        raise DomainError(
+            f"the interferer-power MGF is infinite at s = {s!r}: s must stay below "
+            f"m / (q * eps_min^-alpha * max Upsilon)"
         )
-        if log_term > 700.0:  # the term alone would overflow a double
-            raise SeriesDivergenceError(
-                f"MGF series term at order {n} exceeds double range "
-                f"(log magnitude {log_term:.1f}); s = {s!r} is outside the "
-                "series' convergence radius - reduce |s|"
-            )
-        mag = math.exp(log_term)
-        term = -mag if (negative and n % 2 == 1) else mag
-        total += term
-        if n >= 2 and mag <= ctl.term_rel_floor * max(abs(total), 1e-300):
-            order = n
-            break
-        if n > ctl.n_max // 2:
-            growth_run = growth_run + 1 if mag > prev_mag else 0
-            if growth_run >= 3:
-                raise SeriesDivergenceError(
-                    f"MGF series terms are growing at order {n} (|term| = {mag:.3e}); "
-                    f"s = {s!r} is outside the series' convergence radius - "
-                    "reduce |s|"
-                )
-        prev_mag = mag
-    return MgfValue(total, order)
+    branches, mass = _distance_law(geo, DEFAULT_TOL)
+    t, gw = _DISTANCE_NODES
+    ell, w_ell = [], []
+    for lo, hi, far in branches:
+        half = 0.5 * math.log(hi / lo)
+        l = np.exp(math.log(lo) + half * (t + 1.0))
+        shape = _arccos_weight(l, geo.radius, geo.v0_norm) if far else 1.0
+        ell.append(l)
+        w_ell.append(gw * half * 2.0 * l * l * shape / (geo.radius**2 * mass))
+    ups, w_ups = zip(*(table.trapezoid(edge) for edge in band.offset_edges))
+    ups = np.concatenate(ups)
+    w_ups = np.concatenate(w_ups) / (band.f_e - band.f_s)
+    x = (-s * cfg.q / cfg.m) * np.outer(np.concatenate(ell) ** -cfg.alpha, ups)
+    return 1.0 + float(np.concatenate(w_ell) @ np.expm1(-cfg.m * np.log1p(x)) @ w_ups)
 
 
 def aggregate_mgf(
@@ -312,16 +214,14 @@ def aggregate_mgf(
     geo: GeometryConfig,
     band: BandConfig,
     model: SpectralModel,
-    ctl: SeriesControl = DEFAULT_SERIES,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> float:
     """MGF of the total received power under the interference hypothesis.
 
     exp(phi*s) times the thinned single-AP MGF raised to the candidate
     count: each of the n candidates contributes independently with
     probability p*(1 - p_b).  When that probability is zero (idle network
-    or total blockage) the result is exactly exp(phi*s) and the series is
-    never evaluated.
+    or total blockage) the result is exactly exp(phi*s) and the transform
+    is never evaluated.
     """
     s = float(s)
     if not (0.0 <= p_b <= 1.0):
@@ -331,7 +231,7 @@ def aggregate_mgf(
     thin = cfg.p * (1.0 - p_b)
     if thin == 0.0 or cfg.n == 0:
         return math.exp(phi * s)
-    m_p = interferer_power_mgf(s, cfg, geo, band, model, ctl, tol).value
+    m_p = interferer_power_mgf(s, cfg, geo, band, model)
     return math.exp(phi * s) * (1.0 - thin + thin * m_p) ** cfg.n
 
 
@@ -344,8 +244,8 @@ def mean_interferer_power(
 ) -> float:
     """Mean received power from one active, non-blocked interferer (watts).
 
-    First-order series coefficient in closed form: the unit-mean fading
-    drops out and E[P] = q * E[Upsilon] * E[ell^-alpha].
+    Closed form: the unit-mean fading drops out and
+    E[P] = q * E[Upsilon] * E[ell^-alpha | ell >= eps_min].
     """
     k1 = kappa_n(1, geo, cfg.alpha, tol)
     g1 = gamma_n(1, band, model, tol)

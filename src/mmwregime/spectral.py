@@ -211,7 +211,7 @@ def upsilon(
 
 
 class UpsilonTable:
-    """Dense overlap samples on [0, cutoff], shared by series and simulation.
+    """Dense overlap samples on [0, cutoff], shared by the MGF and simulation.
 
     The overlap decays to numerical zero beyond cutoff = (filter stop edge
     clipped to the window) + (PSD halfwidth); lookups past the grid return
@@ -238,10 +238,10 @@ class UpsilonTable:
         out = np.interp(w, self.grid, self.values, right=0.0)
         return float(out) if out.ndim == 0 else out
 
-    def power_integral(self, n: int, upper: float) -> float:
-        """Integral of Upsilon^n over [0, min(upper, cutoff)] via the grid."""
+    def trapezoid(self, upper: float) -> tuple[np.ndarray, np.ndarray]:
+        """Overlap samples on [0, min(upper, cutoff)] and their trapezoid weights (Hz)."""
         if upper <= 0.0:
-            return 0.0
+            return np.empty(0), np.empty(0)
         g, v = self.grid, self.values
         if upper < g[-1]:
             idx = int(np.searchsorted(g, upper))
@@ -249,7 +249,13 @@ class UpsilonTable:
             ys = np.append(v[:idx], self.lookup(upper))
         else:
             xs, ys = g, v
-        return float(np.trapezoid(ys**n, xs))
+        half_dx = 0.5 * np.diff(xs)
+        return ys, np.append(half_dx, 0.0) + np.insert(half_dx, 0, 0.0)
+
+    def power_integral(self, n: int, upper: float) -> float:
+        """Integral of Upsilon^n over [0, min(upper, cutoff)] via the grid."""
+        ys, weights = self.trapezoid(upper)
+        return float(weights @ ys**n)
 
 
 @lru_cache(maxsize=64)

@@ -16,8 +16,6 @@ from scipy import stats
 
 import mmwregime as mw
 from mmwregime import cli, mcsim
-from mmwregime.interference import _log_series_coefficient
-from mmwregime.numerics import DEFAULT_TOL
 
 from conftest import write_config
 
@@ -68,9 +66,7 @@ def test_03_nonblocked_count_total_variation():
 
 
 def test_04_mgf_identities():
-    # the order-zero series coefficient is the identity behind M(0) = 1
-    coef0 = math.exp(_log_series_coefficient(0, GEO, BAND, MODEL, CHANNEL.alpha, DEFAULT_TOL))
-    assert abs(coef0 - 1.0) <= 1e-12
+    assert abs(mw.interferer_power_mgf(0.0, CHANNEL, GEO, BAND, MODEL) - 1.0) <= 1e-12
     assert mw.aggregate_mgf(0.0, NOISE.phi, 0.3, CHANNEL, GEO, BAND, MODEL) == 1.0
 
     idle = dataclasses.replace(CHANNEL, p=0.0)
@@ -82,13 +78,16 @@ def test_04_mgf_identities():
         assert abs(got_blocked - want) <= 1e-12
 
     p_b = mw.blockage_probability(BLOCKAGE, GEO).p_b
-    mean = mw.mean_received_power(NOISE.phi, p_b, CHANNEL, GEO, BAND, MODEL)
-    h = 1e-6 / mean
-    central = (
-        mw.aggregate_mgf(h, NOISE.phi, p_b, CHANNEL, GEO, BAND, MODEL)
-        - mw.aggregate_mgf(-h, NOISE.phi, p_b, CHANNEL, GEO, BAND, MODEL)
-    ) / (2.0 * h)
-    assert central == pytest.approx(mean, rel=1e-4)
+    # alpha = 1.5 keeps the first pathloss moment integrable at the origin,
+    # yet it starts at eps_min like every other moment
+    for channel in (CHANNEL, dataclasses.replace(CHANNEL, alpha=1.5)):
+        mean = mw.mean_received_power(NOISE.phi, p_b, channel, GEO, BAND, MODEL)
+        h = 1e-6 / mean
+        central = (
+            mw.aggregate_mgf(h, NOISE.phi, p_b, channel, GEO, BAND, MODEL)
+            - mw.aggregate_mgf(-h, NOISE.phi, p_b, channel, GEO, BAND, MODEL)
+        ) / (2.0 * h)
+        assert central == pytest.approx(mean, rel=1e-4), channel.alpha
     report(4, "MGF identities and first-moment derivative")
 
 

@@ -329,20 +329,6 @@ class TestRegimeMap:
         assert pts[0].verdict == NOISE_LIMITED
         assert pts[0].error is None
 
-    def test_worker_count_does_not_change_bits(
-        self, baseline_blockage, baseline_geo, baseline_channel, baseline_band, baseline_model, baseline_noise
-    ):
-        grid = [0.0, 2.0, 4.0, 6.0, 8.0]
-        serial = regime_map(
-            baseline_blockage, baseline_geo, baseline_channel, baseline_band, baseline_model,
-            baseline_noise, grid, 0.05, workers=1,
-        )
-        pooled = regime_map(
-            baseline_blockage, baseline_geo, baseline_channel, baseline_band, baseline_model,
-            baseline_noise, grid, 0.05, workers=8,
-        )
-        assert serial == pooled
-
     def test_grid_outside_disk_rejected(
         self, baseline_blockage, baseline_geo, baseline_channel, baseline_band, baseline_model, baseline_noise
     ):

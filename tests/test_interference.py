@@ -6,9 +6,6 @@ import pytest
 from mmwregime.blockage import GeometryConfig
 from mmwregime.interference import (
     ChannelConfig,
-    SeriesControl,
-    SeriesDivergenceError,
-    DivergentIntegralError,
     aggregate_mgf,
     dbm_to_watts,
     gamma_n,
@@ -18,6 +15,7 @@ from mmwregime.interference import (
     mean_received_power,
     watts_to_dbm,
 )
+from mmwregime.mcsim import simulate_received_power
 from mmwregime.numerics import DomainError
 from mmwregime.spectral import upsilon_table
 
@@ -41,35 +39,24 @@ class TestChannelConfig:
             ChannelConfig(alpha=2.5, m=0.3, q=0.5, n=10, p=0.5)
         with pytest.raises(DomainError):
             ChannelConfig(alpha=2.5, m=3.0, q=0.5, n=10, p=1.5)
-        with pytest.raises(DomainError):
-            SeriesControl(n_max=0)
 
 
 class TestKappa:
     def test_order_zero_is_half_radius_squared(self):
         assert kappa_n(0, geo(), 2.5) == pytest.approx(50.0, rel=1e-10)
         assert kappa_n(0, geo(v0=3.0), 2.5) == pytest.approx(50.0, rel=1e-8)
+        # exclusion disk poking out of the deployment disk (eps > R - v0)
+        assert kappa_n(0, geo(v0=9.0, eps=3.0), 2.5) == pytest.approx(50.0, rel=1e-8)
 
     def test_order_one_closed_form_centered(self):
-        expected = 2.0 * (0.1 ** -0.5 - 10.0 ** -0.5)
+        # conditioned on ell >= eps: divide by P(ell >= eps) = 1 - eps^2/R^2
+        expected = 2.0 * (0.1 ** -0.5 - 10.0 ** -0.5) / (1.0 - 0.1**2 / 10.0**2)
         assert kappa_n(1, geo(), 2.5) == pytest.approx(expected, rel=1e-10)
 
-    def test_divergence_guard(self):
-        g = GeometryConfig(radius=10.0, v0_norm=0.0, theta=0.2, eps_min=0.1)
-        bad = object.__new__(GeometryConfig)
-        object.__setattr__(bad, "radius", 10.0)
-        object.__setattr__(bad, "v0_norm", 0.0)
-        object.__setattr__(bad, "theta", 0.2)
-        object.__setattr__(bad, "eps_min", 0.0)
-        with pytest.raises(DivergentIntegralError):
-            kappa_n(1, bad, 2.5)
-        assert kappa_n(1, g, 2.5) > 0.0
-
-    def test_sub_quadratic_orders_need_no_exclusion(self):
-        # n*alpha < 2 integrates through the origin
-        assert kappa_n(1, geo(), 1.5) == pytest.approx(
-            2.0 * 10.0 ** 0.5 / 1.0, rel=1e-3
-        )
+    def test_sub_quadratic_orders_integrate_from_exclusion(self):
+        # n*alpha < 2 is integrable at the origin but still starts at eps_min
+        expected = 2.0 * (10.0 ** 0.5 - 0.1 ** 0.5) / (1.0 - 0.1**2 / 10.0**2)
+        assert kappa_n(1, geo(), 1.5) == pytest.approx(expected, rel=1e-10)
 
     def test_decreasing_in_offset(self):
         vals = [kappa_n(1, geo(v0=v), 2.5) for v in (0.0, 3.0, 6.0, 9.0)]
@@ -94,9 +81,31 @@ class TestGamma:
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
+def sampled_transform(s, channel, g, band, model, trials, seed):
+    """Sample mean of exp(s * P) for one always-active interferer, and its SE."""
+    one = ChannelConfig(alpha=channel.alpha, m=channel.m, q=channel.q, n=1, p=1.0)
+    power = simulate_received_power(one, g, band, model, 0.0, trials, seed, blocking="none")
+    vals = np.exp(s * power)
+    return float(vals.mean()), float(vals.std() / math.sqrt(trials))
+
+
+# 1 - M_P(s) from the log-space power series at commit 76fef76 (baseline
+# channel and band, R = 10 m, eps_min = 0.5 m), keyed by v0, for
+# s in (-1e-3, -0.1, -0.5, -1).  That series integrated the pathloss
+# moments over the unconditioned law, so 1 - M_old = P(ell >= eps) (1 - M).
+PARENT_SERIES = {
+    0.0: (3.6675746872827375e-07, 3.568557092925584e-05,
+          0.000163292005189275, 0.00030118301182280316),
+    4.0: (3.607912720804407e-07, 3.508898710646857e-05,
+          0.00016031145333306185, 0.00029522786241531485),
+    9.0: (2.867495881853088e-07, 2.771482858621166e-05,
+          0.00012401715576382255, 0.00022397438934151914),
+}
+
+
 class TestSingleInterfererMgf:
     def test_at_origin(self, baseline_band, baseline_model, baseline_channel):
-        assert interferer_power_mgf(0.0, baseline_channel, geo(), baseline_band, baseline_model) == (1.0, 0)
+        assert interferer_power_mgf(0.0, baseline_channel, geo(), baseline_band, baseline_model) == 1.0
 
     def test_first_moment_coefficient_vs_sampling_oracle(
         self, baseline_band, baseline_model, baseline_channel
@@ -123,38 +132,64 @@ class TestSingleInterfererMgf:
     def test_fading_moments_concentrate_for_large_shape(
         self, baseline_band, baseline_model
     ):
-        # Gamma(m, 1/m) concentrates at 1, so the series must approach the
-        # no-fading series term by term; compare against a local evaluation
-        # with the fading moments struck out
-        from mmwregime.interference import _log_series_coefficient
-        from mmwregime.numerics import DEFAULT_TOL
-
+        # Gamma(m, 1/m) concentrates at 1, so the transform must approach
+        # E[exp(s * q * ell^-alpha * Upsilon)] with the fading struck out
         g = geo(eps=0.1)
-        s = -5e-3
+        s = -1e3
         heavy = ChannelConfig(alpha=2.5, m=1e4, q=0.5, n=1, p=1.0)
-        with_fading = interferer_power_mgf(s, heavy, g, baseline_band, baseline_model).value
+        with_fading = interferer_power_mgf(s, heavy, g, baseline_band, baseline_model)
 
-        total = 0.0
-        for n in range(0, 60):
-            log_coef = _log_series_coefficient(
-                n, g, baseline_band, baseline_model, 2.5, DEFAULT_TOL
+        rng = np.random.default_rng(2718)
+        n = 1_000_000
+        r = g.radius * np.sqrt(rng.random(n))
+        bad = r < g.eps_min
+        while bad.any():
+            r[bad] = g.radius * np.sqrt(rng.random(int(bad.sum())))
+            bad = r < g.eps_min
+        f = baseline_band.f_s + (baseline_band.f_e - baseline_band.f_s) * rng.random(n)
+        ups = upsilon_table(baseline_band, baseline_model).lookup(np.abs(f - baseline_band.f_0))
+        vals = np.exp(s * heavy.q * r ** (-heavy.alpha) * ups)
+        se = vals.std() / math.sqrt(n)
+        assert with_fading == pytest.approx(vals.mean(), abs=4 * se)
+
+    def test_finite_and_decreasing_for_negative_s(
+        self, baseline_band, baseline_model, baseline_channel
+    ):
+        # far outside the radius of convergence of the MGF power series
+        g = geo(eps=0.1)
+        svals = (-1e-3, -0.1, -0.5, -1e3, -1e6)
+        vals = [interferer_power_mgf(s, baseline_channel, g, baseline_band, baseline_model)
+                for s in svals]
+        assert all(0.0 < v < 1.0 for v in vals)
+        assert all(b < a for a, b in zip(vals, vals[1:]))
+        for s, v in ((-0.5, vals[2]), (-1e3, vals[3])):
+            mean, se = sampled_transform(
+                s, baseline_channel, g, baseline_band, baseline_model, 1_000_000, 17
             )
-            term = (-1.0) ** n * math.exp(
-                n * math.log(abs(heavy.q * s)) - math.lgamma(n + 1.0) + log_coef
-            )
-            total += term
-            if abs(term) < 1e-18:
-                break
-        assert with_fading == pytest.approx(total, rel=1e-3)
+            assert v == pytest.approx(mean, abs=4 * se), s
 
-    def test_series_truncation_reported(self, baseline_band, baseline_model, baseline_channel):
-        val = interferer_power_mgf(-5e-3, baseline_channel, geo(eps=0.1), baseline_band, baseline_model)
-        assert 2 <= val.order <= 400
-        assert 0.0 < val.value < 1.0
+    def test_infinite_from_positive_radius(
+        self, baseline_band, baseline_model, baseline_channel
+    ):
+        g = geo(eps=0.5)
+        ups_max = upsilon_table(baseline_band, baseline_model).values.max()
+        radius = baseline_channel.m / (
+            baseline_channel.q * g.eps_min ** -baseline_channel.alpha * ups_max
+        )
+        with pytest.raises(DomainError):
+            interferer_power_mgf(radius, baseline_channel, g, baseline_band, baseline_model)
+        below = interferer_power_mgf(0.5 * radius, baseline_channel, g, baseline_band, baseline_model)
+        assert 1.0 < below < math.inf
 
-    def test_divergence_detected(self, baseline_band, baseline_model, baseline_channel):
-        with pytest.raises(SeriesDivergenceError):
-            interferer_power_mgf(-0.5, baseline_channel, geo(eps=0.1), baseline_band, baseline_model)
+    @pytest.mark.parametrize("v0", sorted(PARENT_SERIES))
+    def test_matches_parent_series_scaled(
+        self, v0, baseline_band, baseline_model, baseline_channel
+    ):
+        g = geo(v0=v0, eps=0.5)
+        mass = 1.0 - g.eps_min**2 / g.radius**2  # eps_min <= R - v0 here
+        for s, old in zip((-1e-3, -0.1, -0.5, -1.0), PARENT_SERIES[v0]):
+            new = interferer_power_mgf(s, baseline_channel, g, baseline_band, baseline_model)
+            assert (1.0 - new) * mass == pytest.approx(old, rel=1e-5), s
 
 
 class TestAggregateMgf:
@@ -200,6 +235,24 @@ class TestMeanReceivedPower:
         minus = aggregate_mgf(-h, 1e-3, 0.24, baseline_channel, baseline_geo, baseline_band, baseline_model)
         central = (plus - minus) / (2.0 * h)
         assert central == pytest.approx(mean, rel=1e-4)
+
+    @pytest.mark.parametrize("eps", (1.0, 3.0))
+    @pytest.mark.parametrize("alpha", (1.5, 2.5))
+    @pytest.mark.parametrize("v0", (0.0, 6.0))
+    def test_conditioned_mean_matches_simulation(
+        self, eps, alpha, v0, baseline_band, baseline_model
+    ):
+        # the simulator redraws interferers inside eps_min, i.e. samples
+        # the distance law conditioned on ell >= eps_min
+        one = ChannelConfig(alpha=alpha, m=3.0, q=0.5, n=1, p=1.0)
+        g = geo(v0=v0, eps=eps)
+        trials = 400_000
+        power = simulate_received_power(
+            one, g, baseline_band, baseline_model, 0.0, trials, 11, blocking="none"
+        )
+        se = power.std() / math.sqrt(trials)
+        analytic = mean_received_power(0.0, 0.0, one, g, baseline_band, baseline_model)
+        assert abs(power.mean() - analytic) <= 4.0 * se
 
     def test_monotone_in_population_and_blockage(self, baseline_band, baseline_model, baseline_geo):
         base = dict(alpha=2.5, m=3.0, q=0.5)
