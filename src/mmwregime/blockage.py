@@ -7,7 +7,10 @@ cone casts a shadow of length 2*d*ell/r on the cone base.  A link goes
 down either because a single obstacle near the apex out-sizes the local
 cone cross-section, or because accumulated partial shadows cover the base.
 This module evaluates the closed-form probability of each mechanism and
-combines them into a per-interferer blockage probability p_b.
+combines them into a per-interferer blockage probability p_b.  The mean
+partial shadow E[S] that the second mechanism needs is one quadrature over
+the link length: its integrals over the obstacle's axial position and
+radius are elementary.
 """
 
 from __future__ import annotations
@@ -154,8 +157,8 @@ def mean_distance(geo: GeometryConfig, tol: Tolerance = DEFAULT_TOL) -> float:
     return _mean_distance_cached(geo, tol)
 
 
-# Inner integrals of E[S] are smooth, so a looser tolerance keeps the
-# triple quadrature fast without moving the result at the 1e-8 level.
+# E[S] is one quadrature of a piecewise-smooth integrand split at its
+# kinks; rel 1e-9 leaves the shipped p_b values unchanged.
 _SHADOW_TOL = Tolerance(rel=1e-9, abs=1e-12, max_iter=2000)
 
 
@@ -163,47 +166,32 @@ _SHADOW_TOL = Tolerance(rel=1e-9, abs=1e-12, max_iter=2000)
 def _mean_partial_blockage_cached(
     d_s: float, d_e: float, geo: GeometryConfig, tol: Tolerance
 ) -> float:
-    tan_t = math.tan(geo.theta)
+    # an obstacle of radius d fully shades the cone for axial r < c*d; the
+    # r-integral of 2*d*ell/r against f(r | ell) = 2r/(ell^2 - (c*d)^2) on
+    # [c*d, ell] is 4*d*ell/(ell + c*d)
+    c = 0.5 / math.tan(geo.theta)
+    lo = c * d_s
     upper = geo.radius + geo.v0_norm
-    branch = geo.radius - geo.v0_norm
-
-    def shadow_given_radius(d: float) -> float:
-        # obstacle of radius d fully shades the cone for axial r < a
-        a = d / (2.0 * tan_t)
-        if a >= upper:
-            return 0.0
-
-        def over_ell(l_arr):
-            vals = np.empty_like(l_arr)
-            for i, l in enumerate(l_arr):
-                if l <= a:
-                    vals[i] = 0.0
-                    continue
-                # axial obstacle position is area-weighted inside the cone:
-                # f(r | ell) = 2 r / (ell^2 - a^2) on [a, ell]
-                norm = l * l - a * a
-                inner = numerics.integrate(
-                    lambda r, _l=l, _n=norm: (2.0 * d * _l / r) * (2.0 * r / _n),
-                    a, l, _SHADOW_TOL,
-                )
-                vals[i] = distance_pdf(l, geo) * inner
-            return vals
-
-        edges = sorted({a, branch, upper})
-        edges = [e for e in edges if a <= e <= upper]
-        if edges[0] > a:
-            edges.insert(0, a)
-        return numerics.integrate_piecewise(over_ell, edges, tol)
+    if lo >= upper:
+        return 0.0
 
     if d_e == d_s:
-        return shadow_given_radius(d_s)
+        def shadow_given_ell(l):
+            return np.where(l > lo, 4.0 * d_s * l / (l + lo), 0.0)
+    else:
+        # the d-integral over [d_s, min(d_e, ell/c)], averaged over d
+        def shadow_given_ell(l):
+            span = np.clip(l / c, d_s, d_e) - d_s
+            x = c * span / (l + lo)
+            return 4.0 * l * (span / c - l / (c * c) * np.log1p(x)) / (d_e - d_s)
 
-    density = 1.0 / (d_e - d_s)
+    def integrand(l):
+        return distance_pdf(l, geo) * shadow_given_ell(l)
 
-    def over_d(d_arr):
-        return np.array([density * shadow_given_radius(d) for d in d_arr])
-
-    return numerics.integrate(over_d, d_s, d_e, tol)
+    # split at the kink of the d-range (ell = c*d_e) and the branch point
+    edges = {lo, c * d_e, geo.radius - geo.v0_norm, upper}
+    edges = sorted(e for e in edges if lo <= e <= upper)
+    return numerics.integrate_piecewise(integrand, edges, tol)
 
 
 def mean_partial_blockage(
@@ -211,10 +199,11 @@ def mean_partial_blockage(
 ) -> float:
     """E[S]: mean shadow length 2*d*ell/r cast on the cone base.
 
-    Triple quadrature over obstacle radius d (uniform), link length ell
-    (disk distance density, restricted to ell >= d/(2 tan theta)) and the
-    obstacle's axial position r (area-weighted within the cone).  Result is
-    independent of rho and of the combination mode.
+    Averages over obstacle radius d (uniform), link length ell (disk
+    distance density, restricted to ell > d/(2 tan theta)) and the
+    obstacle's axial position r (area-weighted within the cone).  The r- and
+    d-integrals are elementary, so E[S] is one quadrature over ell.  Result
+    is independent of rho and of the combination mode.
     """
     return _mean_partial_blockage_cached(cfg.d_s, cfg.d_e, geo, tol)
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import detector, numerics
 from .blockage import (
@@ -407,6 +406,8 @@ def _merge_small_bins(counts: np.ndarray, probs: np.ndarray, floor: float = 10.0
 
 
 def _chi2_pvalue(counts: np.ndarray, probs: np.ndarray) -> float:
+    from scipy import stats
+
     counts, probs = _merge_small_bins(counts, probs)
     if len(counts) < 2:
         return 1.0
@@ -505,6 +506,8 @@ def _mean_power_check(channel, geo, band, model, noise, p_b, trials, seed, worke
 
 
 def _h0_check(noise, trials, seed) -> ValidationCheck:
+    from scipy import stats
+
     samples = sample_h0_power(noise, trials, seed)
     res = stats.kstest(samples, lambda y: detector.h0_cdf(y, noise))
     return _gof_check("noise_power_distribution", res.pvalue, trials)

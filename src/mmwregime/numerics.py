@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 __all__ = [
     "Tolerance",
@@ -313,6 +313,8 @@ def find_root(f: Callable, lo: float, hi: float, tol: Tolerance = DEFAULT_TOL) -
         raise BracketingError(
             f"no sign change on bracket: f({lo})={flo}, f({hi})={fhi}"
         )
+    from scipy import optimize
+
     rtol = max(tol.rel, 4.0 * np.finfo(float).eps)
     try:
         root = optimize.brentq(

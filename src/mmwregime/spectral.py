@@ -172,10 +172,29 @@ def _psd_halfwidth(psd: Psd) -> float:
 
 def _psd_breakpoints(psd: Psd, center: float) -> list[float]:
     if isinstance(psd, GaussianPsd):
+        # +-12 std too: a wide panel reaching only to +-4 std can put no node
+        # in the tail and report zero error while missing its mass
         s = psd.std
-        return [center - 4.0 * s, center, center + 4.0 * s]
+        return [center - 12.0 * s, center - 4.0 * s, center,
+                center + 4.0 * s, center + 12.0 * s]
     h = 0.5 * psd.width
     return [center - h, center + h]
+
+
+def _brick_wall_upsilon(omega, band: BandConfig, model: SpectralModel) -> np.ndarray:
+    """Upsilon at rolloff 0: the PSD mass inside [-h, h], h = min(W, width)/2."""
+    w = np.abs(np.asarray(omega, dtype=float))
+    h = 0.5 * min(band.bandwidth, model.filter.width)
+    psd = model.psd
+    if isinstance(psd, GaussianPsd):
+        s = math.sqrt(2.0) * psd.std
+        val = 0.5 * (numerics.erf((h + w) / s) + numerics.erf((h - w) / s))
+    elif isinstance(psd, RectangularPsd):
+        half = 0.5 * psd.width
+        val = np.maximum(np.minimum(w + half, h) - np.maximum(w - half, -h), 0.0) / psd.width
+    else:
+        raise DomainError(f"unsupported PSD shape: {psd!r}")
+    return np.clip(val, 0.0, 1.0)
 
 
 def upsilon(
@@ -185,8 +204,13 @@ def upsilon(
 
     Integrates psd(u - omega) * |H(u)|^2 for u over the receiver window
     [-W/2, W/2] (baseband coordinates around f_0).  Even in omega; value in
-    [0, 1] by the normalization conventions of this module.
+    [0, 1] by the normalization conventions of this module.  A brick-wall
+    filter (rolloff 0) takes the closed form, an erf difference for a
+    Gaussian PSD and an interval overlap for a rectangular one; a tapered
+    filter takes adaptive quadrature to tol.
     """
+    if model.filter.rolloff == 0.0:
+        return float(_brick_wall_upsilon(omega, band, model))
     w = abs(float(omega))
     half_window = 0.5 * band.bandwidth
     flt = model.filter
@@ -216,7 +240,9 @@ class UpsilonTable:
     The overlap decays to numerical zero beyond cutoff = (filter stop edge
     clipped to the window) + (PSD halfwidth); lookups past the grid return
     exactly 0.  Values are linear-interpolated, which keeps the table cheap
-    to evaluate on millions of sampled offsets.
+    to evaluate on millions of sampled offsets.  At rolloff 0 the samples
+    come from the closed form in one array expression, otherwise from one
+    quadrature per grid point.
     """
 
     def __init__(self, band: BandConfig, model: SpectralModel, points: int = 4097,
@@ -226,7 +252,10 @@ class UpsilonTable:
         self.band = band
         self.model = model
         self.grid = np.linspace(0.0, cutoff, points)
-        self.values = np.array([upsilon(w, band, model, tol) for w in self.grid])
+        if model.filter.rolloff == 0.0:
+            self.values = _brick_wall_upsilon(self.grid, band, model)
+        else:
+            self.values = np.array([upsilon(w, band, model, tol) for w in self.grid])
 
     @property
     def cutoff(self) -> float:

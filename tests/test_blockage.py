@@ -114,17 +114,22 @@ class TestMeanPartialBlockage:
         d, ell = 0.37, 8.0
         assert 2.0 * d * ell / ell == pytest.approx(2.0 * d)
 
-    def test_against_sampling_oracle(self):
+    @pytest.mark.parametrize("v0", [0.0, 8.0])
+    def test_against_sampling_oracle(self, v0):
         # plain Monte-Carlo average of 2*d*ell/r over the same joint density
         cfg = BlockageConfig(rho=1.0, d_s=0.2, d_e=0.8)
-        g = geo()
+        g = geo(v0=v0)
         analytic = mean_partial_blockage(cfg, g)
 
         rng = np.random.default_rng(2024)
         n = 2_000_000
         tan_t = math.tan(g.theta)
         d = rng.uniform(cfg.d_s, cfg.d_e, n)
-        ell = g.radius * np.sqrt(rng.random(n))  # distance law for v0 = 0
+        # uniform points in the disk, measured from the offset receiver, so
+        # the far (arccos) branch of the distance law is sampled too
+        rad = g.radius * np.sqrt(rng.random(n))
+        ang = 2.0 * math.pi * rng.random(n)
+        ell = np.hypot(rad * np.cos(ang) - g.v0_norm, rad * np.sin(ang))
         a = d / (2.0 * tan_t)
         ok = ell > a
         u = rng.random(ok.sum())
@@ -132,6 +137,22 @@ class TestMeanPartialBlockage:
         s = np.zeros(n)
         s[ok] = 2.0 * d[ok] * ell[ok] / r
         assert s.mean() == pytest.approx(analytic, rel=0.01)
+
+    @pytest.mark.parametrize(
+        "d_s, d_e, v0, expected",
+        [
+            # independent double quadrature (scipy.integrate.quad over ell
+            # and d, split where d/(2 tan theta) crosses R -+ v0)
+            (0.2, 0.8, 8.0, 1.6311300991992042),
+            (0.2, 0.8, 9.0, 1.6588480406770911),
+            (0.05, 1.2, 8.5, 1.91379729558636),
+            # point-mass radius, as the triple quadrature gave it
+            (0.5, 0.5, 6.0, 1.62601988962848),
+        ],
+    )
+    def test_pinned_values(self, d_s, d_e, v0, expected):
+        cfg = BlockageConfig(rho=1.0, d_s=d_s, d_e=d_e)
+        assert mean_partial_blockage(cfg, geo(v0=v0)) == pytest.approx(expected, rel=1e-9)
 
     def test_rho_independent(self):
         g = geo()

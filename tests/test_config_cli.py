@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -7,7 +10,7 @@ from mmwregime import cli
 from mmwregime.config import ConfigError, config_hash, load_config
 from mmwregime.spectral import GaussianPsd
 
-from conftest import BASELINE_CONFIG, write_config
+from conftest import BASELINE_CONFIG, REPO_ROOT, write_config
 
 
 class TestLoadConfig:
@@ -99,6 +102,24 @@ class TestLoadConfig:
         path = write_config(tmp_path, sweeps={"beta_grid": [0.0, 0.5]})
         with pytest.raises(ConfigError, match="beta_grid"):
             load_config(path)
+
+
+def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
+    # validate and find_root import them where they are used, so the
+    # analytic commands do not pay for them at start-up
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, mmwregime.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def run_cli(*args):

@@ -131,7 +131,7 @@ class TestUpsilon:
         model = gaussian_model(std=2.5e7)
         for omega in (0.0, 1e7, 2.5e7, 5e7, 7.5e7, 1.2e8):
             assert upsilon(omega, b, model) == pytest.approx(
-                brick_overlap(omega, 1e8, 2.5e7), abs=1e-8
+                brick_overlap(omega, 1e8, 2.5e7), abs=1e-14
             )
 
     def test_even_in_offset(self):
@@ -153,6 +153,33 @@ class TestUpsilon:
         model = gaussian_model(std=1e5)
         val = upsilon(0.0, band(), model)
         assert val == pytest.approx(1.0, rel=1e-6)
+        # Gaussian tails beyond 4 std inside a wide first panel
+        tapered = gaussian_model(std=1e4, rolloff=0.25)
+        assert upsilon(3.5e7, band(), tapered) == pytest.approx(1.0, abs=1e-12)
+        assert upsilon(4.99e7, band(), model) == pytest.approx(
+            brick_overlap(4.99e7, 1e8, 1e5), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("width", [3e8, 2e7])
+    def test_rectangular_psd_interval_overlap(self, width):
+        # window [-5e7, 5e7] against a PSD wider and one narrower than it
+        model = SpectralModel(
+            psd=RectangularPsd(width=width),
+            filter=RaisedCosineFilter(rolloff=0.0, width=1e8),
+        )
+        for omega in (0.0, 2e7, 4.5e7, 6e7, 1.4e8, 2.1e8):
+            lo = max(omega - width / 2.0, -5e7)
+            hi = min(omega + width / 2.0, 5e7)
+            expected = max(hi - lo, 0.0) / width
+            assert upsilon(omega, band(), model) == pytest.approx(expected, abs=1e-14)
+
+    def test_closed_form_matches_quadrature_path(self):
+        # rolloff 1e-9 goes through quadrature, rolloff 0 through the closed form
+        b = band()
+        for omega in (0.0, 2.5e7, 5e7, 7.5e7):
+            assert upsilon(omega, b, gaussian_model(rolloff=1e-9)) == pytest.approx(
+                upsilon(omega, b, gaussian_model(rolloff=0.0)), abs=1e-9
+            )
 
     def test_rolloff_reduces_capture(self):
         b = band()
@@ -170,6 +197,11 @@ class TestUpsilonTable:
             assert table.lookup(omega) == pytest.approx(
                 upsilon(omega, b, model), abs=5e-7
             )
+
+    def test_brick_wall_values_are_closed_form(self):
+        table = upsilon_table(band(), gaussian_model())
+        expected = [brick_overlap(w, 1e8, 2.5e7) for w in table.grid]
+        np.testing.assert_allclose(table.values, expected, rtol=0.0, atol=1e-14)
 
     def test_lookup_zero_past_cutoff(self):
         table = upsilon_table(band(), gaussian_model())
