@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numerics
-from .numerics import DEFAULT_TOL, DomainError, Tolerance
+from .numerics import DomainError, Tolerance
 
 __all__ = [
     "GeometryConfig",
@@ -31,6 +31,7 @@ __all__ = [
     "NonblockedCount",
     "COMBINE_MODES",
     "distance_pdf",
+    "distance_cdf",
     "mean_distance",
     "mean_partial_blockage",
     "blockage_probability",
@@ -145,16 +146,40 @@ def distance_pdf(ell, geo: GeometryConfig):
     return float(out[0]) if scalar else out
 
 
+def distance_cdf(x, geo: GeometryConfig):
+    """P(ell <= x): the area of the deployment disk within x of the receiver.
+
+    x^2/R^2 up to R - v0_norm, 1 from R + v0_norm on, and in between the
+    lens where the circle of radius x around the receiver overlaps the
+    deployment disk, divided by pi*R^2.  Accepts scalars or arrays.
+    """
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    R, v = geo.radius, geo.v0_norm
+    out = np.clip(x / R, 0.0, 1.0) ** 2
+    out[x >= R + v] = 1.0
+    # the lens is empty at v0_norm = 0, so nothing below divides by zero
+    lens = (x > R - v) & (x < R + v)
+    xl = x[lens]
+    # rounding can push the arccos arguments a hair outside [-1, 1]
+    a = np.arccos(np.clip((v * v + xl * xl - R * R) / (2.0 * v * xl), -1.0, 1.0))
+    b = np.arccos(np.clip((v * v + R * R - xl * xl) / (2.0 * v * R), -1.0, 1.0))
+    kite = np.sqrt(np.maximum((R - v + xl) * (v + xl - R) * (v - xl + R) * (v + xl + R), 0.0))
+    out[lens] = (xl * xl * a + R * R * b - 0.5 * kite) / (math.pi * R * R)
+    return float(out[0]) if scalar else out
+
+
 @lru_cache(maxsize=512)
-def _mean_distance_cached(geo: GeometryConfig, tol: Tolerance) -> float:
+def _mean_distance_cached(geo: GeometryConfig) -> float:
     R, v = geo.radius, geo.v0_norm
     f = lambda l: l * distance_pdf(l, geo)
-    return numerics.integrate_piecewise(f, (0.0, R - v, R + v), tol)
+    return numerics.integrate_piecewise(f, (0.0, R - v, R + v))
 
 
-def mean_distance(geo: GeometryConfig, tol: Tolerance = DEFAULT_TOL) -> float:
+def mean_distance(geo: GeometryConfig) -> float:
     """E[ell]: mean distance from a uniform interferer to the receiver."""
-    return _mean_distance_cached(geo, tol)
+    return _mean_distance_cached(geo)
 
 
 # E[S] is one quadrature of a piecewise-smooth integrand split at its
@@ -163,9 +188,7 @@ _SHADOW_TOL = Tolerance(rel=1e-9, abs=1e-12, max_iter=2000)
 
 
 @lru_cache(maxsize=512)
-def _mean_partial_blockage_cached(
-    d_s: float, d_e: float, geo: GeometryConfig, tol: Tolerance
-) -> float:
+def _mean_partial_blockage_cached(d_s: float, d_e: float, geo: GeometryConfig) -> float:
     # an obstacle of radius d fully shades the cone for axial r < c*d; the
     # r-integral of 2*d*ell/r against f(r | ell) = 2r/(ell^2 - (c*d)^2) on
     # [c*d, ell] is 4*d*ell/(ell + c*d)
@@ -191,12 +214,10 @@ def _mean_partial_blockage_cached(
     # split at the kink of the d-range (ell = c*d_e) and the branch point
     edges = {lo, c * d_e, geo.radius - geo.v0_norm, upper}
     edges = sorted(e for e in edges if lo <= e <= upper)
-    return numerics.integrate_piecewise(integrand, edges, tol)
+    return numerics.integrate_piecewise(integrand, edges, _SHADOW_TOL)
 
 
-def mean_partial_blockage(
-    cfg: BlockageConfig, geo: GeometryConfig, tol: Tolerance = _SHADOW_TOL
-) -> float:
+def mean_partial_blockage(cfg: BlockageConfig, geo: GeometryConfig) -> float:
     """E[S]: mean shadow length 2*d*ell/r cast on the cone base.
 
     Averages over obstacle radius d (uniform), link length ell (disk
@@ -205,12 +226,10 @@ def mean_partial_blockage(
     d-integrals are elementary, so E[S] is one quadrature over ell.  Result
     is independent of rho and of the combination mode.
     """
-    return _mean_partial_blockage_cached(cfg.d_s, cfg.d_e, geo, tol)
+    return _mean_partial_blockage_cached(cfg.d_s, cfg.d_e, geo)
 
 
-def blockage_probability(
-    cfg: BlockageConfig, geo: GeometryConfig, tol: Tolerance = DEFAULT_TOL
-) -> BlockageResult:
+def blockage_probability(cfg: BlockageConfig, geo: GeometryConfig) -> BlockageResult:
     """Per-interferer blockage probability p_b and its ingredients.
 
     p_b1 is the chance that at least one obstacle sits close enough to the
@@ -221,7 +240,7 @@ def blockage_probability(
     combined according to cfg.mode; see BlockageConfig.
     """
     tan_t = math.tan(geo.theta)
-    mean_ell = mean_distance(geo, tol)
+    mean_ell = mean_distance(geo)
     mean_shadow = mean_partial_blockage(cfg, geo)
     delta = 2.0 * cfg.rho * mean_ell * tan_t
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .blockage import BlockageConfig, GeometryConfig
+from .blockage import COMBINE_MODES, BlockageConfig, GeometryConfig
 from .detector import FIT_MODES, NoiseConfig, thermal_noise_power
 from .interference import ChannelConfig, dbm_to_watts
 from .mcsim import BLOCKING_MODES
@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 2
+
+_DEFAULT_BETA_GRID = (1e-300, 1e-12, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5,
+                      0.7, 0.9, 0.99, 1.0)
 
 
 class ConfigError(Exception):
@@ -132,8 +135,13 @@ class _Section:
             )
         return value
 
-    def subsection(self, key: str, optional: bool = False) -> Optional["_Section"]:
+    def subsection(self, key: str, optional: bool = False,
+                   absent_empty: bool = False) -> Optional["_Section"]:
+        """The named subsection.  An absent optional one is None, or with
+        absent_empty an empty section whose fields all take their defaults."""
         if key not in self._data:
+            if absent_empty:
+                return _Section({}, self._name(key), self._defaulted)
             if optional:
                 return None
             raise ConfigError(f"{self._name(key)}: required section is missing")
@@ -216,9 +224,8 @@ def load_config(path) -> RunConfig:
             d_s=blk_sec.require("d_s_m", float, _positive, "> 0"),
             d_e=blk_sec.require("d_e_m", float, _positive, "> 0"),
             mode=blk_sec.optional(
-                "mode", str, "length_weighted",
-                lambda v: v in ("reciprocal_length", "length_weighted"),
-                "one of reciprocal_length, length_weighted",
+                "mode", str, "length_weighted", lambda v: v in COMBINE_MODES,
+                f"one of {', '.join(COMBINE_MODES)}",
             ),
         )
         blk_sec.reject_unknown()
@@ -231,16 +238,15 @@ def load_config(path) -> RunConfig:
         band_sec.reject_unknown()
         band = BandConfig(f_s=f_s, f_e=f_e, f_0=f_0, bandwidth=bandwidth)
 
+        psd = GaussianPsd(std=bandwidth / 4.0)
+        filt = RaisedCosineFilter(rolloff=0.0, width=bandwidth)
         spec_sec = root.subsection("spectral", optional=True)
         if spec_sec is None:
             defaulted.append("spectral")
-            psd = GaussianPsd(std=bandwidth / 4.0)
-            filt = RaisedCosineFilter(rolloff=0.0, width=bandwidth)
         else:
             psd_sec = spec_sec.subsection("psd", optional=True)
             if psd_sec is None:
                 defaulted.append("spectral.psd")
-                psd = GaussianPsd(std=bandwidth / 4.0)
             else:
                 shape = psd_sec.require(
                     "shape", str, lambda v: v in ("gaussian", "rectangular"),
@@ -248,7 +254,7 @@ def load_config(path) -> RunConfig:
                 )
                 if shape == "gaussian":
                     psd = GaussianPsd(
-                        std=psd_sec.optional("std_hz", float, bandwidth / 4.0, _positive, "> 0")
+                        std=psd_sec.optional("std_hz", float, psd.std, _positive, "> 0")
                     )
                 else:
                     psd = RectangularPsd(
@@ -258,16 +264,15 @@ def load_config(path) -> RunConfig:
             filt_sec = spec_sec.subsection("filter", optional=True)
             if filt_sec is None:
                 defaulted.append("spectral.filter")
-                filt = RaisedCosineFilter(rolloff=0.0, width=bandwidth)
             else:
                 filt_sec.require(
                     "shape", str, lambda v: v == "raised_cosine", "raised_cosine"
                 )
                 filt = RaisedCosineFilter(
                     rolloff=filt_sec.optional(
-                        "rolloff", float, 0.0, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"
+                        "rolloff", float, filt.rolloff, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"
                     ),
-                    width=filt_sec.optional("width_hz", float, bandwidth, _positive, "> 0"),
+                    width=filt_sec.optional("width_hz", float, filt.width, _positive, "> 0"),
                 )
                 filt_sec.reject_unknown()
             spec_sec.reject_unknown()
@@ -285,90 +290,70 @@ def load_config(path) -> RunConfig:
         )
         chan_sec.reject_unknown()
 
-        noise_sec = root.subsection("noise", optional=True)
-        if noise_sec is None:
-            defaulted.extend(["noise.sigma2_watts", "noise.phi_watts"])
-            noise = NoiseConfig(sigma2=thermal_noise_power(bandwidth), phi=0.0)
-        else:
-            sigma2 = noise_sec.power_watts("sigma2", default=thermal_noise_power(bandwidth))
-            phi = noise_sec.power_watts("phi", default=0.0)
-            noise_sec.reject_unknown()
-            noise = NoiseConfig(sigma2=sigma2, phi=phi)
+        # an absent noise, detection or simulation section reads as an empty
+        # one, which reports each defaulted field by name
+        noise_sec = root.subsection("noise", absent_empty=True)
+        noise = NoiseConfig(
+            sigma2=noise_sec.power_watts("sigma2", default=thermal_noise_power(bandwidth)),
+            phi=noise_sec.power_watts("phi", default=0.0),
+        )
+        noise_sec.reject_unknown()
 
-        det_sec = root.subsection("detection", optional=True)
-        if det_sec is None:
-            defaulted.extend(["detection.beta_th", "detection.fit_mode"])
-            beta_th, fit_mode = 0.05, "transcendental"
-        else:
-            beta_th = det_sec.optional(
-                "beta_th", float, 0.05, lambda v: 0.0 < v <= 1.0, "in (0, 1]"
-            )
-            fit_mode = det_sec.optional(
-                "fit_mode", str, "transcendental",
-                lambda v: v in FIT_MODES, f"one of {FIT_MODES}",
-            )
-            det_sec.reject_unknown()
+        det_sec = root.subsection("detection", absent_empty=True)
+        beta_th = det_sec.optional(
+            "beta_th", float, 0.05, lambda v: 0.0 < v <= 1.0, "in (0, 1]"
+        )
+        fit_mode = det_sec.optional(
+            "fit_mode", str, "transcendental",
+            lambda v: v in FIT_MODES, f"one of {FIT_MODES}",
+        )
+        det_sec.reject_unknown()
 
         sweep_sec = root.subsection("sweeps", optional=True)
         if sweep_sec is None:
+            # an absent sweeps section is reported by its name alone
             defaulted.append("sweeps")
-            sweeps = SweepSpec(
-                v0_grid=tuple(float(v) for v in range(10) if v < geo.radius),
-                beta_grid=(1e-300, 1e-12, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.2,
-                           0.3, 0.5, 0.7, 0.9, 0.99, 1.0),
-                rho_list=(blockage.rho,),
-                n_list=(channel.n,),
-            )
-        else:
-            v0_grid = sweep_sec.optional(
-                "v0_grid_m", list,
-                [float(v) for v in range(10) if v < geo.radius],
-            )
-            beta_grid = sweep_sec.optional(
-                "beta_grid", list,
-                [1e-300, 1e-12, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5,
-                 0.7, 0.9, 0.99, 1.0],
-            )
-            rho_list = sweep_sec.optional("rho_list", list, [blockage.rho])
-            n_list = sweep_sec.optional("n_list", list, [channel.n])
-            sweep_sec.reject_unknown()
-            for v in v0_grid:
-                if not (0.0 <= float(v) < geo.radius):
-                    raise ConfigError(
-                        f"sweeps.v0_grid_m: value {v!r} violates constraint: in [0, radius)"
-                    )
-            for b in beta_grid:
-                if not (0.0 < float(b) <= 1.0):
-                    raise ConfigError(
-                        f"sweeps.beta_grid: value {b!r} violates constraint: in (0, 1]"
-                    )
-            for r in rho_list:
-                if float(r) < 0.0:
-                    raise ConfigError(
-                        f"sweeps.rho_list: value {r!r} violates constraint: >= 0"
-                    )
-            for n in n_list:
-                if not isinstance(n, int) or n < 0:
-                    raise ConfigError(
-                        f"sweeps.n_list: value {n!r} violates constraint: integer >= 0"
-                    )
-            sweeps = SweepSpec(
-                v0_grid=tuple(float(v) for v in v0_grid),
-                beta_grid=tuple(float(b) for b in beta_grid),
-                rho_list=tuple(float(r) for r in rho_list),
-                n_list=tuple(int(n) for n in n_list),
-            )
+            sweep_sec = _Section({}, "sweeps", [])
+        v0_grid = sweep_sec.optional(
+            "v0_grid_m", list, [float(v) for v in range(10) if v < geo.radius]
+        )
+        beta_grid = sweep_sec.optional("beta_grid", list, list(_DEFAULT_BETA_GRID))
+        rho_list = sweep_sec.optional("rho_list", list, [blockage.rho])
+        n_list = sweep_sec.optional("n_list", list, [channel.n])
+        sweep_sec.reject_unknown()
+        for v in v0_grid:
+            if not (0.0 <= float(v) < geo.radius):
+                raise ConfigError(
+                    f"sweeps.v0_grid_m: value {v!r} violates constraint: in [0, radius)"
+                )
+        for b in beta_grid:
+            if not (0.0 < float(b) <= 1.0):
+                raise ConfigError(
+                    f"sweeps.beta_grid: value {b!r} violates constraint: in (0, 1]"
+                )
+        for r in rho_list:
+            if float(r) < 0.0:
+                raise ConfigError(
+                    f"sweeps.rho_list: value {r!r} violates constraint: >= 0"
+                )
+        for n in n_list:
+            if not isinstance(n, int) or n < 0:
+                raise ConfigError(
+                    f"sweeps.n_list: value {n!r} violates constraint: integer >= 0"
+                )
+        sweeps = SweepSpec(
+            v0_grid=tuple(float(v) for v in v0_grid),
+            beta_grid=tuple(float(b) for b in beta_grid),
+            rho_list=tuple(float(r) for r in rho_list),
+            n_list=tuple(int(n) for n in n_list),
+        )
 
-        sim_sec = root.subsection("simulation", optional=True)
-        if sim_sec is None:
-            defaulted.append("simulation.blocking")
-            blocking = "thinning"
-        else:
-            blocking = sim_sec.optional(
-                "blocking", str, "thinning",
-                lambda v: v in BLOCKING_MODES, f"one of {BLOCKING_MODES}",
-            )
-            sim_sec.reject_unknown()
+        sim_sec = root.subsection("simulation", absent_empty=True)
+        blocking = sim_sec.optional(
+            "blocking", str, "thinning",
+            lambda v: v in BLOCKING_MODES, f"one of {BLOCKING_MODES}",
+        )
+        sim_sec.reject_unknown()
 
         trials = root.optional("trials", int, 100000, lambda v: v >= 1, ">= 1")
         seed = root.optional("seed", int, 0, lambda v: v >= 0, ">= 0")

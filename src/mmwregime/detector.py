@@ -20,7 +20,7 @@ import numpy as np
 from . import numerics
 from .blockage import BlockageConfig, GeometryConfig, blockage_probability
 from .interference import ChannelConfig, mean_received_power
-from .numerics import DEFAULT_TOL, DomainError, Tolerance
+from .numerics import DomainError, Tolerance
 from .spectral import BandConfig, SpectralModel
 
 __all__ = [
@@ -215,8 +215,8 @@ def lrt(y, fit: MeFit, noise: NoiseConfig):
         raise DomainError(f"lrt requires y > phi = {noise.phi}")
     s2 = noise.sigma2
     shifted = y - noise.phi
-    # overflow to inf is meaningful here: the quadrature layer detects the
-    # non-finite value and raises a typed error, so numpy need not warn
+    # past double range the ratio is inf, the honest value of an
+    # overwhelming likelihood ratio, so numpy need not warn
     with np.errstate(over="ignore"):
         out = (
             2.0 * math.gamma(0.5) * s2 * fit.lam
@@ -251,30 +251,45 @@ def detection_probability(fit: MeFit, eta_prime: float, phi: float) -> float:
     return math.exp(-fit.lam * (eta_prime - phi))
 
 
-_AREA_TOL = Tolerance(rel=1e-9, abs=0.0, max_iter=4000)
-
-
-def lrt_area(
-    fit: MeFit,
-    noise: NoiseConfig,
-    y_max: Optional[float] = None,
-    tol: Tolerance = _AREA_TOL,
-) -> float:
+def lrt_area(fit: MeFit, noise: NoiseConfig, y_max: Optional[float] = None) -> float:
     """Area under the likelihood-ratio curve from phi up to y_max.
 
     A scalar summary of how strongly the interference hypothesis dominates:
     larger rate (weaker interference) shrinks it.  The default y_max spans
     twenty times the wider of the two hypothesis scales, past which the
     integrand either decays (lam > 1/(2 sigma2)) or the window already
-    dominates the value.  The y -> phi+ endpoint is integrable and never
-    evaluated by the quadrature.
+    dominates the value.
+
+    Closed form in log space.  With x = y - phi, X = y_max - phi,
+    k = 1/(2 sigma2) - lam and C = sqrt(2 pi sigma2) * lam the area is
+    C * int_0^X sqrt(x) exp(k x) dx: Gamma(3/2) |k|^-3/2 P(3/2, |k| X) for
+    k < 0, k^-3/2 exp(k X) (u - D(u)) with u = sqrt(k X) and D the Dawson
+    function for k > 0, and X^3/2 sum_n (k X)^n / (n! (n + 3/2)) near
+    k X = 0, where the other two cancel.  Returns inf past double range.
     """
     phi = noise.phi
     if y_max is None:
         y_max = phi + 20.0 * max(2.0 * noise.sigma2, 1.0 / fit.lam)
     if not (y_max > phi):
         raise DomainError(f"y_max must exceed phi, got {y_max} <= {phi}")
-    return numerics.integrate(lambda y: lrt(y, fit, noise), phi, y_max, tol)
+    big_x = y_max - phi
+    k = 0.5 / noise.sigma2 - fit.lam
+    z = k * big_x
+    log_c = 0.5 * math.log(2.0 * math.pi * noise.sigma2) + math.log(fit.lam)
+    if abs(z) < 0.5:
+        # 18 terms leave a remainder below 1e-20 of the sum
+        series = sum(z**n / (math.factorial(n) * (n + 1.5)) for n in range(18))
+        log_int = 1.5 * math.log(big_x) + math.log(series)
+    elif k < 0.0:
+        log_int = (math.lgamma(1.5) - 1.5 * math.log(-k)
+                   + math.log(numerics.reg_lower_gamma(1.5, -z)))
+    else:
+        u = math.sqrt(z)
+        log_int = z - 1.5 * math.log(k) + math.log(u - numerics.dawson(u))
+    try:
+        return math.exp(log_c + log_int)
+    except OverflowError:
+        return math.inf
 
 
 def roc_curve(
@@ -292,13 +307,11 @@ def roc_curve(
     return sorted(pts)
 
 
-def detect(
-    fit: MeFit, noise: NoiseConfig, beta_th: float, tol: Tolerance = _AREA_TOL
-) -> DetectionResult:
+def detect(fit: MeFit, noise: NoiseConfig, beta_th: float) -> DetectionResult:
     """Full threshold-test summary at one significance level."""
     eta = np_threshold(beta_th, noise)
     p_d = detection_probability(fit, eta, noise.phi)
-    area = lrt_area(fit, noise, tol=tol)
+    area = lrt_area(fit, noise)
     verdict = INTERFERENCE_LIMITED if p_d > 0.5 else NOISE_LIMITED
     return DetectionResult(eta_prime=eta, beta_th=beta_th, p_d=p_d,
                            lrt_area=area, verdict=verdict)
@@ -314,17 +327,16 @@ def _regime_point(
     noise: NoiseConfig,
     beta_th: float,
     fit_mode: str,
-    tol: Tolerance,
     p_b_override: Optional[float],
 ) -> RegimePoint:
     geo_v = replace(geo, v0_norm=float(v0))
     p_b = mean_y = None
     try:
         if p_b_override is None:
-            p_b = blockage_probability(blockage_cfg, geo_v, tol).p_b
+            p_b = blockage_probability(blockage_cfg, geo_v).p_b
         else:
             p_b = float(p_b_override)
-        mean_y = mean_received_power(noise.phi, p_b, channel, geo_v, band, model, tol)
+        mean_y = mean_received_power(noise.phi, p_b, channel, geo_v, band, model)
         fit = fit_me_lambda(mean_y, noise.phi, fit_mode)
         result = detect(fit, noise, beta_th)
     except InfeasibleFitError as exc:
@@ -355,7 +367,6 @@ def regime_map(
     v0_grid: Sequence[float],
     beta_th: float,
     fit_mode: str = "transcendental",
-    tol: Tolerance = DEFAULT_TOL,
     p_b_override: Optional[float] = None,
 ) -> list[RegimePoint]:
     """Recompute the full detection chain at each receiver offset.
@@ -373,6 +384,6 @@ def regime_map(
             raise DomainError(f"v0 grid value {v} outside [0, radius)")
     return [
         _regime_point(v, blockage_cfg, geo, channel, band, model, noise, beta_th,
-                      fit_mode, tol, p_b_override)
+                      fit_mode, p_b_override)
         for v in v0_grid
     ]

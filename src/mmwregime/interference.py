@@ -23,8 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import numerics
-from .blockage import GeometryConfig
-from .numerics import DEFAULT_TOL, DomainError, Tolerance
+from .blockage import GeometryConfig, distance_cdf, distance_pdf
+from .numerics import DomainError
 from .spectral import BandConfig, SpectralModel, upsilon_table
 
 __all__ = [
@@ -87,64 +87,42 @@ class ChannelConfig:
 # the conditioned distance law and its pathloss moments kappa_n
 # ---------------------------------------------------------------------------
 
-def _arccos_weight(l, R: float, v: float):
-    arg = np.clip((v * v - R * R + l * l) / (2.0 * l * v), -1.0, 1.0)
-    return np.arccos(arg) / math.pi
+def _distance_law(geo: GeometryConfig) -> tuple[list, float]:
+    """Branch edges and mass of the disk-distance law conditioned on ell >= eps_min.
 
-
-def _branch_integral(power: float, lo: float, hi: float, far: bool,
-                     geo: GeometryConfig, tol: Tolerance) -> float:
-    R, v = geo.radius, geo.v0_norm
-    if far:
-        return numerics.integrate(lambda l: l**power * _arccos_weight(l, R, v), lo, hi, tol)
-    return numerics.integrate(lambda l: l**power, lo, hi, tol)
-
-
-@lru_cache(maxsize=512)
-def _distance_law(geo: GeometryConfig, tol: Tolerance) -> tuple[tuple, float]:
-    """Branches and mass of the disk-distance law conditioned on ell >= eps_min.
-
-    The unconditioned density is (2*ell/R^2) * w(ell), with w = 1 on the
-    near branch up to R - v0 and the arccos weight on the far branch out to
-    R + v0.  Both branches start no lower than eps_min.  Returns the
-    branches as (lower, upper, far) triples and the mass P(ell >= eps_min)
-    that normalises them.
+    The edges run from eps_min through the branch point R - v0 (where
+    distance_pdf turns from 2*ell/R^2 to its arccos tail) to R + v0; the
+    mass P(ell >= eps_min) = 1 - F(eps_min) normalises them.
     """
     R, v, eps = geo.radius, geo.v0_norm, geo.eps_min
-    branches = []
-    if R - v > eps:
-        branches.append((eps, R - v, False))
-    if v > 0.0:
-        branches.append((max(R - v, eps), R + v, True))
-    mass = 2.0 * sum(_branch_integral(1.0, *b, geo, tol) for b in branches) / (R * R)
-    return tuple(branches), mass
+    edges = [eps] + sorted({e for e in (R - v, R + v) if e > eps})
+    return edges, 1.0 - distance_cdf(eps, geo)
 
 
 @lru_cache(maxsize=4096)
-def _kappa_cached(n: int, geo: GeometryConfig, alpha: float, tol: Tolerance) -> float:
-    branches, mass = _distance_law(geo, tol)
-    return sum(_branch_integral(1.0 - n * alpha, *b, geo, tol) for b in branches) / mass
+def _kappa_cached(n: int, geo: GeometryConfig, alpha: float) -> float:
+    edges, mass = _distance_law(geo)
+    f = lambda l: l ** (-n * alpha) * distance_pdf(l, geo)
+    return 0.5 * geo.radius**2 * numerics.integrate_piecewise(f, edges) / mass
 
 
-def kappa_n(n: int, geo: GeometryConfig, alpha: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def kappa_n(n: int, geo: GeometryConfig, alpha: float) -> float:
     """n-th pathloss moment of the distance law conditioned on ell >= eps_min.
 
     Scaled so that E[ell^(-n*alpha) | ell >= eps_min] = 2*kappa_n / R^2,
-    which keeps kappa_0 = R^2 / 2: the integral of ell^(1 - n*alpha) over
-    the distance law from eps_min, divided by P(ell >= eps_min).
+    which keeps kappa_0 = R^2 / 2: the integral of ell^(-n*alpha) against
+    distance_pdf from eps_min, divided by P(ell >= eps_min), times R^2/2.
     """
     if n < 0:
         raise DomainError(f"moment order n must be >= 0, got {n}")
-    return _kappa_cached(int(n), geo, float(alpha), tol)
+    return _kappa_cached(int(n), geo, float(alpha))
 
 
 # ---------------------------------------------------------------------------
 # overlap moments gamma_n
 # ---------------------------------------------------------------------------
 
-def gamma_n(
-    n: int, band: BandConfig, model: SpectralModel, tol: Tolerance = DEFAULT_TOL
-) -> float:
+def gamma_n(n: int, band: BandConfig, model: SpectralModel) -> float:
     """n-th overlap moment (Hz): Upsilon^n integrated over both offset slabs.
 
     Relates to the offset law through E[Upsilon^n] = gamma_n / (f_e - f_s).
@@ -190,15 +168,14 @@ def interferer_power_mgf(
             f"the interferer-power MGF is infinite at s = {s!r}: s must stay below "
             f"m / (q * eps_min^-alpha * max Upsilon)"
         )
-    branches, mass = _distance_law(geo, DEFAULT_TOL)
+    edges, mass = _distance_law(geo)
     t, gw = _DISTANCE_NODES
     ell, w_ell = [], []
-    for lo, hi, far in branches:
+    for lo, hi in zip(edges[:-1], edges[1:]):
         half = 0.5 * math.log(hi / lo)
         l = np.exp(math.log(lo) + half * (t + 1.0))
-        shape = _arccos_weight(l, geo.radius, geo.v0_norm) if far else 1.0
         ell.append(l)
-        w_ell.append(gw * half * 2.0 * l * l * shape / (geo.radius**2 * mass))
+        w_ell.append(gw * half * l * distance_pdf(l, geo) / mass)
     ups, w_ups = zip(*(table.trapezoid(edge) for edge in band.offset_edges))
     ups = np.concatenate(ups)
     w_ups = np.concatenate(w_ups) / (band.f_e - band.f_s)
@@ -240,15 +217,14 @@ def mean_interferer_power(
     geo: GeometryConfig,
     band: BandConfig,
     model: SpectralModel,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> float:
     """Mean received power from one active, non-blocked interferer (watts).
 
     Closed form: the unit-mean fading drops out and
     E[P] = q * E[Upsilon] * E[ell^-alpha | ell >= eps_min].
     """
-    k1 = kappa_n(1, geo, cfg.alpha, tol)
-    g1 = gamma_n(1, band, model, tol)
+    k1 = kappa_n(1, geo, cfg.alpha)
+    g1 = gamma_n(1, band, model)
     return cfg.q * 2.0 * g1 * k1 / (geo.radius**2 * (band.f_e - band.f_s))
 
 
@@ -259,7 +235,6 @@ def mean_received_power(
     geo: GeometryConfig,
     band: BandConfig,
     model: SpectralModel,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> float:
     """Mean total received power under the interference hypothesis (watts).
 
@@ -273,4 +248,4 @@ def mean_received_power(
         raise DomainError(f"p_b must be in [0, 1], got {p_b}")
     if cfg.n == 0 or cfg.p == 0.0 or p_b == 1.0:
         return phi
-    return phi + cfg.n * cfg.p * (1.0 - p_b) * mean_interferer_power(cfg, geo, band, model, tol)
+    return phi + cfg.n * cfg.p * (1.0 - p_b) * mean_interferer_power(cfg, geo, band, model)

@@ -33,6 +33,7 @@ __all__ = [
     "erfc_inv",
     "log_gamma",
     "reg_lower_gamma",
+    "dawson",
     "integrate",
     "integrate_piecewise",
     "find_root",
@@ -142,6 +143,12 @@ def reg_lower_gamma(a, x):
     return float(out) if out.ndim == 0 else out
 
 
+def dawson(x):
+    """Dawson function D(x) = exp(-x^2) * integral of exp(t^2) over [0, x]."""
+    out = special.dawsn(np.asarray(x, dtype=float))
+    return float(out) if out.ndim == 0 else out
+
+
 # ---------------------------------------------------------------------------
 # adaptive Gauss-Kronrod quadrature
 # ---------------------------------------------------------------------------
@@ -171,13 +178,13 @@ _G7_WEIGHTS[1::2] = [
 
 
 def _eval_vector(f: Callable, x: np.ndarray) -> np.ndarray:
-    """Evaluate f on an array of nodes, tolerating scalar-only callables."""
-    try:
-        y = np.asarray(f(x), dtype=float)
-    except (TypeError, ValueError):
-        return np.array([float(f(xi)) for xi in x])
+    """Evaluate f on an array of nodes; f must return one value per node."""
+    y = np.asarray(f(x), dtype=float)
     if y.shape != x.shape:
-        y = np.array([float(f(xi)) for xi in x])
+        raise DomainError(
+            f"integrand must map nodes of shape {x.shape} to values of the same "
+            f"shape, got shape {y.shape}"
+        )
     return y
 
 
@@ -232,8 +239,8 @@ def _adaptive(f: Callable, a: float, b: float, tol: Tolerance) -> float:
 def integrate(f: Callable, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Adaptive quadrature of f over [a, b] with interior-only nodes.
 
-    f should accept an ndarray of abscissae and return matching values
-    (scalar callables work too, at a speed penalty).  Semi-infinite limits
+    f must accept an ndarray of abscissae and return an array of matching
+    shape; any other result raises DomainError.  Semi-infinite limits
     are mapped through x = a + t/(1-t); doubly infinite ranges are split at
     zero.  Integrable endpoint singularities are fine because no node ever
     lands on an endpoint.

@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from . import numerics
-from .numerics import DEFAULT_TOL, DomainError, Tolerance
+from .numerics import DomainError
 
 __all__ = [
     "BandConfig",
@@ -197,9 +197,7 @@ def _brick_wall_upsilon(omega, band: BandConfig, model: SpectralModel) -> np.nda
     return np.clip(val, 0.0, 1.0)
 
 
-def upsilon(
-    omega, band: BandConfig, model: SpectralModel, tol: Tolerance = DEFAULT_TOL
-) -> float:
+def upsilon(omega, band: BandConfig, model: SpectralModel) -> float:
     """Spectral capture fraction of an interferer offset by omega (Hz).
 
     Integrates psd(u - omega) * |H(u)|^2 for u over the receiver window
@@ -207,7 +205,7 @@ def upsilon(
     [0, 1] by the normalization conventions of this module.  A brick-wall
     filter (rolloff 0) takes the closed form, an erf difference for a
     Gaussian PSD and an interval overlap for a rectangular one; a tapered
-    filter takes adaptive quadrature to tol.
+    filter takes adaptive quadrature.
     """
     if model.filter.rolloff == 0.0:
         return float(_brick_wall_upsilon(omega, band, model))
@@ -230,7 +228,7 @@ def upsilon(
         pts.insert(0, -half_window)
     if pts[-1] < half_window:
         pts.append(half_window)
-    val = numerics.integrate_piecewise(integrand, pts, tol)
+    val = numerics.integrate_piecewise(integrand, pts)
     return min(max(val, 0.0), 1.0)
 
 
@@ -245,8 +243,7 @@ class UpsilonTable:
     quadrature per grid point.
     """
 
-    def __init__(self, band: BandConfig, model: SpectralModel, points: int = 4097,
-                 tol: Tolerance = DEFAULT_TOL):
+    def __init__(self, band: BandConfig, model: SpectralModel, points: int = 4097):
         stop = (1.0 + model.filter.rolloff) * 0.5 * model.filter.width
         cutoff = min(0.5 * band.bandwidth, stop) + _psd_halfwidth(model.psd)
         self.band = band
@@ -255,7 +252,7 @@ class UpsilonTable:
         if model.filter.rolloff == 0.0:
             self.values = _brick_wall_upsilon(self.grid, band, model)
         else:
-            self.values = np.array([upsilon(w, band, model, tol) for w in self.grid])
+            self.values = np.array([upsilon(w, band, model) for w in self.grid])
 
     @property
     def cutoff(self) -> float:

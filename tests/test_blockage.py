@@ -7,12 +7,13 @@ from mmwregime.blockage import (
     BlockageConfig,
     GeometryConfig,
     blockage_probability,
+    distance_cdf,
     distance_pdf,
     mean_distance,
     mean_partial_blockage,
     nonblocked_count_distribution,
 )
-from mmwregime.numerics import DomainError, integrate, integrate_piecewise
+from mmwregime.numerics import DomainError, Tolerance, integrate, integrate_piecewise
 
 
 def geo(radius=10.0, v0=0.0, theta_deg=10.0, eps=0.1):
@@ -87,6 +88,41 @@ class TestDistancePdf:
                 lambda l: distance_pdf(l, g), (0.0, 10.0 - v0, 10.0 + v0)
             )
             assert mass == pytest.approx(1.0, abs=1e-6)
+
+
+class TestDistanceCdf:
+    @pytest.mark.parametrize("v0", [0.0, 3.0, 9.0, 9.5])
+    def test_support_ends(self, v0):
+        g = geo(v0=v0)
+        assert distance_cdf(0.0, g) == 0.0
+        assert distance_cdf(-1.0, g) == 0.0
+        assert distance_cdf(10.0 + v0, g) == 1.0
+        assert distance_cdf(25.0, g) == 1.0
+
+    @pytest.mark.parametrize("v0", [0.0, 3.0, 9.0, 9.5])
+    def test_monotone(self, v0):
+        g = geo(v0=v0)
+        f = distance_cdf(np.linspace(0.0, 10.0 + v0, 20001), g)
+        assert np.all(np.diff(f) >= 0.0)
+
+    @pytest.mark.parametrize("v0", [0.0, 3.0, 9.0, 9.5])
+    def test_bin_masses_match_density_quadrature(self, v0):
+        g = geo(v0=v0)
+        edges = np.linspace(0.0, 10.0 + v0, 41)
+        tight = Tolerance(rel=1e-13, abs=1e-15)
+        expected = [
+            integrate_piecewise(
+                lambda l: distance_pdf(l, g),
+                [lo] + [e for e in (10.0 - v0,) if lo < e < hi] + [hi], tight,
+            )
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
+        np.testing.assert_allclose(np.diff(distance_cdf(edges, g)), expected, rtol=0.0, atol=1e-12)
+
+    def test_centered_exclusion_mass(self):
+        for eps in (0.1, 0.5, 3.0):
+            g = geo(eps=eps)
+            assert 1.0 - distance_cdf(eps, g) == pytest.approx(1.0 - eps**2 / 100.0, rel=1e-15)
 
 
 class TestMeanDistance:

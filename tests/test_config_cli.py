@@ -74,6 +74,23 @@ class TestLoadConfig:
         # thermal floor over 100 MHz
         assert run.network.noise.sigma2 == pytest.approx(10 ** ((-94 - 30) / 10))
 
+    @pytest.mark.parametrize("section, defaulted, digest", [
+        ("spectral", ("spectral",), "55208a59b7529380"),
+        ("sweeps", ("sweeps",), "bff6cd67143819b5"),
+        ("noise", ("noise.sigma2_watts", "noise.phi_watts"), "b32ed2162bc4701d"),
+        ("detection", ("detection.beta_th", "detection.fit_mode"), "55208a59b7529380"),
+        ("simulation", ("simulation.blocking",), "55208a59b7529380"),
+    ])
+    def test_absent_section_provenance_pinned(self, tmp_path, section, defaulted, digest):
+        # the defaulted list and the hash are provenance bytes of every output
+        raw = json.loads(BASELINE_CONFIG.read_text())
+        del raw[section]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        run = load_config(path)
+        assert run.defaulted == defaulted
+        assert config_hash(run.resolved) == digest
+
     def test_bad_json_reports(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{not json")
@@ -188,6 +205,29 @@ class TestCli:
         for v0 in sparse:
             assert dense[v0] <= sparse[v0]
 
+    @pytest.mark.parametrize("section, override", [
+        ("noise", None),  # thermal noise floor, 1/(2 sigma2) ~ 1e12 per watt
+        ("channel", {"q_dbm": 40.0}),
+    ], ids=["thermal_noise_default", "q_dbm_40"])
+    def test_regime_map_has_no_error_rows(self, tmp_path, section, override):
+        # LRT areas past double range read inf instead of failing the point
+        raw = json.loads(BASELINE_CONFIG.read_text())
+        if override is None:
+            del raw[section]
+        else:
+            raw[section].update(override)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run_cli("regime-map", "--config", str(cfg), "--out", str(out)) == 0
+        lines = [l for l in (out / "regime_map.csv").read_text().splitlines()
+                 if l and not l.startswith("#")]
+        header, rows = lines[0].split(","), [dict(zip(lines[0].split(","), l.split(",")))
+                                             for l in lines[1:]]
+        assert "lrt_area" in header and len(rows) == 90
+        assert [r for r in rows if r["error"] or r["verdict"] == "error"] == []
+        assert any(r["lrt_area"] == "inf" for r in rows)
+
     def test_simulate_csv(self, tmp_path):
         cfg = write_config(tmp_path, trials=50)
         out = tmp_path / "out"
@@ -226,18 +266,24 @@ class TestCli:
         cfg = write_config(tmp_path, blockage={"d_s_m": -1.0})
         assert run_cli("blockage", "--config", str(cfg), "--out", str(tmp_path)) == 1
 
-    def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        # vanishing noise power sends the likelihood-ratio integrand past
-        # double range at every sweep point: total numerical failure
+    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
+        # a quadrature that fails at every sweep point is a total numerical
+        # failure; no valid config is known to cause one, so it is forced
+        from mmwregime import detector
+        from mmwregime.numerics import QuadratureError
+
+        def failing(*args, **kwargs):
+            raise QuadratureError("forced non-convergence", math.nan, math.inf)
+
+        monkeypatch.setattr(detector, "mean_received_power", failing)
         cfg = write_config(
             tmp_path,
-            noise={"sigma2_watts": 1e-9, "phi_watts": 1e-3},
             sweeps={"v0_grid_m": [0.0, 3.0], "rho_list": [1.0], "n_list": [200]},
         )
         out = tmp_path / "out"
         assert run_cli("regime-map", "--config", str(cfg), "--out", str(out)) == 2
         text = (out / "regime_map.csv").read_text()
-        assert "non-finite" in text or "converge" in text
+        assert text.count("forced non-convergence") == 2
 
     def test_validation_failure_exit_code(self, tmp_path, monkeypatch):
         from mmwregime.mcsim import ValidationCheck, ValidationReport

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -245,6 +246,62 @@ class TestLrtArea:
         with pytest.raises(DomainError):
             lrt_area(fit, NOISE, y_max=NOISE.phi)
 
+    def test_narrow_integrand_pinned(self):
+        # a spike at phi that adaptive quadrature stepped over, returning 0
+        fit = MeFit(lam=1e4, mode="closed_form", mean_used=1e-3 + 1e-4)
+        area = lrt_area(fit, NoiseConfig(sigma2=1.0, phi=1e-3))
+        assert area == pytest.approx(0.0222160808760298, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma2, phi, lam", [
+        (1.0, 1e-3, 1e4),  # k < 0, a spike at phi
+        (1.0, 0.0, 1.0),  # k < 0
+        (1.0, 0.0, 0.5),  # k = 0
+        (1.0, 0.0, 0.5 - 1e-12),  # 0 < k <= 1e-12
+        (1.0, 0.0, 0.5 + 1e-12),  # -1e-12 <= k < 0
+        (1.0, 0.0, 0.49),  # k > 0 inside the series range
+        (1.0, 0.0, 0.3),  # k > 0
+        (5e-3, 1e-3, 14.0),  # k > 0 at the shipped noise, area ~ 1e51
+        (5e-3, 1e-3, 3.0),  # k > 0 at the shipped noise, area ~ 1e278
+    ])
+    def test_matches_independent_quadrature(self, sigma2, phi, lam):
+        from scipy import integrate as sp_integrate
+
+        fit = MeFit(lam=lam, mode="closed_form", mean_used=phi + 1.0 / lam)
+        big_x = 20.0 * max(2.0 * sigma2, 1.0 / lam)
+        k = 0.5 / sigma2 - lam
+        # x = t^2 turns int_0^X sqrt(x) e^(kx) dx into int_0^sqrt(X) 2t^2
+        # e^(kt^2) dt; for k > 0 the factor e^(-kX) keeps it near 1, and
+        # breaks at multiples of 1/sqrt|k| resolve where it turns
+        shift = max(k, 0.0) * big_x
+        top = math.sqrt(big_x)
+        breaks = [c / math.sqrt(abs(k)) for c in (0.5, 1.0, 3.0, 10.0) if k != 0.0]
+        breaks = sorted({0.0, top, *(b for b in breaks if b < top)})
+        scaled = sum(
+            sp_integrate.quad(lambda t: 2.0 * t * t * math.exp(k * t * t - shift), a, b,
+                              epsabs=0.0, epsrel=1e-13, limit=500)[0]
+            for a, b in zip(breaks[:-1], breaks[1:])
+        )
+        expected = math.sqrt(2.0 * math.pi * sigma2) * lam * scaled * math.exp(shift)
+        area = lrt_area(fit, NoiseConfig(sigma2=sigma2, phi=phi))
+        assert area == pytest.approx(expected, rel=1e-12)
+
+    def test_inf_past_double_range(self):
+        # thermal noise over 100 MHz against a 0.1 W interference mean
+        noise = NoiseConfig(sigma2=thermal_noise_power(1e8), phi=0.0)
+        fit = MeFit(lam=10.0, mode="closed_form", mean_used=0.1)
+        assert lrt_area(fit, noise) == math.inf
+
+    def test_needs_no_quadrature(self, monkeypatch):
+        from mmwregime import numerics
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lrt_area called numerics.integrate")
+
+        monkeypatch.setattr(numerics, "integrate", forbidden)
+        monkeypatch.setattr(numerics, "integrate_piecewise", forbidden)
+        for lam in (0.3, 0.5, 1.0, 1e4):
+            lrt_area(MeFit(lam=lam, mode="closed_form", mean_used=1.0 / lam), NOISE)
+
 
 class TestRocCurve:
     FIT = MeFit(lam=5.0, mode="closed_form", mean_used=0.2)
@@ -337,6 +394,28 @@ class TestRegimeMap:
                 baseline_blockage, baseline_geo, baseline_channel, baseline_band, baseline_model,
                 baseline_noise, [11.0], 0.05,
             )
+
+    def test_unit_invariance_closed_form(
+        self, baseline_run, baseline_blockage, baseline_geo, baseline_channel,
+        baseline_band, baseline_model, baseline_noise,
+    ):
+        # the same scene in mW: every power times 1e3.  The verdict and P_D
+        # are dimensionless; the area carries the unit of y.
+        v0_grid = baseline_run.sweeps.v0_grid
+        args = (baseline_geo, baseline_channel, baseline_band, baseline_model, baseline_noise)
+        watts = regime_map(baseline_blockage, *args, v0_grid, 0.05, fit_mode="closed_form")
+        milli_channel = replace(baseline_channel, q=1e3 * baseline_channel.q)
+        milli_noise = NoiseConfig(sigma2=1e3 * baseline_noise.sigma2, phi=1e3 * baseline_noise.phi)
+        milli = regime_map(
+            baseline_blockage, baseline_geo, milli_channel, baseline_band, baseline_model,
+            milli_noise, v0_grid, 0.05, fit_mode="closed_form",
+        )
+        assert len(milli) == len(v0_grid) == 10
+        for w, m in zip(watts, milli):
+            assert w.error is None and m.error is None
+            assert m.verdict == w.verdict
+            assert m.p_d == pytest.approx(w.p_d, rel=1e-12)
+            assert m.lrt_area == pytest.approx(1e3 * w.lrt_area, rel=1e-12)
 
     def test_detect_verdict_threshold(self):
         fit = MeFit(lam=6.0, mode="closed_form", mean_used=NOISE.phi + 1.0 / 6.0)

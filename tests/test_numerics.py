@@ -168,9 +168,10 @@ class TestIntegrate:
         assert math.isfinite(err.value.partial)
         assert err.value.error_estimate > 0.0
 
-    def test_scalar_callable_fallback(self):
-        val = integrate(lambda x: float(x) ** 2, 0.0, 1.0)
-        assert val == pytest.approx(1.0 / 3.0, rel=1e-10)
+    def test_non_array_integrand_raises_domain_error(self):
+        # one value for fifteen nodes: the error names both shapes
+        with pytest.raises(DomainError, match=r"\(15,\).*shape \(\)"):
+            integrate(lambda x: 1.0, 0.0, 1.0)
 
     def test_piecewise_matches_single(self):
         f = lambda x: np.sin(x)
