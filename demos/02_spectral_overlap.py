@@ -45,7 +45,7 @@ try:
     import matplotlib.pyplot as plt
 
     w = np.linspace(0.0, 4e8, 400)
-    ups = np.array([upsilon(x, band, model) for x in w])
+    ups = upsilon(w, band, model)
     fig, (ax1, ax2) = plt.subplots(1, 2, figsize=(9, 3.2))
     ax1.plot(w / 1e6, ups)
     ax1.set_xlabel("spectral offset (MHz)")

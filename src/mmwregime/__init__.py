@@ -51,12 +51,10 @@ from .interference import (
     watts_to_dbm,
 )
 from .mcsim import (
-    Scenario,
     ValidationCheck,
     ValidationReport,
     empirical_rates,
     is_blocked,
-    sample_scenario,
     simulate_received_power,
     validate_suite,
 )

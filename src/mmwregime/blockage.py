@@ -170,16 +170,18 @@ def distance_cdf(x, geo: GeometryConfig):
     return float(out[0]) if scalar else out
 
 
-@lru_cache(maxsize=512)
-def _mean_distance_cached(geo: GeometryConfig) -> float:
-    R, v = geo.radius, geo.v0_norm
-    f = lambda l: l * distance_pdf(l, geo)
-    return numerics.integrate_piecewise(f, (0.0, R - v, R + v))
-
-
 def mean_distance(geo: GeometryConfig) -> float:
-    """E[ell]: mean distance from a uniform interferer to the receiver."""
-    return _mean_distance_cached(geo)
+    """E[ell]: mean distance from a uniform interferer to the receiver.
+
+    In closed form through the complete elliptic integrals of parameter
+    m = t^2, t = v0_norm/R: (4R/(9 pi)) * [(7 + m) E(m) - 4(1 - m) K(m)],
+    which is 2R/3 for a centered receiver and tends to 32R/(9 pi) as the
+    receiver approaches the rim.
+    """
+    R = geo.radius
+    m = (geo.v0_norm / R) ** 2
+    e, k = numerics.elliptic_ek(m)
+    return 4.0 * R / (9.0 * math.pi) * ((7.0 + m) * e - 4.0 * (1.0 - m) * k)
 
 
 # E[S] is one quadrature of a piecewise-smooth integrand split at its
@@ -257,11 +259,13 @@ def blockage_probability(cfg: BlockageConfig, geo: GeometryConfig) -> BlockageRe
         p_b1 = 1.0 - math.exp(-cfg.rho * cfg.d_s * cfg.d_s / (4.0 * tan_t))
     p_b1 = min(max(p_b1, 0.0), 1.0)
 
-    # expm1 keeps the obstacle-count ceiling stable as rho*E[S] -> 0
-    denom = math.expm1(cfg.rho * mean_shadow)
-    k = math.ceil(delta / denom)
-    log_p_b2 = k * math.log1p(delta) - (1.0 + delta) - numerics.log_gamma(k + 1.0)
-    p_b2 = min(math.exp(log_p_b2), 1.0)
+    if mean_shadow > 0.0:
+        # expm1 keeps the obstacle-count ceiling stable as rho*E[S] -> 0
+        k = math.ceil(delta / math.expm1(cfg.rho * mean_shadow))
+        log_p_b2 = k * math.log1p(delta) - (1.0 + delta) - numerics.log_gamma(k + 1.0)
+        p_b2 = min(math.exp(log_p_b2), 1.0)
+    else:
+        p_b2 = 0.0  # every obstacle in reach out-sizes the cone: no partial shadow
 
     length_apex = 0.5 * (cfg.d_s + cfg.d_e) / (2.0 * tan_t)
     if cfg.mode == "reciprocal_length":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -82,12 +83,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _finite(value):
+    # standard JSON has no inf or nan: write the strings the CSV uses
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    if isinstance(value, dict):
+        return {k: _finite(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(v) for v in value]
+    return value
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _write_rows(path: Path, rows: list[dict], header: list[str], prov: dict,
                 fmt: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
-        payload = {"_provenance": prov, "rows": rows}
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        path.write_text(_json_text({"_provenance": prov, "rows": rows}))
         return
     lines = [f"# {k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(prov.items())]
     lines.append(",".join(header))
@@ -98,8 +113,7 @@ def _write_rows(path: Path, rows: list[dict], header: list[str], prov: dict,
 
 def _write_document(path: Path, document: dict, prov: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {"_provenance": prov, **document}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json_text({"_provenance": prov, **document}))
 
 
 def cmd_blockage(run: RunConfig, out: Path, fmt: str, workers: int) -> int:

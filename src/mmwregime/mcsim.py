@@ -39,12 +39,10 @@ from .numerics import DomainError
 from .spectral import BandConfig, SpectralModel, frequency_offset_pdf, upsilon_table
 
 __all__ = [
-    "Scenario",
     "ValidationCheck",
     "ValidationReport",
     "BLOCKING_MODES",
     "TRIAL_BLOCK",
-    "sample_scenario",
     "is_blocked",
     "simulate_received_power",
     "sample_h0_power",
@@ -71,41 +69,10 @@ def _rng(seed: int, namespace: int, block: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-@dataclass(frozen=True, eq=False)
-class Scenario:
-    """One sampled network realization."""
-
-    interferer_xy: np.ndarray      # (n, 2) positions, meters
-    interferer_freq: np.ndarray    # (n,) carrier frequencies, Hz
-    interferer_active: np.ndarray  # (n,) occupancy flags
-    obstacle_xy: np.ndarray        # (k, 2) obstacle centers, meters
-    obstacle_radius: np.ndarray    # (k,) obstacle radii, meters
-    seed: int
-
-
 def _uniform_disk(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
     r = radius * np.sqrt(rng.random(n))
     ang = 2.0 * math.pi * rng.random(n)
     return np.column_stack((r * np.cos(ang), r * np.sin(ang)))
-
-
-def sample_scenario(
-    channel: ChannelConfig,
-    geo: GeometryConfig,
-    band: BandConfig,
-    blockage_cfg: BlockageConfig,
-    seed: int,
-) -> Scenario:
-    """Draw one scenario; identical (configs, seed) give identical output."""
-    rng = _rng(seed, _NS_SCENARIO)
-    n = channel.n
-    active = rng.random(n) < channel.p
-    xy = _uniform_disk(rng, n, geo.radius)
-    freq = band.f_s + (band.f_e - band.f_s) * rng.random(n)
-    n_obs = int(rng.poisson(blockage_cfg.rho * math.pi * geo.radius**2))
-    obs_xy = _uniform_disk(rng, n_obs, geo.radius)
-    obs_r = blockage_cfg.d_s + (blockage_cfg.d_e - blockage_cfg.d_s) * rng.random(n_obs)
-    return Scenario(xy, freq, active, obs_xy, obs_r, int(seed))
 
 
 def _blocked_mask(

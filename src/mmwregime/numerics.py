@@ -34,6 +34,8 @@ __all__ = [
     "log_gamma",
     "reg_lower_gamma",
     "dawson",
+    "faddeeva",
+    "elliptic_ek",
     "integrate",
     "integrate_piecewise",
     "find_root",
@@ -147,6 +149,18 @@ def dawson(x):
     """Dawson function D(x) = exp(-x^2) * integral of exp(t^2) over [0, x]."""
     out = special.dawsn(np.asarray(x, dtype=float))
     return float(out) if out.ndim == 0 else out
+
+
+def faddeeva(z):
+    """Faddeeva function w(z) = exp(-z^2) * erfc(-iz), vectorized, complex."""
+    return special.wofz(np.asarray(z, dtype=complex))
+
+
+def elliptic_ek(m: float) -> tuple[float, float]:
+    """Complete elliptic integrals (E(m), K(m)) of parameter m in [0, 1)."""
+    if not (0.0 <= m < 1.0):
+        raise DomainError(f"elliptic_ek requires 0 <= m < 1, got {m!r}")
+    return float(special.ellipe(m)), float(special.ellipk(m))
 
 
 # ---------------------------------------------------------------------------

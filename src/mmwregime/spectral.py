@@ -7,7 +7,8 @@ filter is the overlap functional Upsilon(omega): the interferer PSD,
 shifted by the offset omega, integrated against the filter's squared
 magnitude over the receiver window.  PSDs are unit-mass and the filter is
 peak-normalized, so Upsilon is a dimensionless capture fraction in [0, 1]
-and the transmit power carries all power units.
+and the transmit power carries all power units.  Upsilon has a closed form
+for every rolloff and both PSD shapes; nothing here needs quadrature.
 """
 
 from __future__ import annotations
@@ -150,8 +151,6 @@ def filter_gain_sq(filt: RaisedCosineFilter, f):
     f = np.asarray(f, dtype=float)
     af = np.abs(f)
     half = 0.5 * filt.width
-    if filt.rolloff == 0.0:
-        return np.where(af <= half, 1.0, 0.0)
     flat = (1.0 - filt.rolloff) * half
     stop = (1.0 + filt.rolloff) * half
     amp = np.zeros_like(af)
@@ -170,66 +169,66 @@ def _psd_halfwidth(psd: Psd) -> float:
     return 0.5 * psd.width
 
 
-def _psd_breakpoints(psd: Psd, center: float) -> list[float]:
+def _overlap(omega, lo: float, hi: float, centre: float, freq: float, psd: Psd):
+    """Integral of psd(u - omega) * cos(freq * (u - centre)) for u over [lo, hi]."""
     if isinstance(psd, GaussianPsd):
-        # +-12 std too: a wide panel reaching only to +-4 std can put no node
-        # in the tail and report zero error while missing its mass
-        s = psd.std
-        return [center - 12.0 * s, center - 4.0 * s, center,
-                center + 4.0 * s, center + 12.0 * s]
-    h = 0.5 * psd.width
-    return [center - h, center + h]
-
-
-def _brick_wall_upsilon(omega, band: BandConfig, model: SpectralModel) -> np.ndarray:
-    """Upsilon at rolloff 0: the PSD mass inside [-h, h], h = min(W, width)/2."""
-    w = np.abs(np.asarray(omega, dtype=float))
-    h = 0.5 * min(band.bandwidth, model.filter.width)
-    psd = model.psd
-    if isinstance(psd, GaussianPsd):
+        # erf(x - iy) with y = freq*s/2, taken as exp(-y^2)*erf(x - iy) =
+        # sign(x)*[exp(-y^2) - exp(-x^2 + 2ixy)*w(sign(x)*y + i|x|)] with the
+        # Faddeeva function w, which stays finite for any freq*std
         s = math.sqrt(2.0) * psd.std
-        val = 0.5 * (numerics.erf((h + w) / s) + numerics.erf((h - w) / s))
-    elif isinstance(psd, RectangularPsd):
-        half = 0.5 * psd.width
-        val = np.maximum(np.minimum(w + half, h) - np.maximum(w - half, -h), 0.0) / psd.width
-    else:
-        raise DomainError(f"unsupported PSD shape: {psd!r}")
-    return np.clip(val, 0.0, 1.0)
+        y = 0.5 * freq * s
+
+        def edge(u):
+            x = (u - omega) / s
+            sign = np.where(x < 0.0, -1.0, 1.0)
+            tail = np.exp(-x * x + 1j * freq * (u - centre))
+            tail *= numerics.faddeeva(sign * y + 1j * np.abs(x))
+            return sign * (math.exp(-y * y) * np.exp(1j * freq * (omega - centre)) - tail)
+
+        return 0.5 * (edge(hi) - edge(lo)).real
+    if isinstance(psd, RectangularPsd):
+        # overlap length times cos at its midpoint times sinc
+        a = np.maximum(omega - 0.5 * psd.width, lo)
+        b = np.minimum(omega + 0.5 * psd.width, hi)
+        length = np.maximum(b - a, 0.0)
+        cos_mid = np.cos(freq * (0.5 * (a + b) - centre))
+        return length * cos_mid * np.sinc(freq * length / (2.0 * math.pi)) / psd.width
+    raise DomainError(f"unsupported PSD shape: {psd!r}")
 
 
-def upsilon(omega, band: BandConfig, model: SpectralModel) -> float:
+def upsilon(omega, band: BandConfig, model: SpectralModel):
     """Spectral capture fraction of an interferer offset by omega (Hz).
 
-    Integrates psd(u - omega) * |H(u)|^2 for u over the receiver window
-    [-W/2, W/2] (baseband coordinates around f_0).  Even in omega; value in
-    [0, 1] by the normalization conventions of this module.  A brick-wall
-    filter (rolloff 0) takes the closed form, an erf difference for a
-    Gaussian PSD and an interval overlap for a rectangular one; a tapered
-    filter takes adaptive quadrature.
+    The integral of psd(u - omega) * |H(u)|^2 for u over the receiver
+    window [-W/2, W/2] (baseband coordinates around f_0), in closed form.
+    |H|^2 is 1 on the flat part of the filter and cos^4(x/2) = 3/8 +
+    cos(x)/2 + cos(2x)/8 on each taper, x = pi*(|u| - flat)/(stop - flat),
+    so Upsilon is a weighted sum of integrals of the PSD against a cosine
+    over at most three intervals, each clipped to the window: a Faddeeva
+    (complex erf) difference for a Gaussian PSD, an interval overlap times
+    cos * sinc for a rectangular one.  Even in omega; value in [0, 1] by
+    the normalization conventions of this module.  A scalar omega gives a
+    float, an array gives an array.
     """
-    if model.filter.rolloff == 0.0:
-        return float(_brick_wall_upsilon(omega, band, model))
-    w = abs(float(omega))
-    half_window = 0.5 * band.bandwidth
+    w = np.abs(np.asarray(omega, dtype=float))
     flt = model.filter
-
-    def integrand(u):
-        return psd_value(model.psd, u - w) * filter_gain_sq(flt, u)
-
-    # seed panel edges with every known kink so narrow features are never
-    # stepped over by the first coarse panels
-    edges = {-half_window, half_window}
+    half_window = 0.5 * band.bandwidth
     flat = (1.0 - flt.rolloff) * 0.5 * flt.width
     stop = (1.0 + flt.rolloff) * 0.5 * flt.width
-    edges.update((-stop, -flat, flat, stop))
-    edges.update(_psd_breakpoints(model.psd, w))
-    pts = sorted(e for e in edges if -half_window <= e <= half_window)
-    if pts[0] > -half_window:
-        pts.insert(0, -half_window)
-    if pts[-1] < half_window:
-        pts.append(half_window)
-    val = numerics.integrate_piecewise(integrand, pts)
-    return min(max(val, 0.0), 1.0)
+    cos4 = (0.375, 0.5, 0.125)
+    total = np.zeros_like(w)
+    for lo, hi, centre, weights in ((-flat, flat, 0.0, (1.0,)),
+                                    (flat, stop, flat, cos4),
+                                    (-stop, -flat, -flat, cos4)):
+        lo, hi = max(lo, -half_window), min(hi, half_window)
+        if lo >= hi:
+            continue  # the tapers are empty at rolloff 0; the window may clip any part
+        for k, weight in enumerate(weights):
+            # the term weight * cos(k*x); x has no scale on the flat part, where k = 0
+            freq = k * math.pi / (stop - flat) if k else 0.0
+            total += weight * _overlap(w, lo, hi, centre, freq, model.psd)
+    out = np.clip(total, 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 class UpsilonTable:
@@ -238,9 +237,8 @@ class UpsilonTable:
     The overlap decays to numerical zero beyond cutoff = (filter stop edge
     clipped to the window) + (PSD halfwidth); lookups past the grid return
     exactly 0.  Values are linear-interpolated, which keeps the table cheap
-    to evaluate on millions of sampled offsets.  At rolloff 0 the samples
-    come from the closed form in one array expression, otherwise from one
-    quadrature per grid point.
+    to evaluate on millions of sampled offsets.  The samples come from one
+    call of the closed-form upsilon on the whole grid.
     """
 
     def __init__(self, band: BandConfig, model: SpectralModel, points: int = 4097):
@@ -249,10 +247,7 @@ class UpsilonTable:
         self.band = band
         self.model = model
         self.grid = np.linspace(0.0, cutoff, points)
-        if model.filter.rolloff == 0.0:
-            self.values = _brick_wall_upsilon(self.grid, band, model)
-        else:
-            self.values = np.array([upsilon(w, band, model) for w in self.grid])
+        self.values = upsilon(self.grid, band, model)
 
     @property
     def cutoff(self) -> float:

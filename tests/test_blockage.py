@@ -136,6 +136,37 @@ class TestMeanDistance:
             m = mean_distance(g)
             assert 0.0 < m < g.radius + v0
 
+    @pytest.mark.parametrize("t", [0.1, 0.5, 0.9, 0.999999])
+    def test_matches_independent_quadrature(self, t):
+        # the mean of |x - v0| over the disk, in polar coordinates about the
+        # disk centre, split where the ring through the receiver starts
+        from scipy.integrate import quad
+
+        R, v = 10.0, 10.0 * t
+
+        def ring(r):
+            f = lambda phi: math.sqrt(max(r * r + v * v - 2.0 * r * v * math.cos(phi), 0.0))
+            return 2.0 * r * quad(f, 0.0, math.pi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+        total = sum(quad(ring, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                    for lo, hi in ((0.0, v), (v, R)))
+        assert mean_distance(geo(v0=v)) == pytest.approx(total / (math.pi * R * R), rel=1e-10)
+
+    def test_rim_limit(self):
+        R = 10.0
+        g = geo(radius=R, v0=float(np.nextafter(R, 0.0)))
+        assert mean_distance(g) == pytest.approx(32.0 * R / (9.0 * math.pi), rel=1e-12)
+
+    def test_needs_no_quadrature(self, monkeypatch):
+        from mmwregime import numerics
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr(numerics, "integrate", forbidden)
+        monkeypatch.setattr(numerics, "integrate_piecewise", forbidden)
+        assert mean_distance(geo(v0=4.0)) > mean_distance(geo())
+
 
 class TestMeanPartialBlockage:
     def test_degenerate_radius_matches_inner_collapse(self):
@@ -227,6 +258,18 @@ class TestBlockageProbability:
         res = blockage_probability(cfg, geo())
         tan_t = math.tan(math.radians(10.0))
         assert res.p_b1 == pytest.approx(1.0 - math.exp(-0.25 / (4.0 * tan_t)), rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["reciprocal_length", "length_weighted"])
+    def test_no_partial_shadow_when_obstacles_outsize_cone(self, mode):
+        # c*d_s = 0.6/(2 tan 1 deg) ~ 17 m exceeds R + v0, so every obstacle in
+        # reach blocks outright and E[S] = 0
+        cfg = BlockageConfig(rho=1.0, d_s=0.6, d_e=0.8, mode=mode)
+        for v0 in (0.0, 6.0):
+            g = geo(v0=v0, theta_deg=1.0)
+            res = blockage_probability(cfg, g)
+            assert res.mean_shadow == 0.0
+            assert res.p_b2 == 0.0
+            assert 0.0 <= res.p_b <= 1.0
 
     def test_ingredients_in_unit_interval(self):
         rng = np.random.default_rng(3)

@@ -228,6 +228,41 @@ class TestCli:
         assert [r for r in rows if r["error"] or r["verdict"] == "error"] == []
         assert any(r["lrt_area"] == "inf" for r in rows)
 
+    def test_commands_exit_zero_without_partial_shadow(self, tmp_path):
+        # a 1 degree beam and 0.6 m obstacles: every obstacle in reach blocks
+        # outright, so the mean partial shadow is 0
+        cfg = write_config(tmp_path, geometry={"beam_halfwidth_deg": 1.0},
+                           blockage={"d_s_m": 0.6})
+        out = tmp_path / "out"
+        assert run_cli("blockage", "--config", str(cfg), "--out", str(out)) == 0
+        doc = json.loads((out / "blockage.json").read_text())["blockage"]
+        assert doc["mean_shadow"] == 0.0 and doc["p_b2"] == 0.0
+        assert run_cli("regime-map", "--config", str(cfg), "--out", str(out)) == 0
+
+    def test_json_output_is_standard_json(self, tmp_path):
+        # the thermal-noise default gives infinite LRT areas
+        raw = json.loads(BASELINE_CONFIG.read_text())
+        del raw["noise"]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run_cli("regime-map", "--config", str(cfg), "--out", str(out),
+                       "--format", "json") == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads((out / "regime_map.json").read_text(), parse_constant=reject)
+        assert len(doc["rows"]) == 90
+        assert any(row["lrt_area"] == "inf" for row in doc["rows"])
+
+    def test_finite_json_bytes_are_plain_dumps(self):
+        payload = {"b": [1.0, 2.5e-300, None, "x"], "a": {"p": 0.1, "n": 3}}
+        assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert json.loads(cli._json_text({"v": [math.inf, -math.inf, math.nan]})) == {
+            "v": ["inf", "-inf", "nan"]
+        }
+
     def test_simulate_csv(self, tmp_path):
         cfg = write_config(tmp_path, trials=50)
         out = tmp_path / "out"

@@ -11,7 +11,6 @@ from mmwregime.mcsim import (
     empirical_rates,
     is_blocked,
     sample_h0_power,
-    sample_scenario,
     simulate_received_power,
     validate_suite,
 )
@@ -24,38 +23,6 @@ THETA = math.radians(10.0)
 
 def geo(v0=0.0, eps=0.1):
     return GeometryConfig(radius=10.0, v0_norm=v0, theta=THETA, eps_min=eps)
-
-
-class TestSampleScenario:
-    def test_deterministic(self, baseline_channel, baseline_band, baseline_blockage):
-        a = sample_scenario(baseline_channel, geo(), baseline_band, baseline_blockage, seed=12)
-        b = sample_scenario(baseline_channel, geo(), baseline_band, baseline_blockage, seed=12)
-        assert np.array_equal(a.interferer_xy, b.interferer_xy)
-        assert np.array_equal(a.interferer_freq, b.interferer_freq)
-        assert np.array_equal(a.interferer_active, b.interferer_active)
-        assert np.array_equal(a.obstacle_xy, b.obstacle_xy)
-        assert np.array_equal(a.obstacle_radius, b.obstacle_radius)
-
-    def test_different_seeds_differ(self, baseline_channel, baseline_band, baseline_blockage):
-        a = sample_scenario(baseline_channel, geo(), baseline_band, baseline_blockage, seed=1)
-        b = sample_scenario(baseline_channel, geo(), baseline_band, baseline_blockage, seed=2)
-        assert not np.array_equal(a.interferer_xy, b.interferer_xy)
-
-    def test_idle_network(self, baseline_band, baseline_blockage):
-        idle = ChannelConfig(alpha=2.5, m=3.0, q=0.5, n=50, p=0.0)
-        s = sample_scenario(idle, geo(), baseline_band, baseline_blockage, seed=3)
-        assert not s.interferer_active.any()
-
-    def test_no_obstacles(self, baseline_channel, baseline_band):
-        empty = BlockageConfig(rho=0.0, d_s=0.2, d_e=0.8)
-        s = sample_scenario(baseline_channel, geo(), baseline_band, empty, seed=4)
-        assert len(s.obstacle_radius) == 0
-
-    def test_geometry_respected(self, baseline_channel, baseline_band, baseline_blockage):
-        s = sample_scenario(baseline_channel, geo(), baseline_band, baseline_blockage, seed=5)
-        assert np.all(np.hypot(*s.interferer_xy.T) <= 10.0)
-        assert np.all((s.interferer_freq >= baseline_band.f_s) & (s.interferer_freq <= baseline_band.f_e))
-        assert np.all((s.obstacle_radius >= 0.2) & (s.obstacle_radius <= 0.8))
 
 
 class TestIsBlocked:

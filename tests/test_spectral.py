@@ -173,13 +173,42 @@ class TestUpsilon:
             expected = max(hi - lo, 0.0) / width
             assert upsilon(omega, band(), model) == pytest.approx(expected, abs=1e-14)
 
-    def test_closed_form_matches_quadrature_path(self):
-        # rolloff 1e-9 goes through quadrature, rolloff 0 through the closed form
-        b = band()
-        for omega in (0.0, 2.5e7, 5e7, 7.5e7):
-            assert upsilon(omega, b, gaussian_model(rolloff=1e-9)) == pytest.approx(
-                upsilon(omega, b, gaussian_model(rolloff=0.0)), abs=1e-9
-            )
+    @pytest.mark.parametrize("window, width", [(1e8, 1e8), (1e8, 5e7), (5e7, 1e8), (2e8, 1e8)])
+    @pytest.mark.parametrize("rolloff", [0.0, 1e-6, 1e-3, 0.01, 0.25, 0.5, 1.0])
+    def test_matches_independent_quadrature(self, window, width, rolloff):
+        # scipy quad of psd * |H|^2 over the window, split at the filter
+        # kinks and, for a Gaussian PSD, at every std out to 12 around omega
+        from scipy.integrate import quad
+
+        b = band(w=window)
+        flt = RaisedCosineFilter(rolloff=rolloff, width=width)
+        half = 0.5 * window
+        kinks = [k * 0.5 * width for k in (-1 - rolloff, -1 + rolloff, 1 - rolloff, 1 + rolloff)]
+        psds = [GaussianPsd(std=s) for s in (1e4, 1e5, 2.5e7, 3e8)]
+        psds += [RectangularPsd(width=w) for w in (2e7, 3e8)]
+        for psd in psds:
+            model = SpectralModel(psd=psd, filter=flt)
+            for omega in np.linspace(0.0, 2.2e8, 12):
+                if isinstance(psd, GaussianPsd):
+                    marks = [omega + k * psd.std for k in range(-12, 13)]
+                else:
+                    marks = [omega - 0.5 * psd.width, omega + 0.5 * psd.width]
+                pts = sorted({-half, half} | {p for p in kinks + marks if -half < p < half})
+
+                def f(u):
+                    return float(psd_value(psd, u - omega) * filter_gain_sq(flt, u))
+
+                expected = sum(quad(f, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=500)[0]
+                               for lo, hi in zip(pts, pts[1:]))
+                assert upsilon(omega, b, model) == pytest.approx(expected, abs=1e-12)
+
+    def test_scalar_in_float_out_array_in_array_out(self):
+        model = gaussian_model(rolloff=0.25)
+        assert type(upsilon(1e7, band(), model)) is float
+        grid = np.linspace(0.0, 1e8, 7)
+        vals = upsilon(grid, band(), model)
+        assert isinstance(vals, np.ndarray) and vals.shape == (7,)
+        assert vals.tolist() == [upsilon(w, band(), model) for w in grid]
 
     def test_rolloff_reduces_capture(self):
         b = band()
@@ -202,6 +231,19 @@ class TestUpsilonTable:
         table = upsilon_table(band(), gaussian_model())
         expected = [brick_overlap(w, 1e8, 2.5e7) for w in table.grid]
         np.testing.assert_allclose(table.values, expected, rtol=0.0, atol=1e-14)
+
+    def test_tapered_table_needs_no_quadrature(self, monkeypatch):
+        from mmwregime import numerics
+        from mmwregime.spectral import UpsilonTable
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr(numerics, "integrate", forbidden)
+        monkeypatch.setattr(numerics, "integrate_piecewise", forbidden)
+        table = UpsilonTable(band(), gaussian_model(rolloff=0.25))
+        assert table.values[0] == pytest.approx(upsilon(0.0, band(), gaussian_model(rolloff=0.25)))
+        assert np.all((table.values >= 0.0) & (table.values <= 1.0))
 
     def test_lookup_zero_past_cutoff(self):
         table = upsilon_table(band(), gaussian_model())
