@@ -62,7 +62,6 @@ from .numerics import (
     BracketingError,
     DomainError,
     NumericsError,
-    QuadratureError,
     Tolerance,
     erf,
     erf_inv,

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import numerics
-from .numerics import DomainError, Tolerance
+from .numerics import DomainError
 
 __all__ = [
     "GeometryConfig",
@@ -184,16 +183,20 @@ def mean_distance(geo: GeometryConfig) -> float:
     return 4.0 * R / (9.0 * math.pi) * ((7.0 + m) * e - 4.0 * (1.0 - m) * k)
 
 
-# E[S] is one quadrature of a piecewise-smooth integrand split at its
-# kinks; rel 1e-9 leaves the shipped p_b values unchanged.
-_SHADOW_TOL = Tolerance(rel=1e-9, abs=1e-12, max_iter=2000)
+def mean_partial_blockage(cfg: BlockageConfig, geo: GeometryConfig) -> float:
+    """E[S]: mean shadow length 2*d*ell/r cast on the cone base.
 
-
-@lru_cache(maxsize=512)
-def _mean_partial_blockage_cached(d_s: float, d_e: float, geo: GeometryConfig) -> float:
+    Averages over obstacle radius d (uniform), link length ell (disk
+    distance density, restricted to ell > d/(2 tan theta)) and the
+    obstacle's axial position r (area-weighted within the cone).  The r- and
+    d-integrals are elementary, so E[S] is one integral over ell, taken by
+    the fixed rule of numerics.integrate on each piece between the kinks of
+    the integrand.  Result is independent of rho and of the combination mode.
+    """
     # an obstacle of radius d fully shades the cone for axial r < c*d; the
     # r-integral of 2*d*ell/r against f(r | ell) = 2r/(ell^2 - (c*d)^2) on
     # [c*d, ell] is 4*d*ell/(ell + c*d)
+    d_s, d_e = cfg.d_s, cfg.d_e
     c = 0.5 / math.tan(geo.theta)
     lo = c * d_s
     upper = geo.radius + geo.v0_norm
@@ -216,19 +219,7 @@ def _mean_partial_blockage_cached(d_s: float, d_e: float, geo: GeometryConfig) -
     # split at the kink of the d-range (ell = c*d_e) and the branch point
     edges = {lo, c * d_e, geo.radius - geo.v0_norm, upper}
     edges = sorted(e for e in edges if lo <= e <= upper)
-    return numerics.integrate_piecewise(integrand, edges, _SHADOW_TOL)
-
-
-def mean_partial_blockage(cfg: BlockageConfig, geo: GeometryConfig) -> float:
-    """E[S]: mean shadow length 2*d*ell/r cast on the cone base.
-
-    Averages over obstacle radius d (uniform), link length ell (disk
-    distance density, restricted to ell > d/(2 tan theta)) and the
-    obstacle's axial position r (area-weighted within the cone).  The r- and
-    d-integrals are elementary, so E[S] is one quadrature over ell.  Result
-    is independent of rho and of the combination mode.
-    """
-    return _mean_partial_blockage_cached(cfg.d_s, cfg.d_e, geo)
+    return numerics.integrate_piecewise(integrand, edges)
 
 
 def blockage_probability(cfg: BlockageConfig, geo: GeometryConfig) -> BlockageResult:
@@ -239,7 +230,9 @@ def blockage_probability(cfg: BlockageConfig, geo: GeometryConfig) -> BlockageRe
     radius range).  p_b2 is the chance that the accumulated shadow budget
     delta spread over obstacles of mean shadow E[S] covers the base (a
     Poisson probability evaluated at a ceiling-rounded count).  The two are
-    combined according to cfg.mode; see BlockageConfig.
+    combined according to cfg.mode; see BlockageConfig.  In
+    "reciprocal_length" mode p_b has a pole where E[ell] equals the apex
+    length (d_s + d_e)/(4 tan theta); DomainError is raised there.
     """
     tan_t = math.tan(geo.theta)
     mean_ell = mean_distance(geo)
@@ -269,6 +262,11 @@ def blockage_probability(cfg: BlockageConfig, geo: GeometryConfig) -> BlockageRe
 
     length_apex = 0.5 * (cfg.d_s + cfg.d_e) / (2.0 * tan_t)
     if cfg.mode == "reciprocal_length":
+        if mean_ell == length_apex:
+            raise DomainError(
+                f"reciprocal_length p_b has a pole where the mean link length equals "
+                f"the apex length (d_s + d_e)/(4 tan theta) = {length_apex!r} m"
+            )
         raw = p_b1 / length_apex + p_b2 / (mean_ell - length_apex)
     else:
         l1 = min(length_apex, mean_ell)

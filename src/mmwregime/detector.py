@@ -373,8 +373,8 @@ def regime_map(
 
     Per-location failures are recorded on the returned point instead of
     aborting the sweep.  Points are returned in grid order.  The sweep runs
-    serially: the quadrature is pure Python and holds the interpreter
-    lock, so a thread pool only adds contention.
+    serially: each point is a handful of small numpy evaluations, so a
+    thread pool would only add contention.
 
     p_b_override replaces the analytic blockage probability at every
     location (0.0 reproduces a blockage-free network).

@@ -8,9 +8,12 @@ interferers inside the exclusion radius; every pathloss quantity here takes
 its lower limit and its normalisation from that one law.
 
 The fading averages out in closed form, (1 - s*q*ell^(-alpha)*Upsilon/m)^(-m),
-which leaves the single-interferer MGF as a 2-D average over distance and
-offset, evaluated on fixed nodes.  Thinning by occupancy and blockage then
-lifts it to the network MGF.  The mean needs no transform: it is the
+which leaves the single-interferer MGF as a 2-D average: over distance by
+the one fixed rule of numerics.integrate on each branch of the distance
+law, and over offset by the overlap table's trapezoid weights.  The
+pathloss moments kappa_n are closed form on the near branch and take the
+same fixed rule on the arccos tail.  Thinning by occupancy and blockage
+then lifts the MGF to the network.  The mean needs no transform: it is the
 product of the first pathloss moment kappa_1 and overlap moment gamma_1.
 """
 
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,10 +40,6 @@ __all__ = [
     "dbm_to_watts",
     "watts_to_dbm",
 ]
-
-# Gauss-Legendre nodes in log(ell) per branch of the distance law
-_DISTANCE_NODES = np.polynomial.legendre.leggauss(64)
-
 
 def dbm_to_watts(x_dbm: float) -> float:
     return 10.0 ** ((x_dbm - 30.0) / 10.0)
@@ -99,23 +97,28 @@ def _distance_law(geo: GeometryConfig) -> tuple[list, float]:
     return edges, 1.0 - distance_cdf(eps, geo)
 
 
-@lru_cache(maxsize=4096)
-def _kappa_cached(n: int, geo: GeometryConfig, alpha: float) -> float:
-    edges, mass = _distance_law(geo)
-    f = lambda l: l ** (-n * alpha) * distance_pdf(l, geo)
-    return 0.5 * geo.radius**2 * numerics.integrate_piecewise(f, edges) / mass
-
-
 def kappa_n(n: int, geo: GeometryConfig, alpha: float) -> float:
     """n-th pathloss moment of the distance law conditioned on ell >= eps_min.
 
     Scaled so that E[ell^(-n*alpha) | ell >= eps_min] = 2*kappa_n / R^2,
     which keeps kappa_0 = R^2 / 2: the integral of ell^(-n*alpha) against
     distance_pdf from eps_min, divided by P(ell >= eps_min), times R^2/2.
+    On the near branch (density 2*ell/R^2, up to hi = max(eps_min, R - v0))
+    that integral times R^2/2 is (hi^p - eps^p)/p with p = 2 - n*alpha, or
+    log(hi/eps) at p = 0; the arccos tail out to R + v0 takes the fixed rule
+    of numerics.integrate.
     """
     if n < 0:
         raise DomainError(f"moment order n must be >= 0, got {n}")
-    return _kappa_cached(int(n), geo, float(alpha))
+    R, v, eps = geo.radius, geo.v0_norm, geo.eps_min
+    hi = max(eps, R - v)
+    p = 2.0 - n * alpha
+    log_ratio = math.log(hi / eps)
+    # expm1 keeps (hi^p - eps^p)/p accurate as p -> 0
+    near = eps**p * (math.expm1(p * log_ratio) / p if p else log_ratio)
+    far = numerics.integrate(lambda l: l ** (-n * alpha) * distance_pdf(l, geo), hi, R + v)
+    _, mass = _distance_law(geo)
+    return (near + 0.5 * R**2 * far) / mass
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +139,7 @@ def gamma_n(n: int, band: BandConfig, model: SpectralModel) -> float:
     if n == 0:
         return near + far
     table = upsilon_table(band, model)
-    return table.power_integral(n, near) + table.power_integral(n, far)
+    return sum(float(w @ ys**n) for ys, w in map(table.trapezoid, (near, far)))
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +156,11 @@ def interferer_power_mgf(
     """MGF of a single interferer's received power, E[exp(s * P)].
 
     Averages the Nakagami MGF (1 - s*q*ell^(-alpha)*Upsilon/m)^(-m) over the
-    conditioned distance law (Gauss-Legendre nodes in log ell on each
-    branch) crossed with the offset law (the overlap table's trapezoid
-    weights over both slabs, the rule gamma_n uses).  Summed as
-    1 + sum(W * expm1(-m * log1p(x))), so M(0) = 1 exactly and small |s|
-    keeps full relative precision in 1 - M.  Finite for every s <= 0; for
+    offset law (the overlap table's trapezoid weights over both slabs, the
+    weights gamma_n uses), then over the conditioned distance law by the
+    fixed rule of numerics.integrate on each branch.  Summed as
+    1 + integral of pdf/mass * expm1(-m * log1p(x)), so M(0) = 1 exactly
+    and small |s| keeps full relative precision in 1 - M.  Finite for every s <= 0; for
     s > 0 the transform is infinite from s = m / (q * eps_min^-alpha *
     max Upsilon) on, and DomainError is raised there.
     """
@@ -169,18 +172,16 @@ def interferer_power_mgf(
             f"m / (q * eps_min^-alpha * max Upsilon)"
         )
     edges, mass = _distance_law(geo)
-    t, gw = _DISTANCE_NODES
-    ell, w_ell = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * math.log(hi / lo)
-        l = np.exp(math.log(lo) + half * (t + 1.0))
-        ell.append(l)
-        w_ell.append(gw * half * l * distance_pdf(l, geo) / mass)
     ups, w_ups = zip(*(table.trapezoid(edge) for edge in band.offset_edges))
     ups = np.concatenate(ups)
     w_ups = np.concatenate(w_ups) / (band.f_e - band.f_s)
-    x = (-s * cfg.q / cfg.m) * np.outer(np.concatenate(ell) ** -cfg.alpha, ups)
-    return 1.0 + float(np.concatenate(w_ell) @ np.expm1(-cfg.m * np.log1p(x)) @ w_ups)
+    scale = -s * cfg.q / cfg.m
+
+    def integrand(ell):
+        x = np.outer(scale * ell**-cfg.alpha, ups)
+        return distance_pdf(ell, geo) / mass * (np.expm1(-cfg.m * np.log1p(x)) @ w_ups)
+
+    return 1.0 + numerics.integrate_piecewise(integrand, edges)
 
 
 def aggregate_mgf(

@@ -273,11 +273,6 @@ class UpsilonTable:
         half_dx = 0.5 * np.diff(xs)
         return ys, np.append(half_dx, 0.0) + np.insert(half_dx, 0, 0.0)
 
-    def power_integral(self, n: int, upper: float) -> float:
-        """Integral of Upsilon^n over [0, min(upper, cutoff)] via the grid."""
-        ys, weights = self.trapezoid(upper)
-        return float(weights @ ys**n)
-
 
 @lru_cache(maxsize=64)
 def upsilon_table(band: BandConfig, model: SpectralModel, points: int = 4097) -> UpsilonTable:

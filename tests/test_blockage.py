@@ -13,7 +13,7 @@ from mmwregime.blockage import (
     mean_partial_blockage,
     nonblocked_count_distribution,
 )
-from mmwregime.numerics import DomainError, Tolerance, integrate, integrate_piecewise
+from mmwregime.numerics import DomainError, integrate, integrate_piecewise
 
 
 def geo(radius=10.0, v0=0.0, theta_deg=10.0, eps=0.1):
@@ -107,14 +107,13 @@ class TestDistanceCdf:
 
     @pytest.mark.parametrize("v0", [0.0, 3.0, 9.0, 9.5])
     def test_bin_masses_match_density_quadrature(self, v0):
+        from scipy.integrate import quad
+
         g = geo(v0=v0)
         edges = np.linspace(0.0, 10.0 + v0, 41)
-        tight = Tolerance(rel=1e-13, abs=1e-15)
         expected = [
-            integrate_piecewise(
-                lambda l: distance_pdf(l, g),
-                [lo] + [e for e in (10.0 - v0,) if lo < e < hi] + [hi], tight,
-            )
+            quad(lambda l: distance_pdf(l, g), lo, hi, epsabs=1e-15, epsrel=1e-13,
+                 limit=200, points=[e for e in (10.0 - v0,) if lo < e < hi] or None)[0]
             for lo, hi in zip(edges[:-1], edges[1:])
         ]
         np.testing.assert_allclose(np.diff(distance_cdf(edges, g)), expected, rtol=0.0, atol=1e-12)
@@ -221,6 +220,33 @@ class TestMeanPartialBlockage:
         cfg = BlockageConfig(rho=1.0, d_s=d_s, d_e=d_e)
         assert mean_partial_blockage(cfg, geo(v0=v0)) == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("theta_deg", [4.0, 10.0, 25.0, 60.0])
+    def test_matches_independent_quadrature(self, theta_deg):
+        # scipy.integrate.quad over ell of the same elementary inner
+        # integrals, split at the same kinks, at epsrel 1e-13
+        from scipy.integrate import quad
+
+        for v0 in (0.0, 4.0, 8.0, 9.5, 9.9):
+            g = geo(v0=v0, theta_deg=theta_deg)
+            c = 0.5 / math.tan(g.theta)
+            for d_s, d_e in ((0.2, 0.8), (0.5, 0.5), (0.05, 3.0), (1.0, 2.0)):
+                lo, upper = c * d_s, 10.0 + v0
+
+                def shadow(l, d_s=d_s, d_e=d_e, lo=lo):
+                    if d_e == d_s:
+                        return 4.0 * d_s * l / (l + lo)
+                    span = min(max(l / c, d_s), d_e) - d_s
+                    return 4.0 * l * (span / c - l / (c * c) * math.log1p(c * span / (l + lo))) / (d_e - d_s)
+
+                cuts = sorted(e for e in {lo, c * d_e, 10.0 - v0, upper} if lo <= e <= upper)
+                expected = sum(
+                    quad(lambda l: distance_pdf(l, g) * shadow(l), a, b,
+                         epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                    for a, b in zip(cuts[:-1], cuts[1:])
+                )
+                got = mean_partial_blockage(BlockageConfig(rho=1.0, d_s=d_s, d_e=d_e), g)
+                assert got == pytest.approx(expected, rel=1e-13, abs=0.0), (v0, d_s, d_e)
+
     def test_rho_independent(self):
         g = geo()
         a = mean_partial_blockage(BlockageConfig(rho=0.5, d_s=0.2, d_e=0.8), g)
@@ -270,6 +296,24 @@ class TestBlockageProbability:
             assert res.mean_shadow == 0.0
             assert res.p_b2 == 0.0
             assert 0.0 <= res.p_b <= 1.0
+
+    def test_reciprocal_length_pole_is_domain_error(self, tmp_path, monkeypatch):
+        # E[ell] equal to the apex length (d_s + d_e)/(4 tan theta) is the
+        # pole of the reciprocal-length weights; it must be a numerical
+        # failure (CLI exit 2), not a ZeroDivisionError traceback
+        from mmwregime import blockage, cli
+
+        from conftest import BASELINE_CONFIG
+
+        def at_apex(g):
+            return 0.5 * (0.2 + 0.8) / (2.0 * math.tan(g.theta))
+
+        monkeypatch.setattr(blockage, "mean_distance", at_apex)
+        cfg = BlockageConfig(rho=1.0, d_s=0.2, d_e=0.8, mode="reciprocal_length")
+        with pytest.raises(DomainError, match="pole"):
+            blockage_probability(cfg, geo())
+        out = tmp_path / "out"
+        assert cli.main(["blockage", "--config", str(BASELINE_CONFIG), "--out", str(out)]) == 2
 
     def test_ingredients_in_unit_interval(self):
         rng = np.random.default_rng(3)

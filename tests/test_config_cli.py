@@ -302,13 +302,13 @@ class TestCli:
         assert run_cli("blockage", "--config", str(cfg), "--out", str(tmp_path)) == 1
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
-        # a quadrature that fails at every sweep point is a total numerical
+        # a numerical failure at every sweep point is a total numerical
         # failure; no valid config is known to cause one, so it is forced
         from mmwregime import detector
-        from mmwregime.numerics import QuadratureError
+        from mmwregime.numerics import NumericsError
 
         def failing(*args, **kwargs):
-            raise QuadratureError("forced non-convergence", math.nan, math.inf)
+            raise NumericsError("forced non-convergence")
 
         monkeypatch.setattr(detector, "mean_received_power", failing)
         cfg = write_config(

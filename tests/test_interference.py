@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mmwregime.blockage import GeometryConfig
+from mmwregime.blockage import GeometryConfig, distance_cdf, distance_pdf
 from mmwregime.interference import (
     ChannelConfig,
     aggregate_mgf,
@@ -22,6 +22,12 @@ from mmwregime.spectral import upsilon_table
 
 def geo(v0=0.0, eps=0.1):
     return GeometryConfig(radius=10.0, v0_norm=v0, theta=math.radians(10.0), eps_min=eps)
+
+
+def distance_law_cuts(g):
+    """eps_min, then the branch point R - v0 and the support end R + v0 above it."""
+    return [g.eps_min] + sorted({e for e in (g.radius - g.v0_norm, g.radius + g.v0_norm)
+                                 if e > g.eps_min})
 
 
 class TestUnits:
@@ -62,6 +68,26 @@ class TestKappa:
         vals = [kappa_n(1, geo(v0=v), 2.5) for v in (0.0, 3.0, 6.0, 9.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("v0", [0.0, 1.0, 4.0, 8.0, 9.0, 9.9])
+    def test_matches_independent_quadrature(self, v0):
+        # scipy.integrate.quad per branch of the distance law at epsrel 1e-13
+        from scipy.integrate import quad
+
+        for eps in (0.1, 0.5, 3.0):
+            g = geo(v0=v0, eps=eps)
+            cuts = distance_law_cuts(g)
+            mass = 1.0 - distance_cdf(eps, g)
+            for alpha in (1.5, 2.0, 2.5, 4.0):
+                for n in (1, 2):
+                    integral = sum(
+                        quad(lambda l: l ** (-n * alpha) * distance_pdf(l, g), a, b,
+                             epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                        for a, b in zip(cuts[:-1], cuts[1:])
+                    )
+                    expected = 0.5 * g.radius**2 * integral / mass
+                    got = kappa_n(n, g, alpha)
+                    assert got == pytest.approx(expected, rel=1e-10, abs=0.0), (eps, alpha, n)
+
 
 class TestGamma:
     def test_order_zero_is_band_span(self, baseline_band, baseline_model):
@@ -70,8 +96,8 @@ class TestGamma:
     def test_order_one_both_slabs_capture_full_overlap(self, baseline_band, baseline_model):
         # overlap support is ~0.35 GHz versus slab ends at 2 and 4 GHz, so
         # each slab integral saturates at the half-line value
-        table = upsilon_table(baseline_band, baseline_model)
-        half_line = table.power_integral(1, table.cutoff)
+        ys, weights = upsilon_table(baseline_band, baseline_model).trapezoid(math.inf)
+        half_line = weights @ ys
         assert gamma_n(1, baseline_band, baseline_model) == pytest.approx(
             2.0 * half_line, rel=1e-12
         )
@@ -190,6 +216,33 @@ class TestSingleInterfererMgf:
         for s, old in zip((-1e-3, -0.1, -0.5, -1.0), PARENT_SERIES[v0]):
             new = interferer_power_mgf(s, baseline_channel, g, baseline_band, baseline_model)
             assert (1.0 - new) * mass == pytest.approx(old, rel=1e-5), s
+
+    @pytest.mark.parametrize("v0", [0.0, 9.0, 9.9])
+    def test_matches_independent_quadrature(
+        self, v0, baseline_band, baseline_model, baseline_channel
+    ):
+        # 1 - M_P against scipy.integrate.quad per branch of the distance
+        # law at epsrel 1e-13, on the same offset weights
+        from scipy.integrate import quad
+
+        ch = baseline_channel
+        ups, w = zip(*(upsilon_table(baseline_band, baseline_model).trapezoid(e)
+                       for e in baseline_band.offset_edges))
+        ups = np.concatenate(ups)
+        w = np.concatenate(w) / (baseline_band.f_e - baseline_band.f_s)
+        for eps in (0.1, 0.5):
+            g = geo(v0=v0, eps=eps)
+            cuts = distance_law_cuts(g)
+            mass = 1.0 - distance_cdf(eps, g)
+            for s in (-1.0, -1e3, -1e6):
+                def one_minus(l):
+                    x = -s * ch.q / ch.m * l ** -ch.alpha * ups
+                    return distance_pdf(l, g) / mass * float(-np.expm1(-ch.m * np.log1p(x)) @ w)
+
+                expected = sum(quad(one_minus, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                               for a, b in zip(cuts[:-1], cuts[1:]))
+                got = 1.0 - interferer_power_mgf(s, ch, g, baseline_band, baseline_model)
+                assert got == pytest.approx(expected, rel=1e-10, abs=0.0), (eps, s)
 
 
 class TestAggregateMgf:

@@ -7,7 +7,6 @@ from mmwregime import numerics
 from mmwregime.numerics import (
     BracketingError,
     DomainError,
-    QuadratureError,
     Tolerance,
     erf,
     erf_inv,
@@ -125,8 +124,14 @@ class TestIntegrate:
         assert integrate(lambda x: x, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_semi_infinite_exponential(self):
-        val = integrate(lambda x: np.exp(-x), 0.0, np.inf)
+        # the fixed rule takes finite limits; a caller maps [0, inf) to
+        # [0, 1) by x = t/(1 - t), checked against scipy's semi-infinite quad
+        from scipy.integrate import quad
+
+        mapped = integrate(lambda t: np.exp(-t / (1.0 - t)) / (1.0 - t) ** 2, 0.0, 1.0)
+        val = quad(lambda x: math.exp(-x), 0.0, np.inf, epsabs=0.0, epsrel=1e-12)[0]
         assert val == pytest.approx(1.0, rel=1e-9)
+        assert mapped == pytest.approx(val, rel=1e-9)
 
     def test_endpoint_singularity(self):
         val = integrate(lambda x: 1.0 / np.sqrt(1.0 - x), 0.0, 0.99)
@@ -137,10 +142,15 @@ class TestIntegrate:
         assert val == pytest.approx(2.0, rel=1e-6)
 
     def test_doubly_infinite_gaussian(self):
-        val = integrate(
-            lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi), -np.inf, np.inf
-        )
+        # both halves mapped to [0, 1) by |x| = t/(1 - t), against scipy's
+        # doubly infinite quad
+        from scipy.integrate import quad
+
+        pdf = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
+        half = integrate(lambda t: pdf(t / (1.0 - t)) / (1.0 - t) ** 2, 0.0, 1.0)
+        val = quad(pdf, -np.inf, np.inf, epsabs=0.0, epsrel=1e-12)[0]
         assert val == pytest.approx(1.0, rel=1e-9)
+        assert 2.0 * half == pytest.approx(val, rel=1e-9)
 
     def test_empty_and_reversed(self):
         assert integrate(lambda x: x, 2.0, 2.0) == 0.0
@@ -160,17 +170,20 @@ class TestIntegrate:
             split = alpha * integrate(f, a, b) + beta * integrate(g, a, b)
             assert combined == pytest.approx(split, rel=1e-9, abs=1e-9)
 
-    def test_budget_exhaustion_carries_partial(self):
-        # oscillation a 4-panel budget cannot resolve to 1e-12
-        f = lambda x: np.sin(1000.0 * x)
-        with pytest.raises(QuadratureError) as err:
-            integrate(f, 0.0, 1.0, Tolerance(rel=1e-12, abs=0.0, max_iter=4))
-        assert math.isfinite(err.value.partial)
-        assert err.value.error_estimate > 0.0
+    def test_infinite_limit_raises_domain_error(self):
+        for a, b in ((0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf)):
+            with pytest.raises(DomainError, match="finite limits"):
+                integrate(lambda x: np.exp(-x * x), a, b)
+        with pytest.raises(DomainError):
+            integrate_piecewise(lambda x: np.exp(-x), (0.0, 1.0, np.inf))
+
+    def test_non_finite_integrand_raises_numerics_error(self):
+        with pytest.raises(numerics.NumericsError, match="non-finite"):
+            integrate(lambda x: np.where(x > 0.5, np.inf, 1.0), 0.0, 1.0)
 
     def test_non_array_integrand_raises_domain_error(self):
-        # one value for fifteen nodes: the error names both shapes
-        with pytest.raises(DomainError, match=r"\(15,\).*shape \(\)"):
+        # one value for sixty-four nodes: the error names both shapes
+        with pytest.raises(DomainError, match=r"\(64,\).*shape \(\)"):
             integrate(lambda x: 1.0, 0.0, 1.0)
 
     def test_piecewise_matches_single(self):

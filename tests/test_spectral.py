@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mmwregime.numerics import DomainError, integrate
+from mmwregime.numerics import DomainError
 from mmwregime.spectral import (
     BandConfig,
     GaussianPsd,
@@ -87,13 +87,18 @@ class TestFrequencyOffsetPdf:
 
 class TestShapes:
     def test_gaussian_psd_unit_mass(self):
+        from scipy.integrate import quad
+
         psd = GaussianPsd(std=3e7)
-        mass = integrate(lambda x: psd_value(psd, x), -4e8, 4e8)
+        mass = quad(lambda x: psd_value(psd, x), -4e8, 4e8, epsabs=0.0, epsrel=1e-12)[0]
         assert mass == pytest.approx(1.0, rel=1e-9)
 
     def test_rectangular_psd_unit_mass(self):
+        from scipy.integrate import quad
+
         psd = RectangularPsd(width=5e7)
-        mass = integrate(lambda x: psd_value(psd, x), -3e7, 3e7)
+        mass = quad(lambda x: psd_value(psd, x), -3e7, 3e7, epsabs=0.0, epsrel=1e-12,
+                    points=[-2.5e7, 2.5e7])[0]
         assert mass == pytest.approx(1.0, rel=1e-9)
 
     def test_filter_peak_normalized(self):
@@ -249,12 +254,16 @@ class TestUpsilonTable:
         table = upsilon_table(band(), gaussian_model())
         assert table.lookup(table.cutoff * 2.0) == 0.0
 
-    def test_power_integral_against_quadrature(self):
-        b = band()
-        model = gaussian_model()
-        table = upsilon_table(b, model)
-        direct = integrate(lambda w: brick_overlap(w, 1e8, 2.5e7) ** 2, 0.0, 4e8)
-        assert table.power_integral(2, 2e9) == pytest.approx(direct, rel=1e-6)
+    def test_gamma_2_against_quadrature(self):
+        # the overlap support (~0.35 GHz) lies inside both offset slabs, so
+        # gamma_2 is twice the half-line integral of Upsilon^2
+        from scipy.integrate import quad
+
+        from mmwregime.interference import gamma_n
+
+        direct = quad(lambda w: brick_overlap(w, 1e8, 2.5e7) ** 2, 0.0, 4e8,
+                      epsabs=0.0, epsrel=1e-12)[0]
+        assert gamma_n(2, band(), gaussian_model()) == pytest.approx(2.0 * direct, rel=1e-6)
 
     def test_cached_instance_reused(self):
         b = band()
