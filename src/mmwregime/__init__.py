@@ -58,19 +58,7 @@ from .mcsim import (
     simulate_received_power,
     validate_suite,
 )
-from .numerics import (
-    BracketingError,
-    DomainError,
-    NumericsError,
-    Tolerance,
-    erf,
-    erf_inv,
-    erfc_inv,
-    find_root,
-    integrate,
-    log_gamma,
-    reg_lower_gamma,
-)
+from .numerics import DomainError, NumericsError, find_root, integrate
 from .spectral import (
     BandConfig,
     GaussianPsd,

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import numerics
 from .numerics import DomainError
@@ -179,7 +180,7 @@ def mean_distance(geo: GeometryConfig) -> float:
     """
     R = geo.radius
     m = (geo.v0_norm / R) ** 2
-    e, k = numerics.elliptic_ek(m)
+    e, k = float(special.ellipe(m)), float(special.ellipk(m))
     return 4.0 * R / (9.0 * math.pi) * ((7.0 + m) * e - 4.0 * (1.0 - m) * k)
 
 
@@ -245,7 +246,7 @@ def blockage_probability(cfg: BlockageConfig, geo: GeometryConfig) -> BlockageRe
     t = math.sqrt(cfg.rho / (4.0 * tan_t))
     if cfg.d_e > cfg.d_s:
         span = cfg.d_e - cfg.d_s
-        bracket = float(numerics.erf(cfg.d_e * t)) - float(numerics.erf(cfg.d_s * t))
+        bracket = float(special.erf(cfg.d_e * t)) - float(special.erf(cfg.d_s * t))
         p_b1 = 1.0 - math.sqrt(math.pi * tan_t / cfg.rho) / span * bracket
     else:
         # degenerate uniform radius: the erf difference quotient collapses
@@ -255,7 +256,7 @@ def blockage_probability(cfg: BlockageConfig, geo: GeometryConfig) -> BlockageRe
     if mean_shadow > 0.0:
         # expm1 keeps the obstacle-count ceiling stable as rho*E[S] -> 0
         k = math.ceil(delta / math.expm1(cfg.rho * mean_shadow))
-        log_p_b2 = k * math.log1p(delta) - (1.0 + delta) - numerics.log_gamma(k + 1.0)
+        log_p_b2 = k * math.log1p(delta) - (1.0 + delta) - float(special.gammaln(k + 1.0))
         p_b2 = min(math.exp(log_p_b2), 1.0)
     else:
         p_b2 = 0.0  # every obstacle in reach out-sizes the cone: no partial shadow
@@ -290,20 +291,22 @@ class NonblockedCount:
     def pmf(self, k):
         """P(K = k), evaluated in log space to stay finite for large n."""
         k = np.asarray(k)
-        kf = k.astype(float)
+        inside = (k >= 0) & (k <= self.n)
         q = self.success_prob
         if q == 0.0:
             out = np.where(k == 0, 1.0, 0.0)
         elif q == 1.0:
             out = np.where(k == self.n, 1.0, 0.0)
         else:
+            # gammaln sees only k in 0..n; other k are masked to 0 below
+            kf = np.where(inside, k, 0).astype(float)
             log_choose = (
-                numerics.log_gamma(self.n + 1.0)
-                - numerics.log_gamma(kf + 1.0)
-                - numerics.log_gamma(self.n - kf + 1.0)
+                special.gammaln(self.n + 1.0)
+                - special.gammaln(kf + 1.0)
+                - special.gammaln(self.n - kf + 1.0)
             )
             out = np.exp(log_choose + kf * math.log(q) + (self.n - kf) * math.log1p(-q))
-        out = np.where((k >= 0) & (k <= self.n), out, 0.0)
+        out = np.where(inside, out, 0.0)
         return float(out) if out.ndim == 0 else out
 
 

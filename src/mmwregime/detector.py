@@ -16,11 +16,12 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import special
 
 from . import numerics
 from .blockage import BlockageConfig, GeometryConfig, blockage_probability
 from .interference import ChannelConfig, mean_received_power
-from .numerics import DomainError, Tolerance
+from .numerics import DomainError
 from .spectral import BandConfig, SpectralModel
 
 __all__ = [
@@ -143,11 +144,8 @@ def h0_cdf(y, noise: NoiseConfig):
     out = np.zeros_like(y)
     pos = y > noise.phi
     u = (y[pos] - noise.phi) / (2.0 * noise.sigma2)
-    out[pos] = numerics.reg_lower_gamma(0.5, u)
+    out[pos] = special.gammainc(0.5, u)
     return float(out[0]) if scalar else out
-
-
-_FIT_TOL = Tolerance(rel=1e-15, abs=1e-15, max_iter=500)
 
 
 def fit_me_lambda(mean_y: float, phi: float, mode: str = "transcendental") -> MeFit:
@@ -175,7 +173,7 @@ def fit_me_lambda(mean_y: float, phi: float, mode: str = "transcendental") -> Me
         return (lp + 1.0) * math.exp(-lp) - mean_y * lam * lam
 
     scale = max(phi, mean_y - phi)
-    lam = numerics.find_root(equation, 1e-12 / scale, 1e12 / scale, _FIT_TOL)
+    lam = numerics.find_root(equation, 1e-12 / scale, 1e12 / scale)
     return MeFit(lam=lam, mode=mode, mean_used=mean_y)
 
 
@@ -240,7 +238,7 @@ def np_threshold(beta_th: float, noise: NoiseConfig) -> float:
         )
     if beta_th == 1.0:
         return noise.phi
-    z = numerics.erfc_inv(beta_th)  # == erf_inv(1 - beta_th)
+    z = float(special.erfcinv(beta_th))  # == erfinv(1 - beta_th)
     return 2.0 * noise.sigma2 * z * z + noise.phi
 
 
@@ -282,10 +280,10 @@ def lrt_area(fit: MeFit, noise: NoiseConfig, y_max: Optional[float] = None) -> f
         log_int = 1.5 * math.log(big_x) + math.log(series)
     elif k < 0.0:
         log_int = (math.lgamma(1.5) - 1.5 * math.log(-k)
-                   + math.log(numerics.reg_lower_gamma(1.5, -z)))
+                   + math.log(special.gammainc(1.5, -z)))
     else:
         u = math.sqrt(z)
-        log_int = z - 1.5 * math.log(k) + math.log(u - numerics.dawson(u))
+        log_int = z - 1.5 * math.log(k) + math.log(u - special.dawsn(u))
     try:
         return math.exp(log_c + log_int)
     except OverflowError:

@@ -19,8 +19,8 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
+from scipy import special
 
-from . import numerics
 from .numerics import DomainError
 
 __all__ = [
@@ -182,7 +182,7 @@ def _overlap(omega, lo: float, hi: float, centre: float, freq: float, psd: Psd):
             x = (u - omega) / s
             sign = np.where(x < 0.0, -1.0, 1.0)
             tail = np.exp(-x * x + 1j * freq * (u - centre))
-            tail *= numerics.faddeeva(sign * y + 1j * np.abs(x))
+            tail *= special.wofz(sign * y + 1j * np.abs(x))
             return sign * (math.exp(-y * y) * np.exp(1j * freq * (omega - centre)) - tail)
 
         return 0.5 * (edge(hi) - edge(lo)).real
@@ -231,6 +231,10 @@ def upsilon(omega, band: BandConfig, model: SpectralModel):
     return float(out) if out.ndim == 0 else out
 
 
+# samples per overlap table: 2**12 intervals on [0, cutoff]
+TABLE_POINTS = 4097
+
+
 class UpsilonTable:
     """Dense overlap samples on [0, cutoff], shared by the MGF and simulation.
 
@@ -241,12 +245,12 @@ class UpsilonTable:
     call of the closed-form upsilon on the whole grid.
     """
 
-    def __init__(self, band: BandConfig, model: SpectralModel, points: int = 4097):
+    def __init__(self, band: BandConfig, model: SpectralModel):
         stop = (1.0 + model.filter.rolloff) * 0.5 * model.filter.width
         cutoff = min(0.5 * band.bandwidth, stop) + _psd_halfwidth(model.psd)
         self.band = band
         self.model = model
-        self.grid = np.linspace(0.0, cutoff, points)
+        self.grid = np.linspace(0.0, cutoff, TABLE_POINTS)
         self.values = upsilon(self.grid, band, model)
 
     @property
@@ -275,6 +279,6 @@ class UpsilonTable:
 
 
 @lru_cache(maxsize=64)
-def upsilon_table(band: BandConfig, model: SpectralModel, points: int = 4097) -> UpsilonTable:
+def upsilon_table(band: BandConfig, model: SpectralModel) -> UpsilonTable:
     """Cached overlap table for a (band, model) pair."""
-    return UpsilonTable(band, model, points)
+    return UpsilonTable(band, model)

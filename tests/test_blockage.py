@@ -384,6 +384,16 @@ class TestNonblockedCount:
         law = nonblocked_count_distribution(10, 0.0, 0.3)
         assert law.pmf(0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
+    def test_pmf_zero_outside_support(self, q):
+        law = nonblocked_count_distribution(10, q, 0.0)
+        assert law.pmf(-1) == 0.0
+        assert law.pmf(11) == 0.0
+        k = np.array([-1, 0, 5, 10, 11])
+        mixed = law.pmf(k)
+        assert mixed[0] == 0.0 and mixed[-1] == 0.0
+        assert mixed[1:-1].tolist() == [law.pmf(int(j)) for j in k[1:-1]]
+
     def test_pgf_normalization_random(self):
         rng = np.random.default_rng(9)
         for _ in range(20):

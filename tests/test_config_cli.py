@@ -121,22 +121,41 @@ class TestLoadConfig:
             load_config(path)
 
 
-def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
-    # validate and find_root import them where they are used, so the
-    # analytic commands do not pay for them at start-up
+def run_python(code, *args):
+    """stdout of code run in a fresh interpreter with src/ on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
+    # validate imports scipy.stats where it is used and nothing in the
+    # package imports scipy.optimize, so the analytic commands pay for
+    # neither at start-up
     code = (
         "import sys, mmwregime.cli; "
         "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+    assert run_python(code) == "[]"
+
+
+def test_analytic_commands_leave_scipy_optimize_unloaded(tmp_path):
+    # the ME fit's root finder is the package's own bisection
+    code = (
+        "import sys\n"
+        "from mmwregime import cli\n"
+        "for cmd in ('roc', 'regime-map'):\n"
+        "    assert cli.main([cmd, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert run_python(code, str(BASELINE_CONFIG), str(tmp_path)) == "False"
 
 
 def run_cli(*args):

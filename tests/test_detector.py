@@ -49,7 +49,7 @@ class TestNullDensity:
         assert h0_cdf(NOISE.phi - 1.0, NOISE) == 0.0
 
     def test_cdf_at_two_noise_scales(self):
-        from mmwregime.numerics import erf
+        from scipy.special import erf
 
         y = NOISE.phi + 2.0 * NOISE.sigma2
         assert h0_cdf(y, NOISE) == pytest.approx(float(erf(1.0)), rel=1e-12)
@@ -94,6 +94,29 @@ class TestMeFit:
         lam = fit.lam
         resid = (lam * NOISE.phi + 1.0) * math.exp(-lam * NOISE.phi) - mean_y * lam * lam
         assert abs(resid) <= 1e-10
+
+    def test_shipped_fits_converge_to_the_last_bit(self, baseline_run):
+        # on every regime-map point of the shipped config, lambda and one of
+        # its neighbouring doubles bracket a sign change of the fit equation
+        net = baseline_run.network
+        phi = net.noise.phi
+        fits = 0
+        for rho in baseline_run.sweeps.rho_list:
+            blk = replace(baseline_run.blockage, rho=rho)
+            for n in baseline_run.sweeps.n_list:
+                chan = replace(net.channel, n=n)
+                for pt in regime_map(blk, net.geo, chan, net.band, net.spectral, net.noise,
+                                     baseline_run.sweeps.v0_grid, baseline_run.beta_th):
+                    def f(lam):
+                        lp = lam * phi
+                        return (lp + 1.0) * math.exp(-lp) - pt.mean_y * lam * lam
+
+                    f_lam = f(pt.lam)
+                    neighbours = (f(math.nextafter(pt.lam, -math.inf)),
+                                  f(math.nextafter(pt.lam, math.inf)))
+                    assert f_lam == 0.0 or any((v < 0.0) != (f_lam < 0.0) for v in neighbours)
+                    fits += 1
+        assert fits == 90
 
     def test_modes_disagree_with_signal_power(self):
         a = fit_me_lambda(0.03, 1e-3, "transcendental").lam

@@ -4,119 +4,7 @@ import numpy as np
 import pytest
 
 from mmwregime import numerics
-from mmwregime.numerics import (
-    BracketingError,
-    DomainError,
-    Tolerance,
-    erf,
-    erf_inv,
-    erfc_inv,
-    find_root,
-    integrate,
-    integrate_piecewise,
-    log_gamma,
-    reg_lower_gamma,
-)
-
-
-def erf_series(x, terms=60):
-    """Independent Maclaurin-series erf, accurate to ~1e-15 for |x| <= 2."""
-    total = 0.0
-    term = x
-    for n in range(terms):
-        total += term / (2 * n + 1)
-        term *= -x * x / (n + 1)
-    return 2.0 / math.sqrt(math.pi) * total
-
-
-def erf_inv_newton(p, iters=60):
-    """Newton iteration on the series erf; oracle for the inverse."""
-    x = 0.0
-    for _ in range(iters):
-        step = (erf_series(x) - p) * math.sqrt(math.pi) / 2.0 * math.exp(x * x)
-        x -= step
-        if abs(step) < 1e-15:
-            break
-    return x
-
-
-class TestSpecialFunctions:
-    def test_erf_at_zero(self):
-        assert erf(0.0) == 0.0
-
-    def test_erf_inv_at_zero(self):
-        assert erf_inv(0.0) == 0.0
-
-    def test_erf_inv_half(self):
-        # oracle: Newton on the series expansion, frozen value below
-        oracle = erf_inv_newton(0.5)
-        assert oracle == pytest.approx(0.4769362762044699, abs=1e-14)
-        assert erf_inv(0.5) == pytest.approx(0.4769362762044699, abs=1e-12)
-
-    def test_erf_inv_roundtrip(self):
-        for p in np.linspace(-0.999, 0.999, 41):
-            assert abs(erf(erf_inv(p)) - p) <= 1e-12
-
-    def test_erf_inv_domain(self):
-        for bad in (-1.0, 1.0, 1.5):
-            with pytest.raises(DomainError):
-                erf_inv(bad)
-
-    def test_erfc_inv_matches_erf_inv(self):
-        for q in (1e-3, 0.1, 0.5, 1.0, 1.7):
-            assert erfc_inv(q) == pytest.approx(erf_inv(1.0 - q), abs=1e-12)
-
-    def test_erfc_inv_tiny_argument_stays_finite(self):
-        z = erfc_inv(1e-300)
-        assert 26.0 < z < 27.0
-
-    def test_erf_odd_and_monotone(self):
-        rng = np.random.default_rng(42)
-        x = rng.uniform(-6, 6, 1000)
-        assert np.allclose(erf(-x), -erf(x), atol=1e-15)
-        xs = np.sort(x)
-        assert np.all(np.diff(erf(xs)) >= 0)
-
-    def test_erf_inv_erf_roundtrip_band(self):
-        x = np.linspace(-3.0, 3.0, 201)
-        back = erf_inv(np.clip(erf(x), -1 + 1e-16, 1 - 1e-16))
-        assert np.all(np.abs(back - x) <= 1e-9)
-
-    def test_log_gamma_half(self):
-        assert math.exp(log_gamma(0.5)) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-
-    def test_log_gamma_domain(self):
-        with pytest.raises(DomainError):
-            log_gamma(0.0)
-        with pytest.raises(DomainError):
-            log_gamma(-2.0)
-
-    def test_reg_lower_gamma_endpoints(self):
-        assert reg_lower_gamma(0.5, 0.0) == 0.0
-        assert reg_lower_gamma(0.5, np.inf) == pytest.approx(1.0, abs=1e-14)
-
-    def test_reg_lower_gamma_erf_identity(self):
-        assert reg_lower_gamma(0.5, 1.0) == pytest.approx(erf(1.0), abs=1e-10)
-        for x in (0.01, 0.3, 2.5, 9.0):
-            assert reg_lower_gamma(0.5, x) == pytest.approx(
-                erf(math.sqrt(x)), abs=1e-10
-            )
-
-    def test_reg_lower_gamma_domain(self):
-        with pytest.raises(DomainError):
-            reg_lower_gamma(0.0, 1.0)
-        with pytest.raises(DomainError):
-            reg_lower_gamma(0.5, -1.0)
-
-
-class TestTolerance:
-    def test_invariants(self):
-        with pytest.raises(DomainError):
-            Tolerance(rel=0.0)
-        with pytest.raises(DomainError):
-            Tolerance(abs=-1.0)
-        with pytest.raises(DomainError):
-            Tolerance(max_iter=0)
+from mmwregime.numerics import DomainError, find_root, integrate, integrate_piecewise
 
 
 class TestIntegrate:
@@ -214,17 +102,31 @@ class TestFindRoot:
             (lambda x: math.cos(x) - x, 0.0, 1.0),
             (lambda x: math.expm1(x) - 0.5, 0.0, 1.0),
         ]
-        tol = Tolerance(rel=1e-14, abs=1e-14, max_iter=200)
         for f, lo, hi in cases:
-            x = find_root(f, lo, hi, tol)
+            x = find_root(f, lo, hi)
             assert abs(f(x)) <= 1e-10
+
+    def test_converges_to_adjacent_doubles(self):
+        # bisection stops at a sign change between x and a neighbouring double
+        for f, lo, hi in ((lambda x: x * x - 2.0, 1.0, 2.0),
+                          (lambda x: math.cos(x) - x, 0.0, 1.0),
+                          (lambda x: 1.0 - 4.0 * x * x, 1e-9, 1e9)):
+            x = find_root(f, lo, hi)
+            fx = f(x)
+            neighbours = (f(math.nextafter(x, -math.inf)), f(math.nextafter(x, math.inf)))
+            assert fx == 0.0 or any((fn < 0.0) != (fx < 0.0) for fn in neighbours)
 
     def test_endpoint_root(self):
         assert find_root(lambda x: x, 0.0, 1.0) == 0.0
 
     def test_no_sign_change(self):
-        with pytest.raises(BracketingError):
+        with pytest.raises(DomainError, match="no sign change"):
             find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    def test_tiny_values_without_sign_change(self):
+        # the product f(lo)*f(hi) underflows to 0 here; the signs still agree
+        with pytest.raises(DomainError, match="no sign change"):
+            find_root(lambda x: 1e-200, 0.0, 1.0)
 
     def test_bad_bracket_order(self):
         with pytest.raises(DomainError):
