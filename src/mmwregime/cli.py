@@ -106,8 +106,7 @@ def _write_rows(path: Path, rows: list[dict], header: list[str], prov: dict,
         return
     lines = [f"# {k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(prov.items())]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in header))
+    lines += [",".join([_fmt(row.get(col)) for col in header]) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -208,7 +207,7 @@ def cmd_simulate(run: RunConfig, out: Path, fmt: str, workers: int) -> int:
         trials=run.trials, seed=run.seed, blocking=run.blocking, p_b=p_b,
         blockage_cfg=run.blockage, workers=workers,
     )
-    rows = [{"trial": i, "y_watts": float(y)} for i, y in enumerate(samples)]
+    rows = [{"trial": i, "y_watts": y} for i, y in enumerate(samples.tolist())]
     _write_rows(out / f"samples.{fmt}", rows, ["trial", "y_watts"], _provenance(run), fmt)
     return EXIT_OK
 

@@ -294,6 +294,26 @@ class TestCli:
         assert len(lines) == 51
         assert float(lines[1].split(",")[1]) >= 1e-3  # phi floor
 
+    def test_simulate_rows_are_repr_of_samples(self, tmp_path):
+        from mmwregime import mcsim
+        from mmwregime.blockage import blockage_probability
+
+        cfg = write_config(tmp_path, trials=300, seed=17)
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
+        run = load_config(cfg)
+        net = run.network
+        samples = mcsim.simulate_received_power(
+            net.channel, net.geo, net.band, net.spectral, net.noise.phi,
+            trials=300, seed=17, blocking="thinning",
+            p_b=blockage_probability(run.blockage, net.geo).p_b,
+        )
+        rows = [
+            l for l in (out / "samples.csv").read_text().splitlines()
+            if l and not l.startswith("#")
+        ][1:]
+        assert rows == [f"{i},{y!r}" for i, y in enumerate(samples.tolist())]
+
     def test_validate_json_and_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, trials=20_000)
         out = tmp_path / "out"

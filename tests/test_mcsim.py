@@ -75,6 +75,142 @@ class TestIsBlocked:
             assert after or not before
 
 
+def _dense_blocked_mask(int_xy, obstacle_xy, obstacle_radius, v0_xy, theta):
+    # reference: the all-pairs cone-shadow rule that _blocked_mask replaced,
+    # kept verbatim so the in-cone-pairs version can be held to its decisions
+    n_i = int_xy.shape[0]
+    if n_i == 0:
+        return np.zeros(0, dtype=bool)
+    tan_t = math.tan(theta)
+    if obstacle_xy.shape[0] == 0:
+        return np.zeros(n_i, dtype=bool)
+    axis = v0_xy[None, :] - int_xy
+    ell = np.hypot(axis[:, 0], axis[:, 1])
+    safe_ell = np.where(ell > 0.0, ell, 1.0)
+    ux = axis[:, 0] / safe_ell
+    uy = axis[:, 1] / safe_ell
+    relx = obstacle_xy[None, :, 0] - int_xy[:, None, 0]
+    rely = obstacle_xy[None, :, 1] - int_xy[:, None, 1]
+    r_ax = relx * ux[:, None] + rely * uy[:, None]
+    perp = np.abs(relx * uy[:, None] - rely * ux[:, None])
+    in_cone = (r_ax > 0.0) & (r_ax <= ell[:, None]) & (perp <= r_ax * tan_t)
+    d = obstacle_radius[None, :]
+    full_block = in_cone & (r_ax <= d / (2.0 * tan_t))
+    blocked = full_block.any(axis=1)
+    shadow = np.where(in_cone & ~full_block, 2.0 * d * ell[:, None] / np.where(r_ax > 0, r_ax, 1.0), 0.0)
+    blocked |= shadow.sum(axis=1) >= 2.0 * ell * tan_t
+    blocked &= ell > 0.0
+    return blocked
+
+
+class TestBlockedMaskAgainstDense:
+    # interferer counts on both sides of the row block size, and not
+    # multiples of it
+    @pytest.mark.parametrize("v0", [0.0, 5.0, 9.5])
+    @pytest.mark.parametrize("theta_deg", [4.0, 10.0, 25.0])
+    @pytest.mark.parametrize("n_int", [1, 33, 200])
+    def test_decisions_match_dense_rule(self, v0, theta_deg, n_int):
+        rng = np.random.default_rng([int(v0 * 10), int(theta_deg), n_int])
+        g = GeometryConfig(radius=10.0, v0_norm=v0, theta=math.radians(theta_deg), eps_min=0.5)
+        v0_xy = np.array([v0, 0.0])
+        blocked = 0
+        for _ in range(20):
+            ixy, _ = mcsim._draw_positions_with_exclusion(rng, n_int, g, v0_xy)
+            n_obs = rng.poisson(math.pi * g.radius**2)
+            obs = mcsim._uniform_disk(rng, n_obs, g.radius)
+            rad = 0.2 + 0.6 * rng.random(n_obs)
+            got = mcsim._blocked_mask(ixy, obs, rad, v0_xy, g.theta)
+            assert np.array_equal(got, _dense_blocked_mask(ixy, obs, rad, v0_xy, g.theta))
+            blocked += int(got.sum())
+        if n_int > 1:
+            assert 0 < blocked < 20 * n_int  # the scenes show both outcomes
+
+    @pytest.mark.parametrize("n_int", [0, 1, 33])
+    def test_empty_obstacle_set(self, n_int):
+        ixy = mcsim._uniform_disk(np.random.default_rng(n_int), n_int, 10.0)
+        got = mcsim._blocked_mask(ixy, np.empty((0, 2)), np.empty(0), V0, THETA)
+        assert got.shape == (n_int,) and not got.any()
+        assert np.array_equal(got, _dense_blocked_mask(ixy, np.empty((0, 2)), np.empty(0), V0, THETA))
+
+
+class TestDistanceSampler:
+    @pytest.mark.parametrize("v0", [0.0, 4.0, 9.9])
+    def test_matches_hypot_of_disk_points(self, v0):
+        dist = mcsim._disk_distances(mcsim._rng(3, 0, 1), 200_000, 10.0, v0)
+        xy = mcsim._uniform_disk(mcsim._rng(3, 0, 1), 200_000, 10.0)
+        ref = np.hypot(xy[:, 0] - v0, xy[:, 1])
+        np.testing.assert_allclose(dist, ref, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("v0", [0.0, 4.0, 9.9])
+    def test_same_draws_and_redraws_as_position_path(self, v0):
+        # eps_min = 2 m forces several percent of redraws, some repeated
+        g = GeometryConfig(radius=10.0, v0_norm=v0, theta=THETA, eps_min=2.0)
+        a, b = mcsim._rng(5, 0, 2), mcsim._rng(5, 0, 2)
+        dist = mcsim._distances_with_exclusion(a, 50_000, g)
+        _, ref = mcsim._draw_positions_with_exclusion(b, 50_000, g, np.array([v0, 0.0]))
+        assert np.array_equal(a.random(8), b.random(8))  # the stream stays aligned
+        np.testing.assert_allclose(dist, ref, rtol=1e-13, atol=0.0)
+        assert dist.min() >= g.eps_min
+
+
+def _thinning_reference(channel, g, band, model, phi, trials, seed, p_b, distances):
+    # the thinning block written out in full: every contribution evaluated,
+    # out-of-band ones included, with the distances taken from `distances`
+    rng = mcsim._rng(seed, mcsim._NS_POWER, 0)
+    counts = (rng.random((trials, channel.n)) < channel.p * (1.0 - p_b)).sum(axis=1)
+    total = int(counts.sum())
+    dist = distances(rng, total)
+    freq = band.f_s + (band.f_e - band.f_s) * rng.random(total)
+    h = rng.gamma(channel.m, 1.0 / channel.m, total)
+    ups = mcsim.upsilon_table(band, model).lookup(np.abs(freq - band.f_0))
+    power = channel.q * h * dist ** (-channel.alpha) * ups
+    ids = np.repeat(np.arange(trials), counts)
+    return phi + np.bincount(ids, weights=power, minlength=trials)
+
+
+class TestThinningAgainstReference:
+    @pytest.mark.parametrize("v0", [0.0, 4.0, 9.9])
+    def test_matches_full_evaluation(self, v0, baseline_channel, baseline_band, baseline_model):
+        g = geo(v0=v0, eps=0.5)
+        args = (baseline_channel, g, baseline_band, baseline_model, 1e-3, 600, 12)
+        got = simulate_received_power(*args, blocking="thinning", p_b=0.3)
+        assert (got > 1e-3).any()
+        # skipping contributions past the overlap cutoff changes no bit
+        exact = _thinning_reference(
+            *args, 0.3, lambda rng, k: mcsim._distances_with_exclusion(rng, k, g)
+        )
+        assert np.array_equal(got, exact)
+        # and the distance-only draws reproduce the (x, y) path to rounding
+        xy_path = _thinning_reference(
+            *args, 0.3,
+            lambda rng, k: mcsim._draw_positions_with_exclusion(rng, k, g, np.array([v0, 0.0]))[1],
+        )
+        np.testing.assert_allclose(got, xy_path, rtol=1e-13, atol=0.0)
+
+
+class TestChi2Pvalue:
+    def test_sample_outside_the_analytic_support_fails(self):
+        counts = np.array([400, 350, 250, 7])
+        probs = np.array([0.4, 0.35, 0.25, 0.0])
+        assert mcsim._chi2_pvalue(counts, probs) == 0.0
+        # the same counts without the stray bin fit perfectly
+        assert mcsim._chi2_pvalue(counts[:3], probs[:3]) == pytest.approx(1.0)
+
+    def test_empty_zero_mass_bins_are_harmless(self):
+        counts = np.array([0, 400, 350, 250, 0])
+        probs = np.array([0.0, 0.4, 0.35, 0.25, 0.0])
+        assert mcsim._chi2_pvalue(counts, probs) == pytest.approx(1.0)
+
+    def test_matches_chi2_survival_function(self):
+        from scipy import stats
+
+        counts = np.array([120, 95, 110, 80, 95])
+        probs = np.full(5, 0.2)
+        expected = counts.sum() * probs
+        stat = float(np.sum((counts - expected) ** 2 / expected))
+        assert mcsim._chi2_pvalue(counts, probs) == stats.chi2.sf(stat, df=4)
+
+
 class TestSimulatedPower:
     def test_deterministic_and_worker_invariant(
         self, baseline_channel, baseline_band, baseline_model
