@@ -547,8 +547,9 @@ def _false_alarm_checks(noise, trials, seed, betas) -> list[ValidationCheck]:
 
 def _geometric_gap_check(channel, geo, band, blockage_cfg, p_b, trials, seed) -> ValidationCheck:
     # a cone-shadow trial of 200 interferers among ~314 obstacles costs
-    # about 1.8 ms (2000 trials: 3.5-3.9 s in a fresh process on 2 cores);
-    # an informational two-digit rate estimate does not need more than this
+    # about 1.5 ms in _blocked_mask inside validate (2000 trials: 2.97-2.99 s
+    # traced on 2 cores); an informational two-digit rate estimate does not
+    # need more than this
     trials = min(trials, 2000)
     rng = _rng(seed, _NS_SCENARIO, 3)
     v0_xy = np.array([geo.v0_norm, 0.0])
