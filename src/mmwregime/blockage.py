@@ -1,16 +1,19 @@
 """Line-of-sight blockage statistics for cone-shaped mmWave beams.
 
 An interferer illuminates the receiver through a radiation cone (apex at
-the interferer, half-width theta).  Obstacles are disks from a Poisson
-field with density rho and uniform radius in [d_s, d_e]; each one in the
-cone casts a shadow of length 2*d*ell/r on the cone base.  A link goes
-down either because a single obstacle near the apex out-sizes the local
-cone cross-section, or because accumulated partial shadows cover the base.
+the interferer, half-width theta, length ell).  Obstacles come from a
+Poisson field with density rho, each with a size d uniform in [d_s, d_e].
+The two blocking mechanisms read d differently.  An obstacle at axial
+distance r from the apex blocks the link outright when the full cone width
+there is at most d, 2*r*tan(theta) <= d, so d acts as a diameter.
+Otherwise it casts a shadow of length 2*d*ell/r on the cone base, the
+central projection of a width 2*d, so d acts as a radius; the link goes
+down when the accumulated shadows cover the base width 2*ell*tan(theta).
 This module evaluates the closed-form probability of each mechanism and
 combines them into a per-interferer blockage probability p_b.  The mean
 partial shadow E[S] that the second mechanism needs is one quadrature over
 the link length: its integrals over the obstacle's axial position and
-radius are elementary.
+size are elementary.
 """
 
 from __future__ import annotations
@@ -75,7 +78,10 @@ class BlockageConfig:
     """Obstacle field parameters and the p_b combination convention.
 
     rho: obstacle density per square meter (Poisson field).
-    d_s, d_e: minimum / maximum obstacle radius in meters (uniform).
+    d_s, d_e: minimum / maximum obstacle size d in meters (uniform).  d
+        blocks outright where the cone width 2*r*tan(theta) <= d (a
+        diameter) and otherwise shadows 2*d*ell/r of the base (the
+        projection of a width 2*d, a radius); see the module docstring.
     mode: how the full-block and cumulative-shadow probabilities are merged;
         "reciprocal_length" weights each term by the reciprocal of its
         characteristic length (then clamps to [0, 1]), "length_weighted"
@@ -93,7 +99,7 @@ class BlockageConfig:
             raise DomainError(f"rho must be >= 0, got {self.rho}")
         if not (0.0 < self.d_s <= self.d_e):
             raise DomainError(
-                f"obstacle radii must satisfy 0 < d_s <= d_e, got [{self.d_s}, {self.d_e}]"
+                f"obstacle sizes must satisfy 0 < d_s <= d_e, got [{self.d_s}, {self.d_e}]"
             )
         if self.mode not in COMBINE_MODES:
             raise DomainError(f"mode must be one of {COMBINE_MODES}, got {self.mode!r}")
@@ -187,15 +193,16 @@ def mean_distance(geo: GeometryConfig) -> float:
 def mean_partial_blockage(cfg: BlockageConfig, geo: GeometryConfig) -> float:
     """E[S]: mean shadow length 2*d*ell/r cast on the cone base.
 
-    Averages over obstacle radius d (uniform), link length ell (disk
+    Averages over obstacle size d (uniform), link length ell (disk
     distance density, restricted to ell > d/(2 tan theta)) and the
     obstacle's axial position r (area-weighted within the cone).  The r- and
     d-integrals are elementary, so E[S] is one integral over ell, taken by
     the fixed rule of numerics.integrate on each piece between the kinks of
     the integrand.  Result is independent of rho and of the combination mode.
     """
-    # an obstacle of radius d fully shades the cone for axial r < c*d; the
-    # r-integral of 2*d*ell/r against f(r | ell) = 2r/(ell^2 - (c*d)^2) on
+    # an obstacle of size d fully blocks the cone where its width
+    # 2*r*tan(theta) <= d, i.e. for axial r <= c*d; beyond, it shadows
+    # 2*d*ell/r of the base.  The r-integral of 2*d*ell/r against f(r | ell) = 2r/(ell^2 - (c*d)^2) on
     # [c*d, ell] is 4*d*ell/(ell + c*d)
     d_s, d_e = cfg.d_s, cfg.d_e
     c = 0.5 / math.tan(geo.theta)
@@ -228,7 +235,7 @@ def blockage_probability(cfg: BlockageConfig, geo: GeometryConfig) -> BlockageRe
 
     p_b1 is the chance that at least one obstacle sits close enough to the
     apex to out-size the cone (an erf expression in rho, theta and the
-    radius range).  p_b2 is the chance that the accumulated shadow budget
+    size range).  p_b2 is the chance that the accumulated shadow budget
     delta spread over obstacles of mean shadow E[S] covers the base (a
     Poisson probability evaluated at a ceiling-rounded count).  The two are
     combined according to cfg.mode; see BlockageConfig.  In

@@ -60,7 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="output format (default: csv for tabular commands, json otherwise)")
         p.add_argument("--workers", type=int, default=1,
-                       help="worker threads for sweeps and trials (results identical for any count)")
+                       help="trial-block threads for simulate and validate, plus one worker "
+                            "process for validate's geometric check when above 1 (results "
+                            "identical for any count)")
     return parser
 
 

@@ -110,11 +110,12 @@ def _blocked_mask(
     """Vectorized cone-shadow blocking decision for many interferers at once.
 
     For each interferer, the cone has its apex at the interferer, axis
-    toward the receiver, half-angle theta and length ell.  An obstacle
-    whose center lies in the cone blocks outright when the local cone
-    cross-section is narrower than its diameter (axial distance r <=
-    d / (2 tan theta)); otherwise it casts a shadow of length 2*d*ell/r on
-    the base, and the link is blocked when the shadows of all in-cone
+    toward the receiver, half-angle theta and length ell.  An obstacle of
+    size d = obstacle_radius whose center lies in the cone at axial
+    distance r blocks outright when the full cone width there is at most d,
+    2*r*tan(theta) <= d (d read as a diameter); otherwise it casts a shadow
+    of length 2*d*ell/r on the base (the projection of a width 2*d, d read
+    as a radius), and the link is blocked when the shadows of all in-cone
     obstacles cover the base width 2*ell*tan(theta).
 
     The in-cone test runs densely over blocks of _CONE_ROWS interferers;
@@ -547,9 +548,11 @@ def _false_alarm_checks(noise, trials, seed, betas) -> list[ValidationCheck]:
 
 def _geometric_gap_check(channel, geo, band, blockage_cfg, p_b, trials, seed) -> ValidationCheck:
     # a cone-shadow trial of 200 interferers among ~314 obstacles costs
-    # about 1.5 ms in _blocked_mask inside validate (2000 trials: 2.97-2.99 s
-    # traced on 2 cores); an informational two-digit rate estimate does not
-    # need more than this
+    # 1.7-2 ms in _blocked_mask.  2000 trials on the shipped config, 2 cores:
+    # inline after the other checks at one worker, 3.7-4.1 s (3.3-3.7 s in
+    # _blocked_mask); in validate_suite's spawned worker at two, sharing
+    # the cores with the other checks, 4.1-4.6 s (3.7-4.1 s).  An
+    # informational two-digit rate estimate does not need more than this.
     trials = min(trials, 2000)
     rng = _rng(seed, _NS_SCENARIO, 3)
     v0_xy = np.array([geo.v0_norm, 0.0])
@@ -572,6 +575,24 @@ def _geometric_gap_check(channel, geo, band, blockage_cfg, p_b, trials, seed) ->
     )
 
 
+def _guarded(fn, *args, name: str = "") -> list[ValidationCheck]:
+    """Rows of one check; a numerical failure fails only that check, in a
+    row named after it (``name``, else fn's name without underscores)."""
+    try:
+        result = fn(*args)
+    except numerics.NumericsError as exc:
+        return [ValidationCheck(
+            name=name or fn.__name__.strip("_"), analytic=math.nan, empirical=math.nan,
+            tolerance=0.0, passed=False, samples=0, note=f"failed: {exc}",
+        )]
+    return result if isinstance(result, list) else [result]
+
+
+def _gap_rows(future) -> list[ValidationCheck]:
+    """The rows of a _geometric_gap_check run elsewhere, as if run inline."""
+    return _guarded(future.result, name=_geometric_gap_check.__name__.strip("_"))
+
+
 def validate_suite(
     channel: ChannelConfig,
     geo: GeometryConfig,
@@ -591,30 +612,37 @@ def validate_suite(
     distribution (KS), false-alarm calibration over a significance grid,
     and an informational geometric-vs-analytic blockage comparison.  A
     numerical failure aborts only its own check.
+
+    workers is the number of trial-block threads of the mean-power
+    simulation.  When it exceeds 1, the geometric comparison, whose
+    cone-shadow kernel holds the GIL, runs meanwhile in one spawned worker
+    process (one, whatever workers says); the report is identical for any
+    count.  Spawning re-imports the caller's ``__main__``, so a script
+    calling this with workers > 1 needs an ``if __name__ == "__main__"``
+    guard.
     """
     trials = int(trials)
     p_b = blockage_probability(blockage_cfg, geo).p_b
-    checks: list[ValidationCheck] = []
+    gap_args = (channel, geo, band, blockage_cfg, p_b, trials, seed)
 
-    def guard(fn, *args):
-        try:
-            result = fn(*args)
-        except numerics.NumericsError as exc:
-            checks.append(ValidationCheck(
-                name=fn.__name__.strip("_"), analytic=math.nan, empirical=math.nan,
-                tolerance=0.0, passed=False, samples=0, note=f"failed: {exc}",
-            ))
-            return
-        if isinstance(result, list):
-            checks.extend(result)
-        else:
-            checks.append(result)
+    def parent_checks() -> list[ValidationCheck]:
+        return [
+            *_guarded(_distance_check, geo, trials, seed),
+            *_guarded(_frequency_check, band, trials, seed),
+            *_guarded(_count_check, channel, p_b, trials, seed),
+            *_guarded(_mean_power_check, channel, geo, band, model, noise, p_b, trials, seed, workers),
+            *_guarded(_h0_check, noise, trials, seed),
+            *_guarded(_false_alarm_checks, noise, trials, seed, tuple(betas)),
+        ]
 
-    guard(_distance_check, geo, trials, seed)
-    guard(_frequency_check, band, trials, seed)
-    guard(_count_check, channel, p_b, trials, seed)
-    guard(_mean_power_check, channel, geo, band, model, noise, p_b, trials, seed, workers)
-    guard(_h0_check, noise, trials, seed)
-    guard(_false_alarm_checks, noise, trials, seed, tuple(betas))
-    guard(_geometric_gap_check, channel, geo, band, blockage_cfg, p_b, trials, seed)
+    if workers <= 1:
+        checks = parent_checks() + _guarded(_geometric_gap_check, *gap_args)
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # leaving the block joins the worker, also when a parent check raises
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+            gap = pool.submit(_geometric_gap_check, *gap_args)
+            checks = parent_checks() + _gap_rows(gap)
     return ValidationReport.from_checks(checks)

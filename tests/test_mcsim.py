@@ -1,4 +1,7 @@
+import concurrent.futures
 import math
+import multiprocessing
+import pickle
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from mmwregime.mcsim import (
     simulate_received_power,
     validate_suite,
 )
-from mmwregime.numerics import DomainError
+from mmwregime.numerics import DomainError, NumericsError
 
 
 V0 = np.array([0.0, 0.0])
@@ -415,3 +418,87 @@ class TestValidateSuite:
             baseline_blockage, workers=8, **kw,
         )
         assert a == b
+
+
+class TestValidateWorkerProcess:
+    """validate_suite at workers > 1 runs the geometric gap check in one
+    spawned process; these pin its count, its lifetime and its failure row."""
+
+    channel = ChannelConfig(alpha=2.5, m=3.0, q=0.5, n=10, p=0.5)
+    blockage = BlockageConfig(rho=0.5, d_s=0.2, d_e=0.8)
+
+    def run(self, band, model, noise, workers):
+        return validate_suite(
+            self.channel, geo(), band, model, noise, self.blockage,
+            trials=4000, seed=9, workers=workers,
+        )
+
+    @staticmethod
+    def assert_no_children():
+        # the call itself must have joined its worker; the timed join only
+        # keeps a failing run from leaving a process behind
+        alive = multiprocessing.active_children()
+        for child in alive:
+            child.join(timeout=30)
+        assert alive == []
+
+    @staticmethod
+    def record_pools(monkeypatch):
+        sizes = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        return sizes
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_one_worker_that_does_not_outlive_the_call(
+        self, monkeypatch, workers, baseline_band, baseline_model, baseline_noise
+    ):
+        sizes = self.record_pools(monkeypatch)
+        self.run(baseline_band, baseline_model, baseline_noise, workers)
+        assert sizes == [1]
+        self.assert_no_children()
+
+    def test_one_worker_spawns_nothing(self, monkeypatch, baseline_band, baseline_model, baseline_noise):
+        sizes = self.record_pools(monkeypatch)
+        self.run(baseline_band, baseline_model, baseline_noise, 1)
+        assert sizes == []
+        assert multiprocessing.active_children() == []
+
+    def test_parent_check_error_propagates_and_joins_the_worker(
+        self, monkeypatch, baseline_band, baseline_model, baseline_noise
+    ):
+        def broken(*args):
+            raise RuntimeError("parent-side check broke")
+
+        sizes = self.record_pools(monkeypatch)
+        monkeypatch.setattr(mcsim, "_h0_check", broken)
+        with pytest.raises(RuntimeError, match="parent-side check broke"):
+            self.run(baseline_band, baseline_model, baseline_noise, 2)
+        assert sizes == [1]
+        self.assert_no_children()
+
+    @pytest.mark.parametrize("exc", [NumericsError("no convergence"), DomainError("bad theta")])
+    def test_numerical_errors_survive_pickling(self, exc):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+
+    def test_failed_future_gives_the_inline_row(
+        self, monkeypatch, baseline_band, baseline_model, baseline_noise
+    ):
+        error = DomainError("theta produces unusable tan(theta)")
+
+        def failing(*args):
+            raise error
+
+        monkeypatch.setattr(mcsim, "_blocked_mask", failing)
+        inline = self.run(baseline_band, baseline_model, baseline_noise, 1).checks[-1]
+        future = concurrent.futures.Future()
+        future.set_exception(pickle.loads(pickle.dumps(error)))
+        assert mcsim._gap_rows(future) == [inline]
+        assert inline.name == "geometric_gap_check" and not inline.passed
