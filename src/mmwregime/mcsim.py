@@ -68,10 +68,6 @@ _NS_H0 = 1
 _NS_SCENARIO = 2
 _NS_COUNT = 3
 
-# interferer rows per block of the dense in-cone test in _blocked_mask: at
-# a few hundred obstacles each temporary stays near 80 KB
-_CONE_ROWS = 32
-
 
 def _rng(seed: int, namespace: int, block: int = 0) -> np.random.Generator:
     ss = np.random.SeedSequence((int(seed), int(namespace), int(block)))
@@ -118,8 +114,23 @@ def _blocked_mask(
     as a radius), and the link is blocked when the shadows of all in-cone
     obstacles cover the base width 2*ell*tan(theta).
 
-    The in-cone test runs densely over blocks of _CONE_ROWS interferers;
-    blocks and shadows are then worked out on the in-cone pairs alone.
+    In-cone pairs are found in two stages.  The cone is the triangle cut
+    out by three half-planes: its two edges at +-theta about the axis u,
+    and the base line through the receiver with normal -u.  Stage 1 stacks
+    their unit normals and offsets into a (3*n_i, 3) matrix and multiplies
+    it once by the homogeneous obstacle coordinates (3, k), one small GEMM;
+    the pairs where all three forms are >= -slack are the candidates.
+    Stage 2 applies the exact rule, r > 0, r <= ell and
+    |perp| <= r*tan(theta), to the candidates alone.  Both are needed: the
+    GEMM rounds differently from the exact expressions, so on its own it
+    could flip a pair on the cone boundary, while the exact rule over all
+    n_i*k pairs costs passes over a matrix of which only a few percent is
+    inside a cone.  The slack, 1e-9 of the largest coordinate magnitude,
+    keeps stage 1 a superset of what the exact rule accepts: the normals
+    are unit vectors, so each form is off by a few ulps of that magnitude
+    at any theta in (0, pi/2) and in any length unit.  Candidates keep
+    row-major (interferer, obstacle) order, so the shadow sums add in the
+    same order as over the full matrix.
     """
     n_i = int_xy.shape[0]
     if n_i == 0:
@@ -127,32 +138,47 @@ def _blocked_mask(
     tan_t = math.tan(theta)
     if not math.isfinite(tan_t) or tan_t <= 0.0:
         raise DomainError(f"theta produces unusable tan(theta) = {tan_t}")
-    if obstacle_xy.shape[0] == 0:
+    k = obstacle_xy.shape[0]
+    if k == 0:
         return np.zeros(n_i, dtype=bool)
     axis = v0_xy[None, :] - int_xy                      # (n_i, 2)
     ell = np.hypot(axis[:, 0], axis[:, 1])              # (n_i,)
     safe_ell = np.where(ell > 0.0, ell, 1.0)
-    ux = (axis[:, 0] / safe_ell)[:, None]
-    uy = (axis[:, 1] / safe_ell)[:, None]
-    ix, iy = int_xy[:, 0, None], int_xy[:, 1, None]
-    ox, oy = obstacle_xy[None, :, 0], obstacle_xy[None, :, 1]
-    ell_col = ell[:, None]
-    pair_i, pair_j, pair_r = [], [], []
-    for lo in range(0, n_i, _CONE_ROWS):
-        b = slice(lo, lo + _CONE_ROWS)
-        relx = ox - ix[b]                                # (rows, k)
-        rely = oy - iy[b]
-        r_ax = relx * ux[b] + rely * uy[b]
-        perp = np.abs(relx * uy[b] - rely * ux[b])
-        in_cone = (r_ax > 0.0) & (r_ax <= ell_col[b]) & (perp <= r_ax * tan_t)
-        i, j = np.nonzero(in_cone)
-        pair_i.append(i + lo)
-        pair_j.append(j)
-        pair_r.append(r_ax[i, j])
+    ux = axis[:, 0] / safe_ell
+    uy = axis[:, 1] / safe_ell
+    ix, iy = int_xy[:, 0], int_xy[:, 1]
+
+    # stage 1: rows (nx, ny, c) of the forms n.o + c, which measure how far
+    # obstacle o lies inside each half-plane; blocks of n_i rows are the
+    # edges (rel.u)*sin - (rel.v)*cos and (rel.u)*sin + (rel.v)*cos with
+    # v = (uy, -ux) and rel = o - apex, then the base ell - rel.u
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    planes = np.zeros((3, n_i, 3))
+    planes[0, :, 0] = sin_t * ux - cos_t * uy
+    planes[0, :, 1] = sin_t * uy + cos_t * ux
+    planes[1, :, 0] = sin_t * ux + cos_t * uy
+    planes[1, :, 1] = sin_t * uy - cos_t * ux
+    planes[2, :, 0] = -ux
+    planes[2, :, 1] = -uy
+    planes[2, :, 2] = ell
+    planes[:, :, 2] -= planes[:, :, 0] * ix + planes[:, :, 1] * iy
+    homog = np.ones((3, k))
+    homog[:2] = obstacle_xy.T
+    forms = (planes.reshape(3 * n_i, 3) @ homog).reshape(3, n_i, k)
+    slack = 1e-9 * max(np.abs(int_xy).max(), np.abs(obstacle_xy).max(), np.abs(v0_xy).max())
+    inside = forms >= -slack
+    i, j = np.divmod(np.flatnonzero(inside[0] & inside[1] & inside[2]), k)
+
+    # stage 2: the exact rule, on the candidates only
+    relx = obstacle_xy[j, 0] - ix[i]
+    rely = obstacle_xy[j, 1] - iy[i]
+    r_ax = relx * ux[i] + rely * uy[i]
+    perp = np.abs(relx * uy[i] - rely * ux[i])
+    in_cone = (r_ax > 0.0) & (r_ax <= ell[i]) & (perp <= r_ax * tan_t)
     # one entry per in-cone pair: interferer, axial distance, obstacle size
-    i = np.concatenate(pair_i)
-    r = np.concatenate(pair_r)
-    d = obstacle_radius[np.concatenate(pair_j)]
+    i = i[in_cone]
+    r = r_ax[in_cone]
+    d = obstacle_radius[j[in_cone]]
 
     blocked = np.zeros(n_i, dtype=bool)
     blocked[i[r <= d / (2.0 * tan_t)]] = True
@@ -170,11 +196,20 @@ def is_blocked(
     v0_xy: Sequence[float],
     theta: float,
 ) -> bool:
-    """Cone-shadow blocking decision for a single interferer."""
+    """Cone-shadow blocking decision for a single interferer.
+
+    Raises DomainError unless there is one size per obstacle position.
+    """
+    obstacle_xy = np.asarray(obstacle_xy, dtype=float).reshape(-1, 2)
+    obstacle_radius = np.asarray(obstacle_radius, dtype=float).reshape(-1)
+    if obstacle_xy.shape[0] != obstacle_radius.shape[0]:
+        raise DomainError(
+            f"{obstacle_xy.shape[0]} obstacle positions but {obstacle_radius.shape[0]} sizes"
+        )
     mask = _blocked_mask(
         np.asarray(interferer_xy, dtype=float).reshape(1, 2),
-        np.asarray(obstacle_xy, dtype=float).reshape(-1, 2),
-        np.asarray(obstacle_radius, dtype=float).reshape(-1),
+        obstacle_xy,
+        obstacle_radius,
         np.asarray(v0_xy, dtype=float),
         theta,
     )
@@ -548,11 +583,11 @@ def _false_alarm_checks(noise, trials, seed, betas) -> list[ValidationCheck]:
 
 def _geometric_gap_check(channel, geo, band, blockage_cfg, p_b, trials, seed) -> ValidationCheck:
     # a cone-shadow trial of 200 interferers among ~314 obstacles costs
-    # 1.7-2 ms in _blocked_mask.  2000 trials on the shipped config, 2 cores:
-    # inline after the other checks at one worker, 3.7-4.1 s (3.3-3.7 s in
-    # _blocked_mask); in validate_suite's spawned worker at two, sharing
-    # the cores with the other checks, 4.1-4.6 s (3.7-4.1 s).  An
-    # informational two-digit rate estimate does not need more than this.
+    # 0.6-0.9 ms in _blocked_mask.  2000 trials on the shipped config, 2
+    # cores: inline after the other checks at one worker, 1.6-2.0 s
+    # (1.3-1.6 s in _blocked_mask); in validate_suite's spawned worker at
+    # two, sharing the cores with the other checks, 2.0-2.3 s (1.6-1.8 s).
+    # An informational two-digit rate estimate does not need more than this.
     trials = min(trials, 2000)
     rng = _rng(seed, _NS_SCENARIO, 3)
     v0_xy = np.array([geo.v0_norm, 0.0])
@@ -614,10 +649,11 @@ def validate_suite(
     numerical failure aborts only its own check.
 
     workers is the number of trial-block threads of the mean-power
-    simulation.  When it exceeds 1, the geometric comparison, whose
-    cone-shadow kernel holds the GIL, runs meanwhile in one spawned worker
-    process (one, whatever workers says); the report is identical for any
-    count.  Spawning re-imports the caller's ``__main__``, so a script
+    simulation.  When it exceeds 1, the geometric comparison runs meanwhile
+    in one spawned worker process (one, whatever workers says); its
+    cone-shadow kernel holds the GIL for most of its time (two threads run
+    it only about 1.3 times as fast as one).  The report is identical for
+    any count.  Spawning re-imports the caller's ``__main__``, so a script
     calling this with workers > 1 needs an ``if __name__ == "__main__"``
     guard.
     """

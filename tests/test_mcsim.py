@@ -66,6 +66,15 @@ class TestIsBlocked:
         obs = np.array([[2.5, 3.0]])  # far outside the 10-degree cone
         assert not is_blocked(ixy, obs, np.array([0.3]), V0, THETA)
 
+    def test_one_size_per_obstacle_required(self):
+        # two obstacles with one size, and one obstacle with two sizes
+        ixy = [5.0, 0.0]
+        obs = np.array([[4.9, 0.0], [2.5, 0.1]])
+        with pytest.raises(DomainError, match="2 obstacle positions but 1 sizes"):
+            is_blocked(ixy, obs, np.array([0.4]), V0, THETA)
+        with pytest.raises(DomainError, match="1 obstacle positions but 2 sizes"):
+            is_blocked(ixy, obs[:1], np.array([0.4, 0.4]), V0, THETA)
+
     def test_adding_obstacles_never_unblocks(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
@@ -79,8 +88,8 @@ class TestIsBlocked:
 
 
 def _dense_blocked_mask(int_xy, obstacle_xy, obstacle_radius, v0_xy, theta):
-    # reference: the all-pairs cone-shadow rule that _blocked_mask replaced,
-    # kept verbatim so the in-cone-pairs version can be held to its decisions
+    # reference: the all-pairs cone-shadow rule, kept verbatim so the
+    # two-stage kernel can be held to its decisions
     n_i = int_xy.shape[0]
     if n_i == 0:
         return np.zeros(0, dtype=bool)
@@ -106,27 +115,91 @@ def _dense_blocked_mask(int_xy, obstacle_xy, obstacle_radius, v0_xy, theta):
     return blocked
 
 
+def _boundary_scenes(theta, scale):
+    """One-interferer, one-obstacle scenes with the obstacle on the cone's
+    boundary, for cone axes at 16 bearings: on each edge at half length, at
+    the receiver (r == ell) and the base corners, at the apex and just past
+    it.  Sizes 1.5*r*tan(theta) make every accepted pair block by shadow."""
+    tan_t = math.tan(theta)
+    v0_xy = np.array([3.0, -1.0]) * scale
+    ell = 8.0 * scale
+    scenes = {"edge": [], "base": [], "apex": [], "past_apex": []}
+    for phi in 2.0 * math.pi * np.arange(16) / 16:
+        u = -np.array([math.cos(phi), math.sin(phi)])
+        v = np.array([u[1], -u[0]])
+        apex = v0_xy - ell * u
+        points = {
+            "edge": [(apex + 0.5 * ell * (u + s * tan_t * v), 0.5 * ell) for s in (1.0, -1.0)],
+            "base": [(apex + ell * (u + s * tan_t * v), ell) for s in (1.0, 0.0, -1.0)],
+            "apex": [(apex, 0.5 * scale)],
+            "past_apex": [(apex + 1e-12 * ell * u, 1e-12 * ell)],
+        }
+        for case, pts in points.items():
+            for o, r in pts:
+                size = 0.5 * scale if case == "apex" else 1.5 * r * tan_t
+                scenes[case].append((apex[None, :], o[None, :], np.array([size]), v0_xy, theta))
+    return scenes
+
+
 class TestBlockedMaskAgainstDense:
-    # interferer counts on both sides of the row block size, and not
-    # multiples of it
-    @pytest.mark.parametrize("v0", [0.0, 5.0, 9.5])
-    @pytest.mark.parametrize("theta_deg", [4.0, 10.0, 25.0])
-    @pytest.mark.parametrize("n_int", [1, 33, 200])
-    def test_decisions_match_dense_rule(self, v0, theta_deg, n_int):
+    @staticmethod
+    def assert_scenes_match(v0, theta_deg, n_int, scale=1.0):
         rng = np.random.default_rng([int(v0 * 10), int(theta_deg), n_int])
-        g = GeometryConfig(radius=10.0, v0_norm=v0, theta=math.radians(theta_deg), eps_min=0.5)
-        v0_xy = np.array([v0, 0.0])
+        g = GeometryConfig(
+            radius=10.0 * scale, v0_norm=v0 * scale, theta=math.radians(theta_deg), eps_min=0.5 * scale
+        )
+        v0_xy = np.array([g.v0_norm, 0.0])
         blocked = 0
         for _ in range(20):
             ixy, _ = mcsim._draw_positions_with_exclusion(rng, n_int, g, v0_xy)
-            n_obs = rng.poisson(math.pi * g.radius**2)
+            n_obs = rng.poisson(math.pi * 100.0)
             obs = mcsim._uniform_disk(rng, n_obs, g.radius)
-            rad = 0.2 + 0.6 * rng.random(n_obs)
+            rad = (0.2 + 0.6 * rng.random(n_obs)) * scale
             got = mcsim._blocked_mask(ixy, obs, rad, v0_xy, g.theta)
             assert np.array_equal(got, _dense_blocked_mask(ixy, obs, rad, v0_xy, g.theta))
             blocked += int(got.sum())
         if n_int > 1:
             assert 0 < blocked < 20 * n_int  # the scenes show both outcomes
+
+    @pytest.mark.parametrize("v0", [0.0, 5.0, 9.5])
+    @pytest.mark.parametrize("theta_deg", [0.5, 4.0, 10.0, 25.0, 60.0, 85.0])
+    @pytest.mark.parametrize("n_int", [1, 33, 200])
+    def test_decisions_match_dense_rule(self, v0, theta_deg, n_int):
+        self.assert_scenes_match(v0, theta_deg, n_int)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    @pytest.mark.parametrize("theta_deg", [0.5, 10.0, 85.0])
+    @pytest.mark.parametrize("v0", [0.0, 9.5])
+    def test_decisions_match_dense_rule_in_other_length_units(self, v0, theta_deg, scale):
+        # the prefilter's slack scales with the coordinates, not a constant
+        self.assert_scenes_match(v0, theta_deg, 200, scale)
+
+    # at 1e9 the forms round by more than 1e-9 absolute, so a constant
+    # slack fails there
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e9])
+    @pytest.mark.parametrize("theta_deg", [0.5, 10.0, 60.0, 85.0])
+    def test_boundary_pairs_match_dense_rule(self, theta_deg, scale):
+        # pairs the exact rule accepts on the boundary must survive the
+        # prefilter's rounding; the apex itself (r = 0) is never in the cone
+        for case, scenes in _boundary_scenes(math.radians(theta_deg), scale).items():
+            dense = [bool(_dense_blocked_mask(*sc)[0]) for sc in scenes]
+            got = [bool(mcsim._blocked_mask(*sc)[0]) for sc in scenes]
+            assert got == dense, case
+            assert any(dense) != (case == "apex"), case
+
+    def test_interferer_at_the_receiver(self):
+        # ell = 0 leaves no cone: every obstacle passes the prefilter and
+        # none the exact rule, and the other interferers are unaffected
+        rng = np.random.default_rng(8)
+        g = geo(v0=5.0)
+        v0_xy = np.array([5.0, 0.0])
+        ixy, _ = mcsim._draw_positions_with_exclusion(rng, 40, g, v0_xy)
+        ixy[17] = v0_xy
+        obs = mcsim._uniform_disk(rng, 300, g.radius)
+        rad = 0.2 + 0.6 * rng.random(300)
+        got = mcsim._blocked_mask(ixy, obs, rad, v0_xy, g.theta)
+        assert np.array_equal(got, _dense_blocked_mask(ixy, obs, rad, v0_xy, g.theta))
+        assert not got[17] and got.any()
 
     @pytest.mark.parametrize("n_int", [0, 1, 33])
     def test_empty_obstacle_set(self, n_int):
@@ -134,6 +207,30 @@ class TestBlockedMaskAgainstDense:
         got = mcsim._blocked_mask(ixy, np.empty((0, 2)), np.empty(0), V0, THETA)
         assert got.shape == (n_int,) and not got.any()
         assert np.array_equal(got, _dense_blocked_mask(ixy, np.empty((0, 2)), np.empty(0), V0, THETA))
+
+
+class TestKernelEndToEnd:
+    """The two-stage kernel leaves every sample and row of the all-pairs rule."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_geometric_samples_match_dense_rule(
+        self, monkeypatch, workers, baseline_channel, baseline_geo, baseline_band, baseline_model,
+        baseline_blockage,
+    ):
+        args = (baseline_channel, baseline_geo, baseline_band, baseline_model, 1e-3, 300, 5)
+        kw = dict(blocking="geometric", blockage_cfg=baseline_blockage, workers=workers)
+        got = simulate_received_power(*args, **kw)
+        monkeypatch.setattr(mcsim, "_blocked_mask", _dense_blocked_mask)
+        assert np.array_equal(got, simulate_received_power(*args, **kw))
+
+    def test_gap_check_row_matches_dense_rule(
+        self, monkeypatch, baseline_channel, baseline_geo, baseline_band, baseline_blockage
+    ):
+        args = (baseline_channel, baseline_geo, baseline_band, baseline_blockage, 0.24, 200, 3)
+        got = mcsim._geometric_gap_check(*args)
+        monkeypatch.setattr(mcsim, "_blocked_mask", _dense_blocked_mask)
+        assert got == mcsim._geometric_gap_check(*args)
+        assert 0.0 < got.empirical < 1.0
 
 
 class TestDistanceSampler:
