@@ -30,7 +30,6 @@ from .detector import (
     fit_me_lambda,
     h0_cdf,
     h0_pdf,
-    h1_cdf,
     h1_pdf,
     lrt,
     lrt_area,
@@ -54,7 +53,6 @@ from .mcsim import (
     ValidationCheck,
     ValidationReport,
     empirical_rates,
-    is_blocked,
     simulate_received_power,
     validate_suite,
 )

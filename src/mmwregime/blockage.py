@@ -290,11 +290,6 @@ class NonblockedCount:
     n: int
     success_prob: float
 
-    def pgf(self, z):
-        """Probability generating function E[z^K]."""
-        q = self.success_prob
-        return (1.0 - q + q * np.asarray(z, dtype=float)) ** self.n
-
     def pmf(self, k):
         """P(K = k), evaluated in log space to stay finite for large n."""
         k = np.asarray(k)

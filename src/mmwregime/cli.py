@@ -166,10 +166,10 @@ def cmd_roc(run: RunConfig, out: Path, fmt: str, workers: int) -> int:
     from .interference import mean_received_power
 
     net = run.network
+    p_b = blockage_probability(run.blockage, net.geo).p_b
     rows = []
     for n in run.sweeps.n_list:
         chan = dataclasses.replace(net.channel, n=n)
-        p_b = blockage_probability(run.blockage, net.geo).p_b
         mean_y = mean_received_power(
             net.noise.phi, p_b, chan, net.geo, net.band, net.spectral
         )
@@ -187,7 +187,7 @@ def cmd_validate(run: RunConfig, out: Path, fmt: str, workers: int) -> int:
         net.channel, net.geo, net.band, net.spectral, net.noise, run.blockage,
         trials=run.trials, seed=run.seed, workers=workers,
     )
-    doc = report.to_dict()
+    doc = dataclasses.asdict(report)
     prov = _provenance(run)
     if fmt == "csv":
         header = ["name", "analytic", "empirical", "tolerance", "passed", "samples", "note"]

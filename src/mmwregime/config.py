@@ -321,32 +321,18 @@ def load_config(path) -> RunConfig:
         rho_list = sweep_sec.optional("rho_list", list, [blockage.rho])
         n_list = sweep_sec.optional("n_list", list, [channel.n])
         sweep_sec.reject_unknown()
-        for v in v0_grid:
-            if not (0.0 <= float(v) < geo.radius):
-                raise ConfigError(
-                    f"sweeps.v0_grid_m: value {v!r} violates constraint: in [0, radius)"
-                )
-        for b in beta_grid:
-            if not (0.0 < float(b) <= 1.0):
-                raise ConfigError(
-                    f"sweeps.beta_grid: value {b!r} violates constraint: in (0, 1]"
-                )
-        for r in rho_list:
-            if float(r) < 0.0:
-                raise ConfigError(
-                    f"sweeps.rho_list: value {r!r} violates constraint: >= 0"
-                )
-        for n in n_list:
-            if not isinstance(n, int) or n < 0:
-                raise ConfigError(
-                    f"sweeps.n_list: value {n!r} violates constraint: integer >= 0"
-                )
-        sweeps = SweepSpec(
-            v0_grid=tuple(float(v) for v in v0_grid),
-            beta_grid=tuple(float(b) for b in beta_grid),
-            rho_list=tuple(float(r) for r in rho_list),
-            n_list=tuple(int(n) for n in n_list),
+        # each element takes the scalar fields' rule (bool and str are
+        # rejected), in SweepSpec's field order
+        elements = (
+            ("v0_grid_m", v0_grid, float, lambda v: 0.0 <= v < geo.radius, "in [0, radius)"),
+            ("beta_grid", beta_grid, float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+            ("rho_list", rho_list, float, lambda v: v >= 0.0, ">= 0"),
+            ("n_list", n_list, int, lambda v: v >= 0, "integer >= 0"),
         )
+        sweeps = SweepSpec(*(
+            tuple(sweep_sec._convert(key, v, kind, ok, describe) for v in values)
+            for key, values, kind, ok, describe in elements
+        ))
 
         sim_sec = root.subsection("simulation", absent_empty=True)
         blocking = sim_sec.optional(

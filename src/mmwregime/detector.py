@@ -36,7 +36,6 @@ __all__ = [
     "h0_cdf",
     "fit_me_lambda",
     "h1_pdf",
-    "h1_cdf",
     "lrt",
     "np_threshold",
     "detection_probability",
@@ -185,17 +184,6 @@ def h1_pdf(y, fit: MeFit, phi: float):
     out = np.zeros_like(y)
     pos = y >= phi
     out[pos] = fit.lam * np.exp(-fit.lam * (y[pos] - phi))
-    return float(out[0]) if scalar else out
-
-
-def h1_cdf(y, fit: MeFit, phi: float):
-    """CDF of the shifted exponential."""
-    y = np.asarray(y, dtype=float)
-    scalar = y.ndim == 0
-    y = np.atleast_1d(y)
-    out = np.zeros_like(y)
-    pos = y >= phi
-    out[pos] = -np.expm1(-fit.lam * (y[pos] - phi))
     return float(out[0]) if scalar else out
 
 

@@ -7,14 +7,15 @@ ell >= eps_min, the law the Monte-Carlo oracle samples when it redraws
 interferers inside the exclusion radius; every pathloss quantity here takes
 its lower limit and its normalisation from that one law.
 
-The fading averages out in closed form, (1 - s*q*ell^(-alpha)*Upsilon/m)^(-m),
-which leaves the single-interferer MGF as a 2-D average: over distance by
-the one fixed rule of numerics.integrate on each branch of the distance
-law, and over offset by the overlap table's trapezoid weights.  The
-pathloss moments kappa_n are closed form on the near branch and take the
-same fixed rule on the arccos tail.  Thinning by occupancy and blockage
-then lifts the MGF to the network.  The mean needs no transform: it is the
-product of the first pathloss moment kappa_1 and overlap moment gamma_1.
+The fading averages out in closed form, (1 - s*x/m)^(-m) for the power
+x = q*ell^(-alpha)*Upsilon before fading, which leaves the single-interferer
+MGF as a weighted sum over atoms of x: the distance nodes of the one fixed
+rule in numerics on each branch of the distance law, crossed with the
+overlap table's nodes and trapezoid weights.  The pathloss moments kappa_n
+are closed form on the near branch and take the same fixed rule on the
+arccos tail.  Thinning by occupancy and blockage then lifts the MGF to the
+network.  The mean needs no transform: it is the product of the first
+pathloss moment kappa_1 and overlap moment gamma_1.
 """
 
 from __future__ import annotations
@@ -143,8 +144,34 @@ def gamma_n(n: int, band: BandConfig, model: SpectralModel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# MGF
+# the single-interferer law as weighted atoms, and its MGF
 # ---------------------------------------------------------------------------
+
+def _power_atoms(
+    cfg: ChannelConfig,
+    geo: GeometryConfig,
+    band: BandConfig,
+    model: SpectralModel,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One interferer's received power before fading, as atoms x with weights w.
+
+    x = q * ell^(-alpha) * Upsilon on the fixed rule's distance nodes on
+    each branch of the conditioned distance law (numerics.rule_piecewise)
+    crossed with the overlap table's nodes over both offset slabs; w is the
+    distance weight distance_pdf / mass times the rule weight, times the
+    trapezoid weight over the band span (the weights gamma_n uses).  The
+    rest of the mass, 1 - sum(w), sits at x = 0: offsets past the overlap
+    cutoff.
+    """
+    edges, mass = _distance_law(geo)
+    ell, w_ell = numerics.rule_piecewise(edges)
+    table = upsilon_table(band, model)
+    ups, w_ups = zip(*map(table.trapezoid, band.offset_edges))
+    ups, w_ups = np.concatenate(ups), np.concatenate(w_ups)
+    x = np.outer(cfg.q * ell**-cfg.alpha, ups)
+    w = np.outer(distance_pdf(ell, geo) / mass * w_ell, w_ups / (band.f_e - band.f_s))
+    return x.ravel(), w.ravel()
+
 
 def interferer_power_mgf(
     s: float,
@@ -155,14 +182,12 @@ def interferer_power_mgf(
 ) -> float:
     """MGF of a single interferer's received power, E[exp(s * P)].
 
-    Averages the Nakagami MGF (1 - s*q*ell^(-alpha)*Upsilon/m)^(-m) over the
-    offset law (the overlap table's trapezoid weights over both slabs, the
-    weights gamma_n uses), then over the conditioned distance law by the
-    fixed rule of numerics.integrate on each branch.  Summed as
-    1 + integral of pdf/mass * expm1(-m * log1p(x)), so M(0) = 1 exactly
-    and small |s| keeps full relative precision in 1 - M.  Finite for every s <= 0; for
-    s > 0 the transform is infinite from s = m / (q * eps_min^-alpha *
-    max Upsilon) on, and DomainError is raised there.
+    The Nakagami MGF (1 - s*x/m)^(-m) averaged over the atoms x of
+    _power_atoms, summed as 1 + sum(w * expm1(-m * log1p(-s*x/m))): the
+    atom at x = 0 adds nothing, M(0) = 1 exactly, and small |s| keeps full
+    relative precision in 1 - M.  Finite for every s <= 0; for s > 0 the
+    transform is infinite from s = m / (q * eps_min^-alpha * max Upsilon)
+    on, and DomainError is raised there.
     """
     s = float(s)
     table = upsilon_table(band, model)
@@ -171,17 +196,8 @@ def interferer_power_mgf(
             f"the interferer-power MGF is infinite at s = {s!r}: s must stay below "
             f"m / (q * eps_min^-alpha * max Upsilon)"
         )
-    edges, mass = _distance_law(geo)
-    ups, w_ups = zip(*(table.trapezoid(edge) for edge in band.offset_edges))
-    ups = np.concatenate(ups)
-    w_ups = np.concatenate(w_ups) / (band.f_e - band.f_s)
-    scale = -s * cfg.q / cfg.m
-
-    def integrand(ell):
-        x = np.outer(scale * ell**-cfg.alpha, ups)
-        return distance_pdf(ell, geo) / mass * (np.expm1(-cfg.m * np.log1p(x)) @ w_ups)
-
-    return 1.0 + numerics.integrate_piecewise(integrand, edges)
+    x, w = _power_atoms(cfg, geo, band, model)
+    return 1.0 + float(w @ np.expm1(-cfg.m * np.log1p(-s / cfg.m * x)))
 
 
 def aggregate_mgf(

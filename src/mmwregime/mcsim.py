@@ -48,7 +48,6 @@ __all__ = [
     "ValidationReport",
     "BLOCKING_MODES",
     "TRIAL_BLOCK",
-    "is_blocked",
     "simulate_received_power",
     "sample_h0_power",
     "sample_nonblocked_counts",
@@ -187,33 +186,6 @@ def _blocked_mask(
     blocked |= shadow_total >= 2.0 * ell * tan_t
     blocked &= ell > 0.0
     return blocked
-
-
-def is_blocked(
-    interferer_xy: Sequence[float],
-    obstacle_xy: np.ndarray,
-    obstacle_radius: np.ndarray,
-    v0_xy: Sequence[float],
-    theta: float,
-) -> bool:
-    """Cone-shadow blocking decision for a single interferer.
-
-    Raises DomainError unless there is one size per obstacle position.
-    """
-    obstacle_xy = np.asarray(obstacle_xy, dtype=float).reshape(-1, 2)
-    obstacle_radius = np.asarray(obstacle_radius, dtype=float).reshape(-1)
-    if obstacle_xy.shape[0] != obstacle_radius.shape[0]:
-        raise DomainError(
-            f"{obstacle_xy.shape[0]} obstacle positions but {obstacle_radius.shape[0]} sizes"
-        )
-    mask = _blocked_mask(
-        np.asarray(interferer_xy, dtype=float).reshape(1, 2),
-        obstacle_xy,
-        obstacle_radius,
-        np.asarray(v0_xy, dtype=float),
-        theta,
-    )
-    return bool(mask[0])
 
 
 def _distances_with_exclusion(
@@ -413,17 +385,6 @@ class ValidationCheck:
     samples: int
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "analytic": self.analytic,
-            "empirical": self.empirical,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "samples": self.samples,
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -431,9 +392,6 @@ class ValidationReport:
 
     checks: tuple[ValidationCheck, ...]
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
 
     @staticmethod
     def from_checks(checks: Sequence[ValidationCheck]) -> "ValidationReport":
@@ -623,11 +581,6 @@ def _guarded(fn, *args, name: str = "") -> list[ValidationCheck]:
     return result if isinstance(result, list) else [result]
 
 
-def _gap_rows(future) -> list[ValidationCheck]:
-    """The rows of a _geometric_gap_check run elsewhere, as if run inline."""
-    return _guarded(future.result, name=_geometric_gap_check.__name__.strip("_"))
-
-
 def validate_suite(
     channel: ChannelConfig,
     geo: GeometryConfig,
@@ -680,5 +633,6 @@ def validate_suite(
         # leaving the block joins the worker, also when a parent check raises
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
             gap = pool.submit(_geometric_gap_check, *gap_args)
-            checks = parent_checks() + _gap_rows(gap)
+            # the rows of the check run in the worker, as if run inline
+            checks = parent_checks() + _guarded(gap.result, name="geometric_gap_check")
     return ValidationReport.from_checks(checks)

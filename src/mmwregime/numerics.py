@@ -6,7 +6,9 @@ are called from scipy.special where they are used.  Quadrature is one fixed
 clusters nodes at both ends, never evaluates the integrand on an endpoint
 (the disk-distance density has square-root behaviour there) and takes no
 tolerance.  It serves only the averages over the disk-distance law that
-have no closed form.  Root finding is bisection down to adjacent doubles,
+have no closed form, and its nodes are the package's only distance node
+set: rule_piecewise hands them out as (x, w) arrays for a caller that
+weights them itself.  Root finding is bisection down to adjacent doubles,
 which also takes no tolerance.
 
 Everything in this module is a pure function; all routines are safe to call
@@ -25,6 +27,7 @@ __all__ = [
     "DomainError",
     "integrate",
     "integrate_piecewise",
+    "rule_piecewise",
     "find_root",
 ]
 
@@ -87,22 +90,46 @@ def integrate(f: Callable, a: float, b: float) -> float:
     return half * float(_RULE_WEIGHTS @ y)
 
 
+def _pieces(edges: Sequence[float]) -> list[tuple[float, float]]:
+    """The non-empty intervals between finite, non-decreasing edges."""
+    edges = [float(e) for e in edges]
+    if len(edges) < 2:
+        raise DomainError("a piecewise rule needs at least two edges")
+    pieces = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(f"a piecewise rule requires finite edges, got {lo}, {hi}")
+        if hi < lo:
+            raise DomainError(f"edges must be non-decreasing, got {lo} > {hi}")
+        if hi > lo:
+            pieces.append((lo, hi))
+    return pieces
+
+
 def integrate_piecewise(f: Callable, edges: Sequence[float]) -> float:
     """Integrate f over consecutive [edges[i], edges[i+1]] intervals and sum.
 
     Edges must be finite and non-decreasing.  Used where the integrand has
     known kinks or jumps, so that each piece is smooth for the fixed rule.
     """
-    edges = [float(e) for e in edges]
-    if len(edges) < 2:
-        raise DomainError("integrate_piecewise needs at least two edges")
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi < lo:
-            raise DomainError(f"edges must be non-decreasing, got {lo} > {hi}")
-        if hi > lo:
-            total += integrate(f, lo, hi)
+    for lo, hi in _pieces(edges):
+        total += integrate(f, lo, hi)
     return total
+
+
+def rule_piecewise(edges: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and weights w of the fixed rule on each piece between edges.
+
+    The nodes and weights integrate_piecewise applies, concatenated piece
+    by piece, so that w @ f(x) is the same integral up to rounding.
+    """
+    x, w = [np.empty(0)], [np.empty(0)]
+    for lo, hi in _pieces(edges):
+        half = 0.5 * (hi - lo)
+        x.append(0.5 * (lo + hi) + half * _RULE_NODES)
+        w.append(half * _RULE_WEIGHTS)
+    return np.concatenate(x), np.concatenate(w)
 
 
 # ---------------------------------------------------------------------------

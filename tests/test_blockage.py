@@ -394,20 +394,6 @@ class TestNonblockedCount:
         assert mixed[0] == 0.0 and mixed[-1] == 0.0
         assert mixed[1:-1].tolist() == [law.pmf(int(j)) for j in k[1:-1]]
 
-    def test_pgf_normalization_random(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            law = nonblocked_count_distribution(
-                int(rng.integers(0, 300)), rng.random(), rng.random()
-            )
-            assert law.pgf(1.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_pgf_matches_pmf_sum(self):
-        law = nonblocked_count_distribution(40, 0.6, 0.25)
-        z = 0.7
-        k = np.arange(41)
-        assert law.pgf(z) == pytest.approx(float(np.sum(law.pmf(k) * z**k)), rel=1e-12)
-
     def test_thinning_histogram_total_variation(self):
         law = nonblocked_count_distribution(200, 0.5, 0.3)
         rng = np.random.default_rng(77)

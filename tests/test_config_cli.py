@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -133,6 +134,14 @@ def run_python(code, *args):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("module", [
+    "blockage", "cli", "config", "detector", "interference", "mcsim", "numerics", "spectral",
+])
+def test_every_public_name_resolves(module):
+    mod = importlib.import_module(f"mmwregime.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
@@ -339,6 +348,18 @@ class TestCli:
     def test_invalid_component_value_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, blockage={"d_s_m": -1.0})
         assert run_cli("blockage", "--config", str(cfg), "--out", str(tmp_path)) == 1
+
+    @pytest.mark.parametrize("field, value", [
+        ("v0_grid_m", "abc"), ("v0_grid_m", None), ("n_list", True),
+        ("n_list", 1.5), ("rho_list", "0.5"), ("beta_grid", True),
+    ])
+    def test_sweep_element_of_wrong_type_is_config_error(self, tmp_path, capsys, field, value):
+        # each list element takes the rule of a scalar field: no bool, no str
+        cfg = write_config(tmp_path, sweeps={field: [value]})
+        assert run_cli("roc", "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"sweeps.{field}" in err
+        assert not (tmp_path / "out").exists()
 
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
         # a numerical failure at every sweep point is a total numerical

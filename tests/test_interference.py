@@ -6,6 +6,7 @@ import pytest
 from mmwregime.blockage import GeometryConfig, distance_cdf, distance_pdf
 from mmwregime.interference import (
     ChannelConfig,
+    _power_atoms,
     aggregate_mgf,
     dbm_to_watts,
     gamma_n,
@@ -127,6 +128,26 @@ PARENT_SERIES = {
     9.0: (2.867495881853088e-07, 2.771482858621166e-05,
           0.00012401715576382255, 0.00022397438934151914),
 }
+
+
+class TestPowerAtoms:
+    @pytest.mark.parametrize("alpha", (1.5, 2.5, 4.0))
+    @pytest.mark.parametrize("eps", (0.1, 0.5))
+    @pytest.mark.parametrize("v0", (0.0, 5.0, 9.0, 9.9))
+    def test_mean_is_closed_form_mean(self, v0, eps, alpha, baseline_band, baseline_model):
+        ch = ChannelConfig(alpha=alpha, m=3.0, q=0.5, n=1, p=1.0)
+        g = geo(v0=v0, eps=eps)
+        x, w = _power_atoms(ch, g, baseline_band, baseline_model)
+        expected = mean_interferer_power(ch, g, baseline_band, baseline_model)
+        assert float(w @ x) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("v0", (0.0, 9.0))
+    def test_weights_are_a_sub_probability(self, v0, baseline_band, baseline_model, baseline_channel):
+        # the atoms carry the offsets inside the overlap cutoff; the rest of
+        # the mass sits at x = 0
+        x, w = _power_atoms(baseline_channel, geo(v0=v0), baseline_band, baseline_model)
+        assert x.shape == w.shape and np.all(w > 0.0) and np.all(x >= 0.0)
+        assert 0.0 < w.sum() < 1.0
 
 
 class TestSingleInterfererMgf:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import math
 import multiprocessing
 import pickle
@@ -12,7 +13,6 @@ from mmwregime.detector import np_threshold
 from mmwregime.interference import ChannelConfig, mean_received_power
 from mmwregime.mcsim import (
     empirical_rates,
-    is_blocked,
     sample_h0_power,
     simulate_received_power,
     validate_suite,
@@ -28,9 +28,14 @@ def geo(v0=0.0, eps=0.1):
     return GeometryConfig(radius=10.0, v0_norm=v0, theta=THETA, eps_min=eps)
 
 
+def is_blocked(ixy, obs, rad):
+    """The kernel's decision for one interferer."""
+    return bool(mcsim._blocked_mask(np.array([ixy], dtype=float), obs, rad, V0, THETA)[0])
+
+
 class TestIsBlocked:
     def test_no_obstacles(self):
-        assert not is_blocked([5.0, 0.0], np.empty((0, 2)), np.empty(0), V0, THETA)
+        assert not is_blocked([5.0, 0.0], np.empty((0, 2)), np.empty(0))
 
     def test_apex_obstacle_wider_than_cone(self):
         # obstacle center right in front of the interferer: local cone
@@ -38,7 +43,7 @@ class TestIsBlocked:
         ixy = [5.0, 0.0]
         obs = np.array([[4.9, 0.0]])
         rad = np.array([0.4])
-        assert is_blocked(ixy, obs, rad, V0, THETA)
+        assert is_blocked(ixy, obs, rad)
 
     def test_two_partial_shadows_accumulate(self):
         # each obstacle shades 0.6 of the base width; together they exceed it
@@ -53,27 +58,18 @@ class TestIsBlocked:
         obs = np.array([[on_axis, 0.001], [on_axis, -0.001]])
         rad = np.array([d, d])
         assert d / (2.0 * tan_t) < r  # neither is a full near-field block
-        assert is_blocked(ixy, obs, rad, V0, THETA)
-        assert not is_blocked(ixy, obs[:1], rad[:1], V0, THETA)
+        assert is_blocked(ixy, obs, rad)
+        assert not is_blocked(ixy, obs[:1], rad[:1])
 
     def test_obstacle_behind_interferer_ignored(self):
         ixy = [5.0, 0.0]
         obs = np.array([[6.0, 0.0]])  # behind the apex, outside the cone
-        assert not is_blocked(ixy, obs, np.array([2.0]), V0, THETA)
+        assert not is_blocked(ixy, obs, np.array([2.0]))
 
     def test_obstacle_off_axis_ignored(self):
         ixy = [5.0, 0.0]
         obs = np.array([[2.5, 3.0]])  # far outside the 10-degree cone
-        assert not is_blocked(ixy, obs, np.array([0.3]), V0, THETA)
-
-    def test_one_size_per_obstacle_required(self):
-        # two obstacles with one size, and one obstacle with two sizes
-        ixy = [5.0, 0.0]
-        obs = np.array([[4.9, 0.0], [2.5, 0.1]])
-        with pytest.raises(DomainError, match="2 obstacle positions but 1 sizes"):
-            is_blocked(ixy, obs, np.array([0.4]), V0, THETA)
-        with pytest.raises(DomainError, match="1 obstacle positions but 2 sizes"):
-            is_blocked(ixy, obs[:1], np.array([0.4, 0.4]), V0, THETA)
+        assert not is_blocked(ixy, obs, np.array([0.3]))
 
     def test_adding_obstacles_never_unblocks(self):
         rng = np.random.default_rng(31)
@@ -82,8 +78,8 @@ class TestIsBlocked:
             n = int(rng.integers(1, 30))
             obs = rng.uniform(-8, 8, (n, 2))
             rad = rng.uniform(0.1, 0.6, n)
-            before = is_blocked(ixy, obs[:-1], rad[:-1], V0, THETA)
-            after = is_blocked(ixy, obs, rad, V0, THETA)
+            before = is_blocked(ixy, obs[:-1], rad[:-1])
+            after = is_blocked(ixy, obs, rad)
             assert after or not before
 
 
@@ -491,14 +487,14 @@ class TestValidateSuite:
         )
         assert report.passed
 
-    def test_report_roundtrips_to_dict(self, baseline_band, baseline_model, baseline_noise):
+    def test_report_roundtrips_asdict(self, baseline_band, baseline_model, baseline_noise):
         idle = ChannelConfig(alpha=2.5, m=3.0, q=0.5, n=10, p=0.0)
         empty = BlockageConfig(rho=0.0, d_s=0.2, d_e=0.8)
         report = validate_suite(
             idle, geo(), baseline_band, baseline_model, baseline_noise, empty,
             trials=5_000, seed=4,
         )
-        doc = report.to_dict()
+        doc = dataclasses.asdict(report)
         assert doc["passed"] == report.passed
         assert len(doc["checks"]) == len(report.checks)
 
@@ -597,5 +593,5 @@ class TestValidateWorkerProcess:
         inline = self.run(baseline_band, baseline_model, baseline_noise, 1).checks[-1]
         future = concurrent.futures.Future()
         future.set_exception(pickle.loads(pickle.dumps(error)))
-        assert mcsim._gap_rows(future) == [inline]
+        assert mcsim._guarded(future.result, name="geometric_gap_check") == [inline]
         assert inline.name == "geometric_gap_check" and not inline.passed

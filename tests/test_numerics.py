@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mmwregime import numerics
-from mmwregime.numerics import DomainError, find_root, integrate, integrate_piecewise
+from mmwregime.numerics import DomainError, find_root, integrate, integrate_piecewise, rule_piecewise
 
 
 class TestIntegrate:
@@ -79,6 +79,12 @@ class TestIntegrate:
         whole = integrate(f, 0.0, 3.0)
         split = integrate_piecewise(f, (0.0, 1.0, 1.0, 2.5, 3.0))
         assert split == pytest.approx(whole, rel=1e-10)
+        # the same nodes and weights as arrays: 64 per non-empty piece
+        x, w = rule_piecewise((0.0, 1.0, 1.0, 2.5, 3.0))
+        assert x.shape == w.shape == (3 * 64,)
+        assert float(w @ f(x)) == pytest.approx(split, rel=1e-14)
+        with pytest.raises(DomainError):
+            rule_piecewise((0.0, 1.0, np.inf))
 
 
 class TestFindRoot:
