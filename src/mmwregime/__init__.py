@@ -47,7 +47,6 @@ from .interference import (
     kappa_n,
     mean_interferer_power,
     mean_received_power,
-    watts_to_dbm,
 )
 from .mcsim import (
     ValidationCheck,

@@ -233,20 +233,7 @@ def main(argv=None) -> int:
     handler, default_fmt = _COMMANDS[args.command]
     fmt = args.format or default_fmt
     try:
-        run = load_config(args.config)
-        if args.seed is not None or args.trials is not None:
-            updates = {}
-            if args.seed is not None:
-                if args.seed < 0:
-                    raise ConfigError(f"--seed: value {args.seed} violates constraint: >= 0")
-                updates["seed"] = args.seed
-            if args.trials is not None:
-                if args.trials < 1:
-                    raise ConfigError(f"--trials: value {args.trials} violates constraint: >= 1")
-                updates["trials"] = args.trials
-            resolved = dict(run.resolved)
-            resolved.update(updates)
-            run = dataclasses.replace(run, resolved=resolved, **updates)
+        run = load_config(args.config, seed=args.seed, trials=args.trials)
         if args.workers < 1:
             raise ConfigError(f"--workers: value {args.workers} violates constraint: >= 1")
     except ConfigError as exc:

@@ -4,6 +4,12 @@ A run is described by one versioned JSON file.  Power quantities must name
 their unit in the field itself (q_dbm vs q_watts; exactly one of the pair).
 Fields the underlying literature leaves open get defaults here, and every
 defaulted field is recorded so output files can echo the list.
+
+load_config is the only code that knows the schema: as it reads each field
+it records the converted value or default in RunConfig.resolved, the echo
+that config_hash digests.  Powers are echoed in watts; spectral is echoed
+from the built model, whose absent parts default from the band.  The echo
+is itself a complete config that loads back to itself with nothing defaulted.
 """
 
 from __future__ import annotations
@@ -94,6 +100,7 @@ class _Section:
         self._path = path
         self._seen: set[str] = set()
         self._defaulted = defaulted
+        self.resolved: dict = {}
 
     def _name(self, key: str) -> str:
         return f"{self._path}.{key}" if self._path else key
@@ -101,13 +108,18 @@ class _Section:
     def require(self, key: str, kind, constraint=None, describe: str = ""):
         if key not in self._data:
             raise ConfigError(f"{self._name(key)}: required field is missing")
-        return self._convert(key, self._data[key], kind, constraint, describe)
+        return self.keep(key, self._convert(key, self._data[key], kind, constraint, describe))
 
     def optional(self, key: str, kind, default, constraint=None, describe: str = ""):
         if key not in self._data:
             self._defaulted.append(self._name(key))
-            return default
-        return self._convert(key, self._data[key], kind, constraint, describe)
+            return self.keep(key, default)
+        return self.keep(key, self._convert(key, self._data[key], kind, constraint, describe))
+
+    def keep(self, key: str, value):
+        """Record value as the echo of key and return it."""
+        self.resolved[key] = value
+        return value
 
     def _convert(self, key, value, kind, constraint, describe):
         self._seen.add(key)
@@ -139,14 +151,15 @@ class _Section:
                    absent_empty: bool = False) -> Optional["_Section"]:
         """The named subsection.  An absent optional one is None, or with
         absent_empty an empty section whose fields all take their defaults."""
-        if key not in self._data:
-            if absent_empty:
-                return _Section({}, self._name(key), self._defaulted)
-            if optional:
-                return None
+        if key in self._data:
+            self._seen.add(key)
+        elif optional:
+            return None
+        elif not absent_empty:
             raise ConfigError(f"{self._name(key)}: required section is missing")
-        self._seen.add(key)
-        return _Section(self._data[key], self._name(key), self._defaulted)
+        child = _Section(self._data.get(key, {}), self._name(key), self._defaulted)
+        self.resolved[key] = child.resolved
+        return child
 
     def power_watts(self, base: str, default: Optional[float] = None) -> float:
         """Read a power given as <base>_dbm or <base>_watts (exactly one)."""
@@ -158,16 +171,14 @@ class _Section:
                 "exactly one unit variant may be given, found both"
             )
         if has_dbm:
-            return dbm_to_watts(self.require(dbm_key, float))
-        if has_watt:
-            return self.require(watt_key, float, lambda v: v >= 0.0, ">= 0 watts")
-        if default is not None:
-            self._defaulted.append(self._name(watt_key))
-            return default
-        raise ConfigError(
-            f"{self._name(watt_key)}: required power is missing "
-            f"(provide {dbm_key} or {watt_key})"
-        )
+            dbm = self._convert(dbm_key, self._data[dbm_key], float, None, "")
+            return self.keep(watt_key, dbm_to_watts(dbm))
+        if not has_watt and default is None:
+            raise ConfigError(
+                f"{self._name(watt_key)}: required power is missing "
+                f"(provide {dbm_key} or {watt_key})"
+            )
+        return self.optional(watt_key, float, default, lambda v: v >= 0.0, ">= 0 watts")
 
     def reject_unknown(self):
         unknown = set(self._data) - self._seen
@@ -180,13 +191,15 @@ def _positive(v) -> bool:
     return v > 0
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, seed: Optional[int] = None,
+                trials: Optional[int] = None) -> RunConfig:
     """Parse, validate and resolve a run configuration file.
 
     Component invariants are enforced by the component types themselves;
     schema errors name the offending field, its value and the violated
     constraint.  Fields with documented defaults are filled in and listed
-    in RunConfig.defaulted.
+    in RunConfig.defaulted.  A seed or trials given here replaces the
+    file's field and is checked by the same rule.
     """
     path = Path(path)
     try:
@@ -198,6 +211,9 @@ def load_config(path) -> RunConfig:
 
     defaulted: list[str] = []
     root = _Section(raw, "", defaulted)
+    root._data.update(
+        (key, value) for key, value in (("seed", seed), ("trials", trials)) if value is not None
+    )
     version = root.optional("schema_version", int, SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(
@@ -277,6 +293,11 @@ def load_config(path) -> RunConfig:
                 filt_sec.reject_unknown()
             spec_sec.reject_unknown()
         model = SpectralModel(psd=psd, filter=filt)
+        root.resolved["spectral"] = {
+            "psd": {"shape": "gaussian", "std_hz": psd.std} if isinstance(psd, GaussianPsd)
+            else {"shape": "rectangular", "width_hz": psd.width},
+            "filter": {"shape": "raised_cosine", "rolloff": filt.rolloff, "width_hz": filt.width},
+        }
 
         chan_sec = root.subsection("channel")
         channel = ChannelConfig(
@@ -314,6 +335,7 @@ def load_config(path) -> RunConfig:
             # an absent sweeps section is reported by its name alone
             defaulted.append("sweeps")
             sweep_sec = _Section({}, "sweeps", [])
+            root.resolved["sweeps"] = sweep_sec.resolved
         v0_grid = sweep_sec.optional(
             "v0_grid_m", list, [float(v) for v in range(10) if v < geo.radius]
         )
@@ -322,7 +344,7 @@ def load_config(path) -> RunConfig:
         n_list = sweep_sec.optional("n_list", list, [channel.n])
         sweep_sec.reject_unknown()
         # each element takes the scalar fields' rule (bool and str are
-        # rejected), in SweepSpec's field order
+        # rejected), in SweepSpec's field order, and is echoed converted
         elements = (
             ("v0_grid_m", v0_grid, float, lambda v: 0.0 <= v < geo.radius, "in [0, radius)"),
             ("beta_grid", beta_grid, float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
@@ -330,7 +352,8 @@ def load_config(path) -> RunConfig:
             ("n_list", n_list, int, lambda v: v >= 0, "integer >= 0"),
         )
         sweeps = SweepSpec(*(
-            tuple(sweep_sec._convert(key, v, kind, ok, describe) for v in values)
+            tuple(sweep_sec.keep(key, [sweep_sec._convert(key, v, kind, ok, describe)
+                                       for v in values]))
             for key, values, kind, ok, describe in elements
         ))
 
@@ -349,63 +372,11 @@ def load_config(path) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
     network = NetworkConfig(geo=geo, band=band, spectral=model, channel=channel, noise=noise)
-    run = RunConfig(
+    return RunConfig(
         network=network, blockage=blockage, sweeps=sweeps,
         beta_th=beta_th, fit_mode=fit_mode, blocking=blocking,
-        trials=trials, seed=seed, defaulted=tuple(defaulted),
-        resolved=_resolved_dict(network, blockage, sweeps, beta_th,
-                                fit_mode, blocking, trials, seed),
+        trials=trials, seed=seed, defaulted=tuple(defaulted), resolved=root.resolved,
     )
-    return run
-
-
-def _resolved_dict(network, blockage, sweeps, beta_th, fit_mode,
-                   blocking, trials, seed) -> dict:
-    """Canonical physical-unit view of a run, used for hashing and echoes."""
-    geo, band, model, channel, noise = (
-        network.geo, network.band, network.spectral, network.channel, network.noise
-    )
-    psd = (
-        {"shape": "gaussian", "std_hz": model.psd.std}
-        if isinstance(model.psd, GaussianPsd)
-        else {"shape": "rectangular", "width_hz": model.psd.width}
-    )
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "geometry": {
-            "radius_m": geo.radius, "v0_norm_m": geo.v0_norm,
-            "beam_halfwidth_deg": math.degrees(geo.theta), "eps_min_m": geo.eps_min,
-        },
-        "blockage": {
-            "rho_per_m2": blockage.rho, "d_s_m": blockage.d_s,
-            "d_e_m": blockage.d_e, "mode": blockage.mode,
-        },
-        "band": {
-            "f_s_hz": band.f_s, "f_e_hz": band.f_e, "f_0_hz": band.f_0,
-            "filter_bandwidth_hz": band.bandwidth,
-        },
-        "spectral": {
-            "psd": psd,
-            "filter": {
-                "shape": "raised_cosine",
-                "rolloff": model.filter.rolloff,
-                "width_hz": model.filter.width,
-            },
-        },
-        "channel": {
-            "alpha": channel.alpha, "m": channel.m, "q_watts": channel.q,
-            "n_interferers": channel.n, "occupancy": channel.p,
-        },
-        "noise": {"sigma2_watts": noise.sigma2, "phi_watts": noise.phi},
-        "detection": {"beta_th": beta_th, "fit_mode": fit_mode},
-        "sweeps": {
-            "v0_grid_m": list(sweeps.v0_grid), "beta_grid": list(sweeps.beta_grid),
-            "rho_list": list(sweeps.rho_list), "n_list": list(sweeps.n_list),
-        },
-        "simulation": {"blocking": blocking},
-        "trials": trials,
-        "seed": seed,
-    }
 
 
 def config_hash(resolved: dict) -> str:

@@ -39,17 +39,10 @@ __all__ = [
     "mean_interferer_power",
     "mean_received_power",
     "dbm_to_watts",
-    "watts_to_dbm",
 ]
 
 def dbm_to_watts(x_dbm: float) -> float:
     return 10.0 ** ((x_dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(x_watts: float) -> float:
-    if x_watts <= 0.0:
-        raise DomainError(f"watts_to_dbm requires a positive power, got {x_watts}")
-    return 10.0 * math.log10(x_watts) + 30.0
 
 
 @dataclass(frozen=True)

@@ -218,6 +218,16 @@ def _draw_positions_with_exclusion(
     return xy, dist
 
 
+def _draw_obstacles(
+    rng: np.random.Generator, blockage_cfg: BlockageConfig, geo: GeometryConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """One obstacle field: a Poisson count of uniform disk centres, then their
+    sizes uniform on [d_s, d_e]."""
+    n_obs = int(rng.poisson(blockage_cfg.rho * math.pi * geo.radius**2))
+    obs_xy = _uniform_disk(rng, n_obs, geo.radius)
+    return obs_xy, blockage_cfg.d_s + (blockage_cfg.d_e - blockage_cfg.d_s) * rng.random(n_obs)
+
+
 def _power_block(
     block: int,
     n_trials: int,
@@ -256,7 +266,6 @@ def _power_block(
 
     if blockage_cfg is None:
         raise DomainError("geometric blocking requires a BlockageConfig")
-    lam_obs = blockage_cfg.rho * math.pi * geo.radius**2
     v0_xy = np.array([geo.v0_norm, 0.0])
     y = np.full(n_trials, phi, dtype=float)
     for i in range(n_trials):
@@ -266,9 +275,7 @@ def _power_block(
             continue
         xy, dist = _draw_positions_with_exclusion(rng, n_act, geo, v0_xy)
         freq = band.f_s + (band.f_e - band.f_s) * rng.random(n_act)
-        n_obs = int(rng.poisson(lam_obs))
-        obs_xy = _uniform_disk(rng, n_obs, geo.radius)
-        obs_r = blockage_cfg.d_s + (blockage_cfg.d_e - blockage_cfg.d_s) * rng.random(n_obs)
+        obs_xy, obs_r = _draw_obstacles(rng, blockage_cfg, geo)
         h = rng.gamma(channel.m, 1.0 / channel.m, n_act)
         blocked = _blocked_mask(xy, obs_xy, obs_r, v0_xy, geo.theta)
         keep = ~blocked
@@ -549,14 +556,11 @@ def _geometric_gap_check(channel, geo, band, blockage_cfg, p_b, trials, seed) ->
     trials = min(trials, 2000)
     rng = _rng(seed, _NS_SCENARIO, 3)
     v0_xy = np.array([geo.v0_norm, 0.0])
-    lam_obs = blockage_cfg.rho * math.pi * geo.radius**2
     blocked = 0
     total = 0
     for _ in range(trials):
         xy, _ = _draw_positions_with_exclusion(rng, channel.n, geo, v0_xy)
-        n_obs = int(rng.poisson(lam_obs))
-        obs_xy = _uniform_disk(rng, n_obs, geo.radius)
-        obs_r = blockage_cfg.d_s + (blockage_cfg.d_e - blockage_cfg.d_s) * rng.random(n_obs)
+        obs_xy, obs_r = _draw_obstacles(rng, blockage_cfg, geo)
         blocked += int(_blocked_mask(xy, obs_xy, obs_r, v0_xy, geo.theta).sum())
         total += channel.n
     rate = blocked / total if total else 0.0

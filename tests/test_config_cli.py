@@ -92,6 +92,40 @@ class TestLoadConfig:
         assert run.defaulted == defaulted
         assert config_hash(run.resolved) == digest
 
+    @pytest.mark.parametrize("edit, digest", [
+        (None, "55208a59b7529380"),
+        (lambda raw: (raw["channel"].pop("q_dbm"), raw["channel"].update(q_watts=0.25)),
+         "d5d67b7f4d23d48e"),
+        (lambda raw: raw["spectral"].update(psd={"shape": "rectangular", "width_hz": 5e7}),
+         "6dccd6aa79954e18"),
+        (lambda raw: raw.update(noise={"sigma2_dbm": -20.0, "phi_dbm": 0.0}),
+         "77fb0161d59f6279"),
+        (lambda raw: raw["sweeps"].update(v0_grid_m=[0, 1, 2], rho_list=[1]),
+         "016e37339bffab35"),
+        (lambda raw: (raw["sweeps"].pop("n_list"), raw.pop("trials"), raw.pop("seed"),
+                      raw.pop("schema_version")),
+         "d1c742653af5aaf8"),
+    ])
+    def test_echo_is_a_complete_config(self, tmp_path, edit, digest):
+        # the hashed echo loads back to itself, with nothing left to default
+        raw = json.loads(BASELINE_CONFIG.read_text())
+        if edit is not None:
+            edit(raw)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        run = load_config(path)
+        assert config_hash(run.resolved) == digest
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(run.resolved))
+        again = load_config(echo)
+        assert again.resolved == run.resolved
+        assert config_hash(again.resolved) == digest
+        assert again.defaulted == ()
+
+    def test_beam_halfwidth_echoed_as_given(self, tmp_path):
+        path = write_config(tmp_path, geometry={"beam_halfwidth_deg": 3.0})
+        assert load_config(path).resolved["geometry"]["beam_halfwidth_deg"] == 3.0
+
     def test_bad_json_reports(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{not json")
@@ -344,6 +378,32 @@ class TestCli:
         ]
         assert "# seed: 7" in header
         assert "# trials: 10" in header
+
+    def test_overridden_seed_and_trials_are_not_defaulted(self, tmp_path):
+        raw = json.loads(BASELINE_CONFIG.read_text())
+        del raw["seed"], raw["trials"]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        code = run_cli(
+            "simulate", "--config", str(cfg), "--out", str(out), "--seed", "7", "--trials", "5",
+        )
+        assert code == 0
+        header = [
+            l for l in (out / "samples.csv").read_text().splitlines() if l.startswith("#")
+        ]
+        assert "# defaulted_fields: []" in header
+        assert '# config_sha256: "7f9fe79d531dc3c7"' in header
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--seed", "-3", "seed"), ("--trials", "0", "trials"),
+    ])
+    def test_invalid_override_is_config_error(self, tmp_path, capsys, flag, value, field):
+        code = run_cli(
+            "simulate", "--config", str(BASELINE_CONFIG), "--out", str(tmp_path), flag, value,
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"config error: {field}: value {value}")
 
     def test_invalid_component_value_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, blockage={"d_s_m": -1.0})

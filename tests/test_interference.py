@@ -14,7 +14,6 @@ from mmwregime.interference import (
     kappa_n,
     mean_interferer_power,
     mean_received_power,
-    watts_to_dbm,
 )
 from mmwregime.mcsim import simulate_received_power
 from mmwregime.numerics import DomainError
@@ -35,7 +34,6 @@ class TestUnits:
     def test_dbm_conversion(self):
         assert dbm_to_watts(27.0) == pytest.approx(0.501187, rel=1e-5)
         assert dbm_to_watts(30.0) == pytest.approx(1.0)
-        assert watts_to_dbm(dbm_to_watts(13.7)) == pytest.approx(13.7, abs=1e-12)
 
 
 class TestChannelConfig:
