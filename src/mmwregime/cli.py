@@ -20,7 +20,9 @@ import sys
 from pathlib import Path
 
 from . import __version__, detector, mcsim
+from .blockage import blockage_probability
 from .config import ConfigError, RunConfig, config_hash, load_config
+from .interference import mean_received_power
 from .numerics import NumericsError
 
 __all__ = ["main", "build_parser"]
@@ -118,8 +120,6 @@ def _write_document(path: Path, document: dict, prov: dict) -> None:
 
 
 def cmd_blockage(run: RunConfig, out: Path, fmt: str, workers: int) -> int:
-    from .blockage import blockage_probability
-
     net = run.network
     result = blockage_probability(run.blockage, net.geo)
     doc = dataclasses.asdict(result)
@@ -162,9 +162,6 @@ def cmd_regime_map(run: RunConfig, out: Path, fmt: str, workers: int) -> int:
 
 
 def cmd_roc(run: RunConfig, out: Path, fmt: str, workers: int) -> int:
-    from .blockage import blockage_probability
-    from .interference import mean_received_power
-
     net = run.network
     p_b = blockage_probability(run.blockage, net.geo).p_b
     rows = []
@@ -198,8 +195,6 @@ def cmd_validate(run: RunConfig, out: Path, fmt: str, workers: int) -> int:
 
 
 def cmd_simulate(run: RunConfig, out: Path, fmt: str, workers: int) -> int:
-    from .blockage import blockage_probability
-
     net = run.network
     p_b = 0.0
     if run.blocking == "thinning":

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import special
 
 from . import detector, numerics
 from .blockage import (
@@ -431,6 +430,10 @@ def _merge_small_bins(counts: np.ndarray, probs: np.ndarray, floor: float = 10.0
 
 
 def _chi2_pvalue(counts: np.ndarray, probs: np.ndarray) -> float:
+    # only validate's goodness-of-fit checks need scipy, so it is imported
+    # here rather than when simulate loads this module
+    from scipy import special
+
     # a sample where the analytic law puts no mass refutes it outright;
     # merging would otherwise fold such counts away unseen
     if np.any((probs <= 0.0) & (counts > 0)):

@@ -1,7 +1,7 @@
 """Numerical kernels shared by every other module.
 
 Only algorithms the package implements itself live here; special functions
-are called from scipy.special where they are used.  Quadrature is one fixed
+are computed in the modules that use them.  Quadrature is one fixed
 64-node Gauss-Legendre rule under a cosine map of each finite interval: it
 clusters nodes at both ends, never evaluates the integrand on an endpoint
 (the disk-distance density has square-root behaviour there) and takes no

@@ -19,7 +19,6 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 from .numerics import DomainError
 
@@ -169,13 +168,26 @@ def _psd_halfwidth(psd: Psd) -> float:
     return 0.5 * psd.width
 
 
+def _erf(x):
+    """math.erf over an array, element by element."""
+    x = np.asarray(x, dtype=float)
+    return np.array([math.erf(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 def _overlap(omega, lo: float, hi: float, centre: float, freq: float, psd: Psd):
     """Integral of psd(u - omega) * cos(freq * (u - centre)) for u over [lo, hi]."""
     if isinstance(psd, GaussianPsd):
+        s = math.sqrt(2.0) * psd.std
+        if freq == 0.0:
+            # the Gaussian mass on [lo, hi]
+            return 0.5 * (_erf((hi - omega) / s) - _erf((lo - omega) / s))
         # erf(x - iy) with y = freq*s/2, taken as exp(-y^2)*erf(x - iy) =
         # sign(x)*[exp(-y^2) - exp(-x^2 + 2ixy)*w(sign(x)*y + i|x|)] with the
-        # Faddeeva function w, which stays finite for any freq*std
-        s = math.sqrt(2.0) * psd.std
+        # Faddeeva function w, which stays finite for any freq*std.  Only the
+        # cosine terms of a tapered filter get here, so scipy is imported
+        # here rather than at package start-up
+        from scipy import special
+
         y = 0.5 * freq * s
 
         def edge(u):
@@ -204,11 +216,12 @@ def upsilon(omega, band: BandConfig, model: SpectralModel):
     |H|^2 is 1 on the flat part of the filter and cos^4(x/2) = 3/8 +
     cos(x)/2 + cos(2x)/8 on each taper, x = pi*(|u| - flat)/(stop - flat),
     so Upsilon is a weighted sum of integrals of the PSD against a cosine
-    over at most three intervals, each clipped to the window: a Faddeeva
-    (complex erf) difference for a Gaussian PSD, an interval overlap times
-    cos * sinc for a rectangular one.  Even in omega; value in [0, 1] by
-    the normalization conventions of this module.  A scalar omega gives a
-    float, an array gives an array.
+    over at most three intervals, each clipped to the window.  For a
+    Gaussian PSD each constant term is an erf difference and each cosine
+    term of a taper a Faddeeva (complex erf) difference; for a rectangular
+    one each term is an interval overlap times cos * sinc.  Even in omega;
+    value in [0, 1] by the normalization conventions of this module.  A
+    scalar omega gives a float, an array gives an array.
     """
     w = np.abs(np.asarray(omega, dtype=float))
     flt = model.filter

@@ -6,6 +6,7 @@ import pytest
 from mmwregime.blockage import (
     BlockageConfig,
     GeometryConfig,
+    _ellipke,
     blockage_probability,
     distance_cdf,
     distance_pdf,
@@ -165,6 +166,16 @@ class TestMeanDistance:
         monkeypatch.setattr(numerics, "integrate", forbidden)
         monkeypatch.setattr(numerics, "integrate_piecewise", forbidden)
         assert mean_distance(geo(v0=4.0)) > mean_distance(geo())
+
+    def test_elliptic_integrals_match_scipy(self):
+        # m = (v0/R)^2 over the receiver offsets a config can hold
+        from scipy import special
+
+        ms = np.concatenate((np.linspace(0.0, 0.9999, 4001), [1e-300, 1e-16, 1e-8]))
+        k, e = np.array([_ellipke(float(m)) for m in ms]).T
+        np.testing.assert_allclose(k, special.ellipk(ms), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(e, special.ellipe(ms), rtol=1e-14, atol=0.0)
+        assert _ellipke(0.0) == (0.5 * math.pi, 0.5 * math.pi)
 
 
 class TestMeanPartialBlockage:

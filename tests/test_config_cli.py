@@ -178,27 +178,24 @@ def test_every_public_name_resolves(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
-def test_cli_import_leaves_scipy_stats_and_optimize_unloaded():
-    # validate imports scipy.stats where it is used and nothing in the
-    # package imports scipy.optimize, so the analytic commands pay for
-    # neither at start-up
-    code = (
-        "import sys, mmwregime.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
-    )
-    assert run_python(code) == "[]"
-
-
-def test_analytic_commands_leave_scipy_optimize_unloaded(tmp_path):
-    # the ME fit's root finder is the package's own bisection
+def test_start_up_and_the_analytic_and_thinning_commands_load_no_scipy(tmp_path):
+    # the package computes the special functions of these commands itself;
+    # only validate's goodness-of-fit checks and the cosine terms of a
+    # tapered filter under a Gaussian PSD import scipy, where they are called
     code = (
         "import sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import mmwregime\n"
         "from mmwregime import cli\n"
-        "for cmd in ('roc', 'regime-map'):\n"
-        "    assert cli.main([cmd, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "assert loaded() == [], loaded()\n"
+        "for cmd in ('blockage', 'roc', 'regime-map', 'simulate'):\n"
+        "    argv = [cmd, '--config', sys.argv[1], '--out', sys.argv[2], '--trials', '500']\n"
+        "    assert cli.main(argv) == 0, cmd\n"
+        "print(loaded())\n"
     )
-    assert run_python(code, str(BASELINE_CONFIG), str(tmp_path)) == "False"
+    assert json.loads(BASELINE_CONFIG.read_text())["simulation"]["blocking"] == "thinning"
+    assert run_python(code, str(BASELINE_CONFIG), str(tmp_path)) == "[]"
 
 
 def run_cli(*args):

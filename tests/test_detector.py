@@ -10,6 +10,9 @@ from mmwregime.detector import (
     InfeasibleFitError,
     MeFit,
     NoiseConfig,
+    _dawson,
+    _erfcinv,
+    _gammainc_three_halves,
     detect,
     detection_probability,
     fit_me_lambda,
@@ -204,6 +207,22 @@ class TestThreshold:
         assert math.isfinite(eta)
         assert eta > NOISE.phi
 
+    @pytest.mark.parametrize("beta", [5e-324, 1e-323])
+    def test_subnormal_significance_finite(self, beta):
+        # the config accepts every beta in (0, 1]; erfc is flat at a
+        # subnormal, and the inverse returns a z that erfc maps onto it
+        z = _erfcinv(beta)
+        assert math.isfinite(z) and math.erfc(z) == beta
+        assert np_threshold(beta, NOISE) == 2.0 * NOISE.sigma2 * z * z + NOISE.phi
+
+    def test_inverse_matches_scipy(self, baseline_run):
+        from scipy import special
+
+        betas = [b for b in baseline_run.sweeps.beta_grid if b < 1.0]
+        betas += [10.0 ** -k for k in range(1, 301)]
+        z = [_erfcinv(b) for b in betas]
+        np.testing.assert_allclose(z, special.erfcinv(betas), rtol=1e-14, atol=0.0)
+
 
 class TestDetectionProbability:
     FIT = MeFit(lam=0.5, mode="closed_form", mean_used=2.0)
@@ -323,6 +342,25 @@ class TestLrtArea:
         monkeypatch.setattr(numerics, "integrate_piecewise", forbidden)
         for lam in (0.3, 0.5, 1.0, 1e4):
             lrt_area(MeFit(lam=lam, mode="closed_form", mean_used=1.0 / lam), NOISE)
+
+
+class TestLrtAreaSpecialFunctions:
+    # lrt_area calls P(3/2, x) for x = |k X| >= 1/2 and D(u) for u = sqrt(k X)
+    # >= sqrt(1/2); its window puts both well inside these ranges
+    def test_gammainc_three_halves_matches_scipy(self):
+        from scipy import special
+
+        xs = np.concatenate((np.linspace(0.5, 800.0, 8001), np.geomspace(0.5, 800.0, 400)))
+        got = [_gammainc_three_halves(float(x)) for x in xs]
+        np.testing.assert_allclose(got, special.gammainc(1.5, xs), rtol=1e-14, atol=0.0)
+
+    def test_dawson_matches_scipy_across_the_series_switch(self):
+        from scipy import special
+
+        us = np.concatenate((np.linspace(0.7, 12.0, 11301), np.geomspace(12.0, 1e3, 400),
+                             np.nextafter(6.0, [0.0, 7.0])))
+        got = [_dawson(float(u)) for u in us]
+        np.testing.assert_allclose(got, special.dawsn(us), rtol=1e-14, atol=0.0)
 
 
 class TestRocCurve:

@@ -237,6 +237,25 @@ class TestUpsilonTable:
         expected = [brick_overlap(w, 1e8, 2.5e7) for w in table.grid]
         np.testing.assert_allclose(table.values, expected, rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("std, window", [(2.5e7, 1e8), (2.5e7, 6e7), (4e6, 1e8)])
+    def test_rolloff_zero_gaussian_table_matches_faddeeva_form(self, std, window):
+        # the flat part's Gaussian mass taken through the Faddeeva function
+        # w at zero frequency: sign(x) * (1 - exp(-x^2) w(i|x|)) = erf(x)
+        from scipy.special import wofz
+
+        b, model = band(w=window), gaussian_model(std=std)
+        table = upsilon_table(b, model)
+        s = math.sqrt(2.0) * std
+        half = min(0.5 * model.filter.width, 0.5 * window)
+
+        def edge(u):
+            x = (u - table.grid) / s
+            sign = np.where(x < 0.0, -1.0, 1.0)
+            return sign * (1.0 - (np.exp(-x * x) * wofz(1j * np.abs(x))).real)
+
+        expected = np.clip(0.5 * (edge(half) - edge(-half)), 0.0, 1.0)
+        np.testing.assert_allclose(table.values, expected, rtol=0.0, atol=1e-15)
+
     def test_tapered_table_needs_no_quadrature(self, monkeypatch):
         from mmwregime import numerics
         from mmwregime.spectral import UpsilonTable
