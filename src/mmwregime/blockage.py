@@ -303,6 +303,12 @@ def blockage_probability(cfg: BlockageConfig, geo: GeometryConfig) -> BlockageRe
     return BlockageResult(p_b1, p_b2, delta, mean_ell, mean_shadow, p_b, p_b != raw)
 
 
+def _log_choose(n: int) -> np.ndarray:
+    """log C(n, j) for j = 0..n, as a running sum of log((n - j + 1)/j)."""
+    j = np.arange(1, n + 1)
+    return np.concatenate(([0.0], np.cumsum(np.log((n - j + 1) / j))))
+
+
 @dataclass(frozen=True)
 class NonblockedCount:
     """Binomial law of the number of active, non-blocked interferers."""
@@ -312,10 +318,6 @@ class NonblockedCount:
 
     def pmf(self, k):
         """P(K = k), evaluated in log space to stay finite for large n."""
-        # only validate's goodness-of-fit check asks for the pmf, so scipy
-        # is imported here rather than at package start-up
-        from scipy import special
-
         k = np.asarray(k)
         inside = (k >= 0) & (k <= self.n)
         q = self.success_prob
@@ -324,14 +326,10 @@ class NonblockedCount:
         elif q == 1.0:
             out = np.where(k == self.n, 1.0, 0.0)
         else:
-            # gammaln sees only k in 0..n; other k are masked to 0 below
-            kf = np.where(inside, k, 0).astype(float)
-            log_choose = (
-                special.gammaln(self.n + 1.0)
-                - special.gammaln(kf + 1.0)
-                - special.gammaln(self.n - kf + 1.0)
-            )
-            out = np.exp(log_choose + kf * math.log(q) + (self.n - kf) * math.log1p(-q))
+            # k outside 0..n reads C(n, 0) and is masked to 0 below
+            kf = np.where(inside, k, 0)
+            log_pmf = _log_choose(self.n)[kf] + kf * math.log(q) + (self.n - kf) * math.log1p(-q)
+            out = np.exp(log_pmf)
         out = np.where(inside, out, 0.0)
         return float(out) if out.ndim == 0 else out
 

@@ -102,16 +102,23 @@ def _json_text(payload: dict) -> str:
     return json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_rows(path: Path, rows: list[dict], header: list[str], prov: dict,
-                fmt: str) -> None:
+def _write_csv(path: Path, header: list[str], prov: dict, body: list[str]) -> None:
+    """Provenance comments, the header line, then the formatted data lines."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "json":
-        path.write_text(_json_text({"_provenance": prov, "rows": rows}))
-        return
     lines = [f"# {k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(prov.items())]
     lines.append(",".join(header))
-    lines += [",".join([_fmt(row.get(col)) for col in header]) for row in rows]
+    lines += body
     path.write_text("\n".join(lines) + "\n")
+
+
+def _write_rows(path: Path, rows: list[dict], header: list[str], prov: dict,
+                fmt: str) -> None:
+    if fmt == "json":
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(_json_text({"_provenance": prov, "rows": rows}))
+        return
+    body = [",".join([_fmt(row.get(col)) for col in header]) for row in rows]
+    _write_csv(path, header, prov, body)
 
 
 def _write_document(path: Path, document: dict, prov: dict) -> None:
@@ -204,8 +211,13 @@ def cmd_simulate(run: RunConfig, out: Path, fmt: str, workers: int) -> int:
         trials=run.trials, seed=run.seed, blocking=run.blocking, p_b=p_b,
         blockage_cfg=run.blockage, workers=workers,
     )
-    rows = [{"trial": i, "y_watts": y} for i, y in enumerate(samples.tolist())]
-    _write_rows(out / f"samples.{fmt}", rows, ["trial", "y_watts"], _provenance(run), fmt)
+    path, header, prov = out / f"samples.{fmt}", ["trial", "y_watts"], _provenance(run)
+    if fmt == "csv":
+        # the lines _write_rows would format, without a dict per sample
+        _write_csv(path, header, prov, [f"{i},{y!r}" for i, y in enumerate(samples.tolist())])
+    else:
+        rows = [{"trial": i, "y_watts": y} for i, y in enumerate(samples.tolist())]
+        _write_rows(path, rows, header, prov, fmt)
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ from . import numerics
 from .blockage import BlockageConfig, GeometryConfig, blockage_probability
 from .interference import ChannelConfig, mean_received_power
 from .numerics import DomainError
-from .spectral import BandConfig, SpectralModel
+from .spectral import BandConfig, SpectralModel, _erf
 
 __all__ = [
     "NoiseConfig",
@@ -135,18 +135,15 @@ def h0_pdf(y, noise: NoiseConfig):
 
 
 def h0_cdf(y, noise: NoiseConfig):
-    """Noise-limited CDF: regularized lower incomplete gamma of order 1/2."""
-    # only validate's goodness-of-fit check asks for the CDF, so scipy is
-    # imported here rather than at package start-up
-    from scipy import special
-
+    """Noise-limited CDF: regularized lower incomplete gamma of order 1/2,
+    P(1/2, u) = erf(sqrt(u)) with u = (y - phi) / (2 sigma2)."""
     y = np.asarray(y, dtype=float)
     scalar = y.ndim == 0
     y = np.atleast_1d(y)
     out = np.zeros_like(y)
     pos = y > noise.phi
     u = (y[pos] - noise.phi) / (2.0 * noise.sigma2)
-    out[pos] = special.gammainc(0.5, u)
+    out[pos] = _erf(np.sqrt(u))
     return float(out[0]) if scalar else out
 
 

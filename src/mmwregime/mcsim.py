@@ -33,6 +33,7 @@ from . import detector, numerics
 from .blockage import (
     BlockageConfig,
     GeometryConfig,
+    _log_choose,
     blockage_probability,
     distance_cdf,
     nonblocked_count_distribution,
@@ -429,11 +430,147 @@ def _merge_small_bins(counts: np.ndarray, probs: np.ndarray, floor: float = 10.0
     return np.array(out_c), np.array(out_p)
 
 
-def _chi2_pvalue(counts: np.ndarray, probs: np.ndarray) -> float:
-    # only validate's goodness-of-fit checks need scipy, so it is imported
-    # here rather than when simulate loads this module
-    from scipy import special
+def _chi2_sf(dof: int, stat: float) -> float:
+    """Chi-square survival Q(dof/2, stat/2) for an integer dof.
 
+    A finite sum of positive terms y^a e^-y / Gamma(a + 1), y = stat/2, over
+    a = 0, 1, .., dof/2 - 1 (even dof), or over a = 1/2, 3/2, .., dof/2 - 1
+    plus erfc(sqrt(y)) (odd dof).  Each term is formed in log space, so a
+    huge statistic underflows to 0 instead of overflowing.
+    """
+    y = 0.5 * stat
+    if y <= 0.0:
+        return 1.0
+    if dof % 2:
+        head, orders = math.erfc(math.sqrt(y)), [j + 0.5 for j in range((dof - 1) // 2)]
+    else:
+        head, orders = 0.0, range(dof // 2)
+    log_y = math.log(y)
+    return head + math.fsum(math.exp(a * log_y - y - math.lgamma(a + 1.0)) for a in orders)
+
+
+def _log_factorial_over_power(n: int) -> float:
+    # log(n!/n^n), summed pairwise over the n factors i/n
+    return float(np.log(np.arange(1, n + 1) / n).sum())
+
+
+def _smirnov_sf(n: int, d: float) -> float:
+    """One-sided P(D_n+ >= d) by the exact Birnbaum-Tingey sum
+    d * sum_j C(n, j) (1 - d - j/n)^(n-j) (d + j/n)^(j-1), j <= n(1 - d)."""
+    j = np.arange(math.floor(n * (1.0 - d)) + 1)
+    log_choose = _log_choose(n)[:len(j)]
+    # the last base is 0 where n(1 - d) is a whole number; its log is -inf
+    with np.errstate(divide="ignore"):
+        log_base = np.log(np.maximum(1.0 - d - j / n, 0.0))
+    return d * float(np.exp(log_choose + (n - j) * log_base + (j - 1) * np.log(d + j / n)).sum())
+
+
+def _durbin_cdf(n: int, d: float) -> float:
+    """Exact P(D_n < d) from the n-th power of Durbin's matrix, as Marsaglia,
+    Tsang and Wang (2003) compute it, rescaling by 2^-128 as it grows."""
+    k = math.ceil(n * d)
+    h = k - n * d
+    m = 2 * k - 1
+    inv_fact = np.cumprod(np.concatenate(([1.0], 1.0 / np.arange(1, m + 1))))
+    # mat[r, c] = 1/(r - c + 1)! on and below the superdiagonal, with the
+    # first column and the last row corrected for the fractional part h
+    r, c = np.indices((m, m))
+    mat = np.where(r + 1 >= c, inv_fact[np.clip(r - c + 1, 0, m)], 0.0)
+    v = (1.0 - h ** np.arange(1, m + 1)) * inv_fact[1:]
+    v[-1] = (1.0 - 2.0 * h ** m + max(2.0 * h - 1.0, 0.0) ** m) * inv_fact[m]
+    mat[:, 0] = v
+    mat[-1, :] = v[::-1]
+    power, power_exp, mat_exp = np.eye(m), 0, 0
+    left = n
+    while left:
+        if left % 2:
+            power = power @ mat
+            power_exp += mat_exp
+        mat = mat @ mat
+        mat_exp *= 2
+        if abs(mat[k - 1, k - 1]) > 2.0 ** 128:
+            mat /= 2.0 ** 128
+            mat_exp += 128
+        left //= 2
+    p = float(power[k - 1, k - 1])
+    if p <= 0.0:
+        return 0.0
+    return math.exp(math.log(p) + power_exp * math.log(2.0) + _log_factorial_over_power(n))
+
+
+def _pelz_good_cdf(n: int, d: float) -> float:
+    """Pelz and Good's (1976) asymptotic P(D_n <= d) in z = d sqrt(n), to
+    order n^-3/2: Kolmogorov's series and its Li-Chien/Korolyuk corrections
+    through the Jacobi theta transformation, good for small z."""
+    z = math.sqrt(n) * d
+    z2, z3, z4, z6 = z ** 2, z ** 3, z ** 4, z ** 6
+    pi2, pi4, pi6 = math.pi ** 2, math.pi ** 4, math.pi ** 6
+    log_q = -pi2 / 8 / z2
+    if log_q < -708:
+        return 0.0
+    q = math.exp(log_q)
+    k1a, k1b = -z2, pi2 / 4
+    k2a, k2b, k2c = 6 * z6 + 2 * z4, (2 * z4 - 5 * z2) * pi2 / 4, pi4 * (1 - 2 * z2) / 16
+    k3a = -30 * z6 - 90 * z ** 8
+    k3b = pi2 * (135 * z4 - 96 * z6) / 4
+    k3c = pi4 * (-60 * z2 + 212 * z4) / 16
+    k3d = pi6 * (5 - 30 * z2) / 64
+    # Horner in q^8 over the odd m = 2k - 1 of sum_m c(m) q^(m^2)
+    terms = np.zeros(4)
+    kmax = math.ceil(16 * z / math.pi)
+    for k in range(kmax, 0, -1):
+        m = 2 * k - 1
+        m2, m4, m6 = m ** 2, m ** 4, m ** 6
+        terms *= q ** (8 * k)
+        terms += np.array([
+            1.0, k1a + k1b * m2, k2a + k2b * m2 + k2c * m4,
+            k3a + k3b * m2 + k3c * m4 + k3d * m6,
+        ])
+    terms *= q
+    terms *= math.sqrt(2 * math.pi)
+    terms /= np.array([z, 6 * z4, 72 * z ** 7, 6480 * z ** 10])
+    # the extra sums of K2 and K3 run over all integers k
+    ks = np.arange(kmax, 0, -1)
+    k_sq = ks ** 2
+    q_pow = math.exp(-pi2 / 2 / z2) ** k_sq
+    terms[2] += np.sum(k_sq * q_pow) * (pi2 * math.sqrt(2 * math.pi) / (-36 * z3))
+    sqrt3z, k_pi = math.sqrt(3) * z, math.pi * ks
+    terms[3] += np.sum((sqrt3z + k_pi) * (sqrt3z - k_pi) * k_sq * q_pow) * (
+        pi2 * math.sqrt(2 * math.pi) / (216 * z6)
+    )
+    terms /= np.power(n * 1.0, np.arange(4) / 2.0)
+    return sum(terms.tolist())
+
+
+def _ks_pvalue(n: int, d: float) -> float:
+    """Two-sided Kolmogorov-Smirnov P(D_n >= d) for n samples.
+
+    Picks the method by Simard and L'Ecuyer's (2011) rule: Ruben and
+    Gambino's closed forms at n*d <= 1 and n*d >= n - 1; twice the exact
+    one-sided tail (Miller's approximation, exact for d >= 1/2) in the far
+    tail, n*d^2 >= 2.2 (n*d^2 > 4 when n <= 140); Durbin's exact matrix for
+    n <= 140, and for n <= 1e5 with n*d^1.5 <= 1.4; Pelz-Good otherwise.
+    """
+    if d >= 1.0:
+        return 0.0
+    t = n * d
+    if t <= 0.5:
+        return 1.0
+    if t <= 1.0:
+        return 1.0 - math.exp(_log_factorial_over_power(n) + n * math.log(2.0 * t - 1.0))
+    if t >= n - 1:
+        return 2.0 * (1.0 - d) ** n
+    t_d = t * d
+    if d >= 0.5 or t_d > 4.0 or (n > 140 and t_d >= 2.2):
+        return min(2.0 * _smirnov_sf(n, d), 1.0)
+    if n <= 140 or (n <= 100_000 and n * d ** 1.5 <= 1.4):
+        cdf = _durbin_cdf(n, d)
+    else:
+        cdf = _pelz_good_cdf(n, d)
+    return min(max(1.0 - cdf, 0.0), 1.0)
+
+
+def _chi2_pvalue(counts: np.ndarray, probs: np.ndarray) -> float:
     # a sample where the analytic law puts no mass refutes it outright;
     # merging would otherwise fold such counts away unseen
     if np.any((probs <= 0.0) & (counts > 0)):
@@ -444,7 +581,7 @@ def _chi2_pvalue(counts: np.ndarray, probs: np.ndarray) -> float:
     # renormalize the analytic mass over the binned support
     expected = counts.sum() * probs / probs.sum()
     stat = float(np.sum((counts - expected) ** 2 / expected))
-    return float(special.chdtrc(len(counts) - 1, stat))
+    return _chi2_sf(len(counts) - 1, stat)
 
 
 def _distance_check(geo, trials, seed) -> ValidationCheck:
@@ -475,8 +612,10 @@ def sample_nonblocked_counts(
     rng = _rng(seed, _NS_COUNT)
     thin = channel.p * (1.0 - p_b)
     counts = np.empty(trials, dtype=np.int64)
-    # chunked so the Bernoulli matrix never exceeds a few megabytes
-    chunk = max(1, (1 << 22) // max(channel.n, 1))
+    # chunked so the float64 uniforms take about 4 MiB, whatever n is;
+    # Generator.random fills row after row, so the chunking leaves the
+    # counts unchanged
+    chunk = max(1, (4 << 20) // (8 * max(channel.n, 1)))
     done = 0
     while done < trials:
         take = min(chunk, trials - done)
@@ -528,11 +667,11 @@ def _mean_power_check(channel, geo, band, model, noise, p_b, trials, seed, worke
 
 
 def _h0_check(noise, trials, seed) -> ValidationCheck:
-    from scipy import stats
-
-    samples = sample_h0_power(noise, trials, seed)
-    res = stats.kstest(samples, lambda y: detector.h0_cdf(y, noise))
-    return _gof_check("noise_power_distribution", res.pvalue, trials)
+    cdf = detector.h0_cdf(np.sort(sample_h0_power(noise, trials, seed)), noise)
+    n = len(cdf)
+    # D = max(D+, D-), the largest gap between the empirical and null CDFs
+    d = max(float(np.max(np.arange(1, n + 1) / n - cdf)), float(np.max(cdf - np.arange(n) / n)))
+    return _gof_check("noise_power_distribution", _ks_pvalue(n, d), trials)
 
 
 def _false_alarm_checks(noise, trials, seed, betas) -> list[ValidationCheck]:
@@ -607,6 +746,11 @@ def validate_suite(
     distribution (KS), false-alarm calibration over a significance grid,
     and an informational geometric-vs-analytic blockage comparison.  A
     numerical failure aborts only its own check.
+
+    The p-values are computed here, without scipy: the two density checks
+    use a chi-square survival sum (_chi2_sf), the noise-power check the
+    two-sided KS tail by Simard and L'Ecuyer's choice of method
+    (_ks_pvalue), and the count law's pmf summed log-binomials.
 
     workers is the number of trial-block threads of the mean-power
     simulation.  When it exceeds 1, the geometric comparison runs meanwhile

@@ -405,6 +405,20 @@ class TestNonblockedCount:
         assert mixed[0] == 0.0 and mixed[-1] == 0.0
         assert mixed[1:-1].tolist() == [law.pmf(int(j)) for j in k[1:-1]]
 
+    @pytest.mark.parametrize("n", [0, 1, 200, 10_000])
+    @pytest.mark.parametrize("q", [0.05, 0.35, 0.5, 0.9])
+    def test_pmf_matches_scipy_binomial(self, n, q):
+        from scipy import stats
+
+        k = np.arange(n + 1)
+        ref = stats.binom.pmf(k, n, q)
+        got = nonblocked_count_distribution(n, q, 0.0).pmf(k)
+        # log C(n, k) + k log q + (n - k) log(1 - q) cancels to the log of the
+        # pmf from terms up to ~n in size: the relative error grows with n
+        normal = ref >= 1e-300
+        assert np.all(np.abs(got - ref) <= 1e-13)
+        assert np.all(np.abs(got - ref)[normal] <= 1e-10 * ref[normal])
+
     def test_thinning_histogram_total_variation(self):
         law = nonblocked_count_distribution(200, 0.5, 0.3)
         rng = np.random.default_rng(77)

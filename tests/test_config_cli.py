@@ -178,10 +178,10 @@ def test_every_public_name_resolves(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
-def test_start_up_and_the_analytic_and_thinning_commands_load_no_scipy(tmp_path):
-    # the package computes the special functions of these commands itself;
-    # only validate's goodness-of-fit checks and the cosine terms of a
-    # tapered filter under a Gaussian PSD import scipy, where they are called
+def test_start_up_and_every_command_on_the_shipped_config_load_no_scipy(tmp_path):
+    # the package computes its special functions and validate's p-values
+    # itself; only the cosine terms of a tapered filter under a Gaussian PSD
+    # (the Faddeeva function) import scipy, where they are called
     code = (
         "import sys\n"
         "def loaded():\n"
@@ -192,6 +192,11 @@ def test_start_up_and_the_analytic_and_thinning_commands_load_no_scipy(tmp_path)
         "for cmd in ('blockage', 'roc', 'regime-map', 'simulate'):\n"
         "    argv = [cmd, '--config', sys.argv[1], '--out', sys.argv[2], '--trials', '500']\n"
         "    assert cli.main(argv) == 0, cmd\n"
+        "argv = ['validate', '--config', sys.argv[1], '--out', sys.argv[2], '--workers', '1',\n"
+        "        '--trials', '2000']\n"
+        # every check runs; at 2000 trials the fixed 0.01 false-alarm
+        # tolerance is one standard error at beta = 0.5, so exit 3 may come
+        "assert cli.main(argv) in (0, 3), 'validate'\n"
         "print(loaded())\n"
     )
     assert json.loads(BASELINE_CONFIG.read_text())["simulation"]["blocking"] == "thinning"
@@ -353,6 +358,26 @@ class TestCli:
             if l and not l.startswith("#")
         ][1:]
         assert rows == [f"{i},{y!r}" for i, y in enumerate(samples.tolist())]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_simulate_file_is_the_one_write_rows_makes(self, tmp_path, fmt):
+        from mmwregime import mcsim
+        from mmwregime.blockage import blockage_probability
+
+        cfg = write_config(tmp_path, trials=300, seed=17)
+        out = tmp_path / "out"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out), "--format", fmt) == 0
+        run = load_config(cfg)
+        net = run.network
+        samples = mcsim.simulate_received_power(
+            net.channel, net.geo, net.band, net.spectral, net.noise.phi,
+            trials=300, seed=17, blocking="thinning",
+            p_b=blockage_probability(run.blockage, net.geo).p_b,
+        )
+        rows = [{"trial": i, "y_watts": y} for i, y in enumerate(samples.tolist())]
+        ref = tmp_path / f"ref.{fmt}"
+        cli._write_rows(ref, rows, ["trial", "y_watts"], cli._provenance(run), fmt)
+        assert (out / f"samples.{fmt}").read_bytes() == ref.read_bytes()
 
     def test_validate_json_and_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, trials=20_000)

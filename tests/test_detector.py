@@ -56,6 +56,14 @@ class TestNullDensity:
         y = NOISE.phi + 2.0 * NOISE.sigma2
         assert h0_cdf(y, NOISE) == pytest.approx(float(erf(1.0)), rel=1e-12)
 
+    def test_cdf_matches_regularized_incomplete_gamma(self):
+        from scipy import special
+
+        y = NOISE.phi + 2.0 * NOISE.sigma2 * np.geomspace(1e-12, 800.0, 2000)
+        got = h0_cdf(y, NOISE)
+        ref = special.gammainc(0.5, (y - NOISE.phi) / (2.0 * NOISE.sigma2))
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
+
     def test_pdf_integrates_to_cdf(self):
         hi = NOISE.phi + 8.0 * NOISE.sigma2
         mass = integrate(lambda y: h0_pdf(y, NOISE), NOISE.phi, hi)

@@ -304,7 +304,84 @@ class TestChi2Pvalue:
         probs = np.full(5, 0.2)
         expected = counts.sum() * probs
         stat = float(np.sum((counts - expected) ** 2 / expected))
-        assert mcsim._chi2_pvalue(counts, probs) == stats.chi2.sf(stat, df=4)
+        assert mcsim._chi2_pvalue(counts, probs) == pytest.approx(
+            stats.chi2.sf(stat, df=4), rel=1e-14
+        )
+
+    def test_survival_matches_scipy_over_dof_and_statistic(self):
+        from scipy import stats
+
+        stat = np.geomspace(1e-3, 1e4, 150)
+        for dof in range(1, 61):
+            ref = stats.chi2.sf(stat, dof)
+            got = np.array([mcsim._chi2_sf(dof, float(x)) for x in stat])
+            # below 1e-100 the exponent of each term runs to several hundred,
+            # and its rounding puts scipy itself ~1e-13 off the exact value
+            tol = np.where(ref >= 1e-100, 1e-13, 2e-13) * ref
+            normal = ref >= 1e-300
+            assert np.all(np.abs(got - ref)[normal] <= tol[normal]), dof
+            assert np.all(got[~normal] < 1e-290), dof
+
+    def test_huge_statistic_underflows_to_zero(self):
+        assert mcsim._chi2_sf(39, 1e9) == 0.0
+        assert mcsim._chi2_sf(40, 1e9) == 0.0
+        assert mcsim._chi2_sf(40, 0.0) == 1.0
+
+
+# sample sizes across every method of the two-sided KS tail; z = d*sqrt(n)
+# runs through each branch cutoff (n*d^2 = 2.2 and 4, n*d^1.5 = 1.4, d = 1/2)
+KS_SIZES = [1, 2, 5, 10, 50, 140, 141, 1000, 10_000, 100_000, 1_000_000]
+KS_Z = [0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.7, 0.9, 1.1, 1.3, 1.45, 1.5, 1.8, 2.0,
+        2.1, 2.5, 3.0, 4.0, 6.0]
+
+
+class TestKsPvalue:
+    @pytest.mark.parametrize("n", KS_SIZES)
+    def test_matches_scipy_kstwo(self, n):
+        from scipy import stats
+
+        # scipy's exact one-sided tail costs it ~1.7 s a point at n = 1e6;
+        # one point there (z = 1.5) covers that branch
+        zs = [z for z in KS_Z if n < 1_000_000 or z <= 1.5]
+        d = np.array(zs) / math.sqrt(n)
+        ref = stats.kstwo.sf(d, n)
+        got = np.array([mcsim._ks_pvalue(n, float(x)) for x in d])
+        assert np.all(np.abs(got - ref) <= 1e-9)
+        normal = ref >= 1e-300
+        assert np.all(np.abs(got - ref)[normal] <= 1e-7 * ref[normal])
+
+    def test_h0_check_matches_scipy_kstest(self, baseline_noise):
+        from scipy import stats
+
+        from mmwregime.detector import h0_cdf
+
+        for trials, seed in [(50, 3), (2000, 4), (20_000, 5)]:
+            samples = sample_h0_power(baseline_noise, trials, seed)
+            ref = stats.kstest(samples, lambda y: h0_cdf(y, baseline_noise)).pvalue
+            got = mcsim._h0_check(baseline_noise, trials, seed)
+            assert got.samples == trials
+            assert got.empirical == pytest.approx(ref, rel=1e-9, abs=1e-12)
+
+    def test_ends_of_the_range(self):
+        assert mcsim._ks_pvalue(100, 1.0) == 0.0
+        assert mcsim._ks_pvalue(100, 0.004) == 1.0
+        # n*d in (1/2, 1]: 1 - n!/n^n (2nd - 1)^n
+        assert mcsim._ks_pvalue(3, 0.3) == pytest.approx(1.0 - 6.0 / 27.0 * 0.8 ** 3, rel=1e-14)
+        # n*d >= n - 1: 2 (1 - d)^n
+        assert mcsim._ks_pvalue(4, 0.8) == pytest.approx(2.0 * 0.2 ** 4, rel=1e-14)
+
+
+class TestCountSampler:
+    @pytest.mark.parametrize("n", [0, 1, 200])
+    def test_chunks_match_one_unchunked_draw(self, baseline_channel, n):
+        channel = dataclasses.replace(baseline_channel, n=n)
+        # 4 MiB of uniforms is 2621 rows at n = 200: 7000 trials take three chunks
+        trials, seed, p_b = 7000, 12, 0.3
+        got = mcsim.sample_nonblocked_counts(channel, p_b, trials, seed)
+        rng = mcsim._rng(seed, mcsim._NS_COUNT)
+        ref = (rng.random((trials, n)) < channel.p * (1.0 - p_b)).sum(axis=1)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref)
 
 
 class TestSimulatedPower:
