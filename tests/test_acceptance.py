@@ -92,22 +92,25 @@ def test_04_mgf_identities():
 
 
 def test_05_moment_oracle_against_simulation():
-    # eps_min pinned at 0.1 m here per the shipped guarantee; note the
-    # sampling standard error at 1e6 trials is ~1.9% relative (the pathloss
-    # tail concentrates variance at the exclusion radius), so the pinned
-    # seed documents a representative draw while a systematic bias of the
-    # analytic mean at the ~2% level would still fail for almost every seed
+    # eps_min pinned at 0.1 m here per the shipped guarantee.  The pathloss
+    # tail concentrates variance at the exclusion radius: the standard
+    # error is 1.8-2.1% of the mean at 1e6 trials, about 0.6% at 1e7.  So
+    # the mean is held, as validate's mean-power check holds it, to 1% or
+    # four standard errors, whichever is looser (about 2.4% here); a 4%
+    # bias of the simulated mean fails at every seed from 3 to 10
     start = time.monotonic()
     geo = dataclasses.replace(GEO, eps_min=0.1)
     p_b = mw.blockage_probability(BLOCKAGE, geo).p_b
     analytic = mw.mean_received_power(NOISE.phi, p_b, CHANNEL, geo, BAND, MODEL)
     samples = mw.simulate_received_power(
-        CHANNEL, geo, BAND, MODEL, NOISE.phi, trials=1_000_000, seed=3,
-        blocking="thinning", p_b=p_b,
+        CHANNEL, geo, BAND, MODEL, NOISE.phi, trials=10_000_000, seed=3,
+        blocking="thinning", p_b=p_b, workers=2,
     )
-    assert float(samples.mean()) == pytest.approx(analytic, rel=0.01)
+    mean = float(samples.mean())
+    se = float(samples.std(ddof=1)) / math.sqrt(len(samples))
+    assert mean == pytest.approx(analytic, abs=max(0.01 * analytic, 4.0 * se))
     assert time.monotonic() - start < 120.0
-    report(5, f"simulated mean vs analytic ({float(samples.mean())/analytic - 1.0:+.2%})")
+    report(5, f"simulated mean vs analytic ({mean / analytic - 1.0:+.2%}, se {se / analytic:.2%})")
 
 
 def test_06_maximum_entropy_fit():

@@ -249,13 +249,12 @@ class TestDistanceSampler:
         assert dist.min() >= g.eps_min
 
 
-def _thinning_reference(channel, g, band, model, phi, trials, seed, p_b, distances):
-    # the thinning block written out in full: every contribution evaluated,
-    # out-of-band ones included, with the distances taken from `distances`
-    rng = mcsim._rng(seed, mcsim._NS_POWER, 0)
+def _thinning_reference(channel, g, band, model, phi, trials, rng, p_b):
+    # the per-candidate law written out in full: every candidate's survival,
+    # distance, frequency and fading drawn, every contribution evaluated
     counts = (rng.random((trials, channel.n)) < channel.p * (1.0 - p_b)).sum(axis=1)
     total = int(counts.sum())
-    dist = distances(rng, total)
+    dist = mcsim._distances_with_exclusion(rng, total, g)
     freq = band.f_s + (band.f_e - band.f_s) * rng.random(total)
     h = rng.gamma(channel.m, 1.0 / channel.m, total)
     ups = mcsim.upsilon_table(band, model).lookup(np.abs(freq - band.f_0))
@@ -264,24 +263,74 @@ def _thinning_reference(channel, g, band, model, phi, trials, seed, p_b, distanc
     return phi + np.bincount(ids, weights=power, minlength=trials)
 
 
+def _in_band_block(channel, g, band, model, phi, trials, seed, p_b, distances):
+    # the thinning block written out in full, with the distances taken from
+    # `distances`: a Binomial count of in-band survivors per trial, then a
+    # distance, a frequency in [lo, hi] and a fading gain for each of them
+    rng = mcsim._rng(seed, mcsim._NS_POWER, 0)
+    table = mcsim.upsilon_table(band, model)
+    lo = max(band.f_s, band.f_0 - table.cutoff)
+    hi = min(band.f_e, band.f_0 + table.cutoff)
+    in_band = channel.p * (1.0 - p_b) * (hi - lo) / (band.f_e - band.f_s)
+    counts = rng.binomial(channel.n, in_band, trials)
+    total = int(counts.sum())
+    dist = distances(rng, total)
+    freq = lo + (hi - lo) * rng.random(total)
+    h = rng.gamma(channel.m, 1.0 / channel.m, total)
+    power = channel.q * h * dist ** (-channel.alpha) * table.lookup(np.abs(freq - band.f_0))
+    ids = np.repeat(np.arange(trials), counts)
+    return phi + np.bincount(ids, weights=power, minlength=trials)
+
+
 class TestThinningAgainstReference:
     @pytest.mark.parametrize("v0", [0.0, 4.0, 9.9])
-    def test_matches_full_evaluation(self, v0, baseline_channel, baseline_band, baseline_model):
+    def test_matches_in_band_block(self, v0, baseline_channel, baseline_band, baseline_model):
         g = geo(v0=v0, eps=0.5)
         args = (baseline_channel, g, baseline_band, baseline_model, 1e-3, 600, 12)
         got = simulate_received_power(*args, blocking="thinning", p_b=0.3)
         assert (got > 1e-3).any()
-        # skipping contributions past the overlap cutoff changes no bit
-        exact = _thinning_reference(
+        exact = _in_band_block(
             *args, 0.3, lambda rng, k: mcsim._distances_with_exclusion(rng, k, g)
         )
         assert np.array_equal(got, exact)
         # and the distance-only draws reproduce the (x, y) path to rounding
-        xy_path = _thinning_reference(
+        xy_path = _in_band_block(
             *args, 0.3,
             lambda rng, k: mcsim._draw_positions_with_exclusion(rng, k, g, np.array([v0, 0.0]))[1],
         )
         np.testing.assert_allclose(got, xy_path, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("v0", [0.0, 4.0, 9.9])
+    def test_same_law_as_every_candidate_drawn(
+        self, v0, baseline_channel, baseline_band, baseline_model
+    ):
+        # drawing only the in-band survivors is the per-candidate law: the
+        # two samples, on unrelated streams, pass a two-sample KS test
+        from scipy import stats
+
+        g = geo(v0=v0, eps=0.5)
+        args = (baseline_channel, g, baseline_band, baseline_model, 1e-3, 20_000)
+        got = simulate_received_power(*args, 12, blocking="thinning", p_b=0.3)
+        ref = _thinning_reference(*args, mcsim._rng(12, 99), 0.3)
+        assert stats.ks_2samp(got, ref).pvalue > 1e-3
+
+    @pytest.mark.parametrize("f_0_below_f_e", [0.1, 0.0])
+    def test_mean_at_the_band_edge(
+        self, f_0_below_f_e, baseline_channel, baseline_band, baseline_model
+    ):
+        # with f_0 within the cutoff of f_e, [lo, hi] is clipped to the band
+        cutoff = mcsim.upsilon_table(baseline_band, baseline_model).cutoff
+        band = dataclasses.replace(
+            baseline_band, f_0=baseline_band.f_e - f_0_below_f_e * cutoff
+        )
+        g = geo(eps=0.5)
+        s = simulate_received_power(
+            baseline_channel, g, band, baseline_model, 1e-3, 50_000, 4,
+            blocking="thinning", p_b=0.3,
+        )
+        analytic = mean_received_power(1e-3, 0.3, baseline_channel, g, band, baseline_model)
+        se = s.std(ddof=1) / math.sqrt(len(s))
+        assert s.mean() == pytest.approx(analytic, abs=4.0 * se)
 
 
 class TestChi2Pvalue:
@@ -397,17 +446,23 @@ class TestSimulatedPower:
         )
         assert np.array_equal(a, b)
 
-    def test_total_blockage_gives_pure_signal(self, baseline_channel, baseline_band, baseline_model):
+    @pytest.mark.parametrize("p_b, n, p", [(1.0, 200, 0.5), (0.3, 200, 0.0), (0.3, 0, 0.7)])
+    def test_no_contribution_gives_pure_signal(self, p_b, n, p, baseline_band, baseline_model):
+        # total blockage, a silent roster or no candidates at all
+        ch = ChannelConfig(alpha=2.5, m=3.0, q=0.5, n=n, p=p)
         s = simulate_received_power(
-            baseline_channel, geo(), baseline_band, baseline_model, 2e-3, 500, 1,
-            blocking="thinning", p_b=1.0,
+            ch, geo(), baseline_band, baseline_model, 2e-3, 5000, 1, blocking="thinning", p_b=p_b
         )
         assert np.all(s == 2e-3)
 
-    def test_idle_network_gives_pure_signal(self, baseline_band, baseline_model):
-        idle = ChannelConfig(alpha=2.5, m=3.0, q=0.5, n=0, p=0.7)
-        s = simulate_received_power(idle, geo(), baseline_band, baseline_model, 2e-3, 500, 1)
-        assert np.all(s == 2e-3)
+    def test_no_blocking_is_thinning_without_blockage(
+        self, baseline_channel, baseline_band, baseline_model
+    ):
+        args = (baseline_channel, geo(), baseline_band, baseline_model, 1e-3, 5000, 6)
+        assert np.array_equal(
+            simulate_received_power(*args, blocking="none", p_b=0.4),
+            simulate_received_power(*args, blocking="thinning", p_b=0.0),
+        )
 
     def test_exclusion_radius_enforced_in_support(self, baseline_band, baseline_model):
         # a single always-on interferer: the largest possible sample is
@@ -523,6 +578,25 @@ class TestEmpiricalRates:
             eta_prime=eta, trials=100_000, seed=23, blocking="thinning", p_b=1.0,
         )
         assert p_f == pytest.approx(0.2, abs=0.01)
+
+
+class TestFalseAlarmGate:
+    def test_tolerance_is_four_binomial_standard_errors_at_few_trials(self, baseline_noise):
+        rows = mcsim._false_alarm_checks(baseline_noise, 2000, 7, (0.01, 0.1, 0.5, 0.9))
+        # four standard errors are 0.0089 (floored to 0.01), 0.0268, 0.0447, 0.0268
+        tols = [row.tolerance for row in rows]
+        assert tols == pytest.approx([0.01, 0.026833, 0.044721, 0.026833], abs=1e-6)
+        assert all(row.passed for row in rows)
+
+    def test_fixed_floor_at_the_shipped_trials(self, baseline_noise):
+        rows = mcsim._false_alarm_checks(baseline_noise, 100_000, 7, (0.1, 0.5, 0.9))
+        assert [row.tolerance for row in rows] == [0.01] * 3
+
+    def test_miscalibrated_threshold_fails(self, baseline_noise, monkeypatch):
+        # a threshold set for 2 beta: off by beta, far past 4 standard errors
+        monkeypatch.setattr(mcsim, "np_threshold", lambda beta, noise: np_threshold(2 * beta, noise))
+        rows = mcsim._false_alarm_checks(baseline_noise, 2000, 7, (0.1, 0.3))
+        assert not any(row.passed for row in rows)
 
 
 class TestH0Sampling:
