@@ -62,9 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="output format (default: csv for tabular commands, json otherwise)")
         p.add_argument("--workers", type=int, default=1,
-                       help="trial-block threads for simulate and validate, plus one worker "
-                            "process for validate's geometric check when above 1 (results "
-                            "identical for any count)")
+                       help="trial-block threads for simulate and validate's mean-power "
+                            "check (results identical for any count)")
     return parser
 
 

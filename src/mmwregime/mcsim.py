@@ -122,19 +122,25 @@ def _blocked_mask(
     out by three half-planes: its two edges at +-theta about the axis u,
     and the base line through the receiver with normal -u.  Stage 1 stacks
     their unit normals and offsets into a (3*n_i, 3) matrix and multiplies
-    it once by the homogeneous obstacle coordinates (3, k), one small GEMM;
-    the pairs where all three forms are >= -slack are the candidates.
-    Stage 2 applies the exact rule, r > 0, r <= ell and
-    |perp| <= r*tan(theta), to the candidates alone.  Both are needed: the
-    GEMM rounds differently from the exact expressions, so on its own it
-    could flip a pair on the cone boundary, while the exact rule over all
-    n_i*k pairs costs passes over a matrix of which only a few percent is
-    inside a cone.  The slack, 1e-9 of the largest coordinate magnitude,
-    keeps stage 1 a superset of what the exact rule accepts: the normals
-    are unit vectors, so each form is off by a few ulps of that magnitude
-    at any theta in (0, pi/2) and in any length unit.  Candidates keep
-    row-major (interferer, obstacle) order, so the shadow sums add in the
-    same order as over the full matrix.
+    it once by the homogeneous obstacle coordinates (3, k), one small GEMM
+    in float32; the pairs where all three forms are >= -1e-5 are the
+    candidates.  Stage 2 applies the exact rule, r > 0, r <= ell and
+    |perp| <= r*tan(theta), in float64 to the candidates alone.  Both are
+    needed: the GEMM rounds differently from the exact expressions, so on
+    its own it could flip a pair on the cone boundary, while the exact
+    rule over all n_i*k pairs costs passes over a matrix of which only a
+    few percent is inside a cone.
+
+    Stage 1 works in units of s, the scene's largest |coordinate|: the
+    obstacle coordinates and the plane offsets are divided by s, so every
+    coordinate lies in [-1, 1], the normals are unit vectors and each
+    offset is at most 3*sqrt(2) (the base's ell plus u.apex).  Each float32
+    form is then off from its exact value by at most about 1e-6, at any
+    theta in (0, pi/2) and in any length unit, with no underflow or
+    overflow; the slack of 1e-5 exceeds that, so stage 1 keeps a superset
+    of the pairs the exact rule accepts.  A scene whose coordinates are all 0 keeps
+    s = 1.  Candidates keep row-major (interferer, obstacle) order, so the
+    shadow sums add in the same order as over the full matrix.
     """
     n_i = int_xy.shape[0]
     if n_i == 0:
@@ -166,11 +172,12 @@ def _blocked_mask(
     planes[2, :, 1] = -uy
     planes[2, :, 2] = ell
     planes[:, :, 2] -= planes[:, :, 0] * ix + planes[:, :, 1] * iy
-    homog = np.ones((3, k))
-    homog[:2] = obstacle_xy.T
-    forms = (planes.reshape(3 * n_i, 3) @ homog).reshape(3, n_i, k)
-    slack = 1e-9 * max(np.abs(int_xy).max(), np.abs(obstacle_xy).max(), np.abs(v0_xy).max())
-    inside = forms >= -slack
+    scale = max(np.abs(int_xy).max(), np.abs(obstacle_xy).max(), np.abs(v0_xy).max()) or 1.0
+    planes[:, :, 2] /= scale
+    homog = np.ones((3, k), dtype=np.float32)
+    homog[:2] = obstacle_xy.T / scale
+    forms = (planes.reshape(3 * n_i, 3).astype(np.float32) @ homog).reshape(3, n_i, k)
+    inside = forms >= np.float32(-1e-5)
     i, j = np.divmod(np.flatnonzero(inside[0] & inside[1] & inside[2]), k)
 
     # stage 2: the exact rule, on the candidates only
@@ -611,23 +618,9 @@ def _frequency_check(band, trials, seed) -> ValidationCheck:
 def sample_nonblocked_counts(
     channel: ChannelConfig, p_b: float, trials: int, seed: int
 ) -> np.ndarray:
-    """Per-trial counts of active non-blocked candidates (Bernoulli thinning)."""
-    rng = _rng(seed, _NS_COUNT)
-    thin = channel.p * (1.0 - p_b)
-    counts = np.empty(trials, dtype=np.int64)
-    # chunked so the float64 uniforms take about 4 MiB, whatever n is;
-    # Generator.random fills row after row, so the chunking leaves the
-    # counts unchanged
-    chunk = max(1, (4 << 20) // (8 * max(channel.n, 1)))
-    done = 0
-    while done < trials:
-        take = min(chunk, trials - done)
-        if channel.n:
-            counts[done:done + take] = (rng.random((take, channel.n)) < thin).sum(axis=1)
-        else:
-            counts[done:done + take] = 0
-        done += take
-    return counts
+    """Per-trial counts of active non-blocked candidates: n independent
+    Bernoulli survivals, drawn as one Binomial(n, p*(1-p_b)) per trial."""
+    return _rng(seed, _NS_COUNT).binomial(channel.n, channel.p * (1.0 - p_b), trials)
 
 
 def _count_check(channel, p_b, trials, seed) -> ValidationCheck:
@@ -693,8 +686,8 @@ def _false_alarm_checks(noise, trials, seed, betas) -> list[ValidationCheck]:
 
 
 def _geometric_gap_check(channel, geo, band, blockage_cfg, p_b, trials, seed) -> ValidationCheck:
-    # one _blocked_mask call (0.5 ms) per scene of the whole roster: 2000
-    # shipped scenes take 1.2-1.3 s and give the informational rate 2 digits
+    # one _blocked_mask call (0.3-0.4 ms) per scene of the whole roster: 2000
+    # shipped scenes take 0.8-1.1 s and give the informational rate 2 digits
     trials = min(trials, 2000)
     rng = _rng(seed, _NS_SCENARIO, 3)
     v0_xy = np.array([geo.v0_norm, 0.0])
@@ -714,14 +707,14 @@ def _geometric_gap_check(channel, geo, band, blockage_cfg, p_b, trials, seed) ->
     )
 
 
-def _guarded(fn, *args, name: str = "") -> list[ValidationCheck]:
+def _guarded(fn, *args) -> list[ValidationCheck]:
     """Rows of one check; a numerical failure fails only that check, in a
-    row named after it (``name``, else fn's name without underscores)."""
+    row named after it (fn's name without underscores)."""
     try:
         result = fn(*args)
     except numerics.NumericsError as exc:
         return [ValidationCheck(
-            name=name or fn.__name__.strip("_"), analytic=math.nan, empirical=math.nan,
+            name=fn.__name__.strip("_"), analytic=math.nan, empirical=math.nan,
             tolerance=0.0, passed=False, samples=0, note=f"failed: {exc}",
         )]
     return result if isinstance(result, list) else [result]
@@ -753,37 +746,18 @@ def validate_suite(
     (_ks_pvalue), and the count law's pmf summed log-binomials.
 
     workers is the number of trial-block threads of the mean-power
-    simulation.  When it exceeds 1, the geometric comparison runs meanwhile
-    in one spawned worker process (one, whatever workers says); its
-    cone-shadow kernel holds the GIL for most of its time (two threads run
-    it only about 1.3 times as fast as one).  The report is identical for
-    any count.  Spawning re-imports the caller's ``__main__``, so a script
-    calling this with workers > 1 needs an ``if __name__ == "__main__"``
-    guard.
+    simulation; every other check runs in the calling thread.  The report
+    is identical for any count.
     """
     trials = int(trials)
     p_b = blockage_probability(blockage_cfg, geo).p_b
-    gap_args = (channel, geo, band, blockage_cfg, p_b, trials, seed)
-
-    def parent_checks() -> list[ValidationCheck]:
-        return [
-            *_guarded(_distance_check, geo, trials, seed),
-            *_guarded(_frequency_check, band, trials, seed),
-            *_guarded(_count_check, channel, p_b, trials, seed),
-            *_guarded(_mean_power_check, channel, geo, band, model, noise, p_b, trials, seed, workers),
-            *_guarded(_h0_check, noise, trials, seed),
-            *_guarded(_false_alarm_checks, noise, trials, seed, tuple(betas)),
-        ]
-
-    if workers <= 1:
-        checks = parent_checks() + _guarded(_geometric_gap_check, *gap_args)
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # leaving the block joins the worker, also when a parent check raises
-        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-            gap = pool.submit(_geometric_gap_check, *gap_args)
-            # the rows of the check run in the worker, as if run inline
-            checks = parent_checks() + _guarded(gap.result, name="geometric_gap_check")
+    checks = [
+        *_guarded(_distance_check, geo, trials, seed),
+        *_guarded(_frequency_check, band, trials, seed),
+        *_guarded(_count_check, channel, p_b, trials, seed),
+        *_guarded(_mean_power_check, channel, geo, band, model, noise, p_b, trials, seed, workers),
+        *_guarded(_h0_check, noise, trials, seed),
+        *_guarded(_false_alarm_checks, noise, trials, seed, tuple(betas)),
+        *_guarded(_geometric_gap_check, channel, geo, band, blockage_cfg, p_b, trials, seed),
+    ]
     return ValidationReport.from_checks(checks)

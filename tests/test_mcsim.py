@@ -2,7 +2,6 @@ import concurrent.futures
 import dataclasses
 import math
 import multiprocessing
-import pickle
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from mmwregime.mcsim import (
     simulate_received_power,
     validate_suite,
 )
-from mmwregime.numerics import DomainError, NumericsError
+from mmwregime.numerics import DomainError
 
 
 V0 = np.array([0.0, 0.0])
@@ -163,16 +162,18 @@ class TestBlockedMaskAgainstDense:
     def test_decisions_match_dense_rule(self, v0, theta_deg, n_int):
         self.assert_scenes_match(v0, theta_deg, n_int)
 
-    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    # the prefilter's float32 works in units of the scene's largest
+    # |coordinate|, so its decisions hold in any length unit
+    @pytest.mark.parametrize("scale", [1e-30, 1e-3, 1e3, 1e30])
     @pytest.mark.parametrize("theta_deg", [0.5, 10.0, 85.0])
     @pytest.mark.parametrize("v0", [0.0, 9.5])
     def test_decisions_match_dense_rule_in_other_length_units(self, v0, theta_deg, scale):
-        # the prefilter's slack scales with the coordinates, not a constant
         self.assert_scenes_match(v0, theta_deg, 200, scale)
 
-    # at 1e9 the forms round by more than 1e-9 absolute, so a constant
-    # slack fails there
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e9])
+    # with the raw coordinates in float32, a slack of 1e-5 loses boundary
+    # pairs from 1e3 on, and any slack loses them past float32's range
+    # (about 3e38), where the coordinates overflow
+    @pytest.mark.parametrize("scale", [1e-30, 1e-3, 1.0, 1e3, 1e9, 1e30, 1e40])
     @pytest.mark.parametrize("theta_deg", [0.5, 10.0, 60.0, 85.0])
     def test_boundary_pairs_match_dense_rule(self, theta_deg, scale):
         # pairs the exact rule accepts on the boundary must survive the
@@ -196,6 +197,14 @@ class TestBlockedMaskAgainstDense:
         got = mcsim._blocked_mask(ixy, obs, rad, v0_xy, g.theta)
         assert np.array_equal(got, _dense_blocked_mask(ixy, obs, rad, v0_xy, g.theta))
         assert not got[17] and got.any()
+
+    def test_scene_with_every_coordinate_zero(self):
+        # no length to scale by, and no cone: nothing is blocked
+        ixy, obs = np.zeros((3, 2)), np.zeros((4, 2))
+        rad = np.full(4, 0.5)
+        got = mcsim._blocked_mask(ixy, obs, rad, V0, THETA)
+        assert np.array_equal(got, _dense_blocked_mask(ixy, obs, rad, V0, THETA))
+        assert not got.any()
 
     @pytest.mark.parametrize("n_int", [0, 1, 33])
     def test_empty_obstacle_set(self, n_int):
@@ -421,16 +430,16 @@ class TestKsPvalue:
 
 
 class TestCountSampler:
-    @pytest.mark.parametrize("n", [0, 1, 200])
-    def test_chunks_match_one_unchunked_draw(self, baseline_channel, n):
+    @pytest.mark.parametrize("n, p_b", [(0, 0.3), (1, 0.3), (200, 0.3), (200, 1.0)])
+    def test_one_binomial_draw(self, baseline_channel, n, p_b):
         channel = dataclasses.replace(baseline_channel, n=n)
-        # 4 MiB of uniforms is 2621 rows at n = 200: 7000 trials take three chunks
-        trials, seed, p_b = 7000, 12, 0.3
+        trials, seed = 7000, 12
         got = mcsim.sample_nonblocked_counts(channel, p_b, trials, seed)
-        rng = mcsim._rng(seed, mcsim._NS_COUNT)
-        ref = (rng.random((trials, n)) < channel.p * (1.0 - p_b)).sum(axis=1)
+        ref = mcsim._rng(seed, mcsim._NS_COUNT).binomial(n, channel.p * (1.0 - p_b), trials)
         assert got.dtype == np.int64
         assert np.array_equal(got, ref)
+        # no candidate, or every one blocked, leaves nothing to count
+        assert got.any() == (n > 0 and p_b < 1.0)
 
 
 class TestSimulatedPower:
@@ -663,86 +672,48 @@ class TestValidateSuite:
         )
         assert a == b
 
-
-class TestValidateWorkerProcess:
-    """validate_suite at workers > 1 runs the geometric gap check in one
-    spawned process; these pin its count, its lifetime and its failure row."""
-
-    channel = ChannelConfig(alpha=2.5, m=3.0, q=0.5, n=10, p=0.5)
-    blockage = BlockageConfig(rho=0.5, d_s=0.2, d_e=0.8)
-
-    def run(self, band, model, noise, workers):
+    @staticmethod
+    def run_small(band, model, noise, workers=1):
         return validate_suite(
-            self.channel, geo(), band, model, noise, self.blockage,
-            trials=4000, seed=9, workers=workers,
+            ChannelConfig(alpha=2.5, m=3.0, q=0.5, n=10, p=0.5), geo(), band, model, noise,
+            BlockageConfig(rho=0.5, d_s=0.2, d_e=0.8), trials=4000, seed=9, workers=workers,
         )
 
-    @staticmethod
-    def assert_no_children():
-        # the call itself must have joined its worker; the timed join only
-        # keeps a failing run from leaving a process behind
-        alive = multiprocessing.active_children()
-        for child in alive:
-            child.join(timeout=30)
-        assert alive == []
-
-    @staticmethod
-    def record_pools(monkeypatch):
-        sizes = []
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_runs_in_one_process(self, monkeypatch, workers, baseline_band, baseline_model, baseline_noise):
+        # worker threads serve the mean-power simulation alone; no check
+        # starts a process
+        pools = []
 
         class Recording(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers=None, *args, **kwargs):
-                sizes.append(max_workers)
-                super().__init__(max_workers, *args, **kwargs)
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        return sizes
-
-    @pytest.mark.parametrize("workers", [2, 8])
-    def test_one_worker_that_does_not_outlive_the_call(
-        self, monkeypatch, workers, baseline_band, baseline_model, baseline_noise
-    ):
-        sizes = self.record_pools(monkeypatch)
-        self.run(baseline_band, baseline_model, baseline_noise, workers)
-        assert sizes == [1]
-        self.assert_no_children()
-
-    def test_one_worker_spawns_nothing(self, monkeypatch, baseline_band, baseline_model, baseline_noise):
-        sizes = self.record_pools(monkeypatch)
-        self.run(baseline_band, baseline_model, baseline_noise, 1)
-        assert sizes == []
+        report = self.run_small(baseline_band, baseline_model, baseline_noise, workers)
+        assert report.checks[-1].name == "geometric_blockage_gap"
+        assert pools == []
         assert multiprocessing.active_children() == []
 
-    def test_parent_check_error_propagates_and_joins_the_worker(
+    def test_numerical_failure_fails_only_its_own_check(
         self, monkeypatch, baseline_band, baseline_model, baseline_noise
     ):
-        def broken(*args):
-            raise RuntimeError("parent-side check broke")
-
-        sizes = self.record_pools(monkeypatch)
-        monkeypatch.setattr(mcsim, "_h0_check", broken)
-        with pytest.raises(RuntimeError, match="parent-side check broke"):
-            self.run(baseline_band, baseline_model, baseline_noise, 2)
-        assert sizes == [1]
-        self.assert_no_children()
-
-    @pytest.mark.parametrize("exc", [NumericsError("no convergence"), DomainError("bad theta")])
-    def test_numerical_errors_survive_pickling(self, exc):
-        back = pickle.loads(pickle.dumps(exc))
-        assert type(back) is type(exc)
-        assert str(back) == str(exc)
-
-    def test_failed_future_gives_the_inline_row(
-        self, monkeypatch, baseline_band, baseline_model, baseline_noise
-    ):
-        error = DomainError("theta produces unusable tan(theta)")
-
         def failing(*args):
-            raise error
+            raise DomainError("theta produces unusable tan(theta)")
 
+        healthy = self.run_small(baseline_band, baseline_model, baseline_noise).checks
         monkeypatch.setattr(mcsim, "_blocked_mask", failing)
-        inline = self.run(baseline_band, baseline_model, baseline_noise, 1).checks[-1]
-        future = concurrent.futures.Future()
-        future.set_exception(pickle.loads(pickle.dumps(error)))
-        assert mcsim._guarded(future.result, name="geometric_gap_check") == [inline]
-        assert inline.name == "geometric_gap_check" and not inline.passed
+        checks = self.run_small(baseline_band, baseline_model, baseline_noise, 2).checks
+        assert checks[:-1] == healthy[:-1]
+        row = checks[-1]
+        assert row.name == "geometric_gap_check" and not row.passed
+        assert row.note == "failed: theta produces unusable tan(theta)"
+
+    def test_other_errors_propagate(self, monkeypatch, baseline_band, baseline_model, baseline_noise):
+        def broken(*args):
+            raise RuntimeError("check broke")
+
+        monkeypatch.setattr(mcsim, "_h0_check", broken)
+        with pytest.raises(RuntimeError, match="check broke"):
+            self.run_small(baseline_band, baseline_model, baseline_noise, 2)
