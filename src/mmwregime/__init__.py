@@ -20,12 +20,10 @@ from .blockage import (
     nonblocked_count_distribution,
 )
 from .detector import (
-    DetectionResult,
     InfeasibleFitError,
     MeFit,
     NoiseConfig,
     RegimePoint,
-    detect,
     detection_probability,
     fit_me_lambda,
     h0_cdf,

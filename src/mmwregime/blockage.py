@@ -282,7 +282,10 @@ def blockage_probability(cfg: BlockageConfig, geo: GeometryConfig) -> BlockageRe
 
     if mean_shadow > 0.0:
         # expm1 keeps the obstacle-count ceiling stable as rho*E[S] -> 0
-        k = math.ceil(delta / math.expm1(cfg.rho * mean_shadow))
+        try:
+            k = math.ceil(delta / math.expm1(cfg.rho * mean_shadow))
+        except OverflowError:
+            k = 1  # past exp's range delta/expm1 is positive and far below 1
         log_p_b2 = k * math.log1p(delta) - (1.0 + delta) - math.lgamma(k + 1.0)
         p_b2 = min(math.exp(log_p_b2), 1.0)
     else:

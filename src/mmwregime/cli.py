@@ -159,9 +159,10 @@ def cmd_regime_map(run: RunConfig, out: Path, fmt: str, workers: int) -> int:
                     "error": pt.error,
                 })
     _write_rows(out / f"regime_map.{fmt}", rows, header, _provenance(run), fmt)
-    # per-point failures are recorded in the error column; only a sweep
-    # with no usable point at all counts as a numerical failure
-    if rows and all(row["error"] for row in rows):
+    # per-point failures are recorded in the verdict and error columns; an
+    # infeasible fit is a noise_limited verdict that also fills error, so
+    # only a sweep whose every verdict is "error" is a numerical failure
+    if rows and all(row["verdict"] == "error" for row in rows):
         print("numerical failure: every sweep point failed", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
@@ -176,8 +177,15 @@ def cmd_roc(run: RunConfig, out: Path, fmt: str, workers: int) -> int:
         mean_y = mean_received_power(
             net.noise.phi, p_b, chan, net.geo, net.band, net.spectral
         )
-        fit = detector.fit_me_lambda(mean_y, net.noise.phi, run.fit_mode)
-        for beta, p_d in detector.roc_curve(fit, net.noise, run.sweeps.beta_grid):
+        try:
+            fit = detector.fit_me_lambda(mean_y, net.noise.phi, run.fit_mode)
+        except detector.InfeasibleFitError:
+            # no interference above the signal power, so no P_D: empty cells,
+            # as regime-map writes such a point, in roc_curve's order
+            curve = [(beta, None) for beta in sorted(run.sweeps.beta_grid)]
+        else:
+            curve = detector.roc_curve(fit, net.noise, run.sweeps.beta_grid)
+        for beta, p_d in curve:
             rows.append({"n": n, "beta": beta, "p_f": beta, "p_d": p_d})
     header = ["n", "beta", "p_f", "p_d"]
     _write_rows(out / f"roc.{fmt}", rows, header, _provenance(run), fmt)

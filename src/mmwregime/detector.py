@@ -26,7 +26,6 @@ from .spectral import BandConfig, SpectralModel, _erf
 __all__ = [
     "NoiseConfig",
     "MeFit",
-    "DetectionResult",
     "RegimePoint",
     "InfeasibleFitError",
     "FIT_MODES",
@@ -40,7 +39,6 @@ __all__ = [
     "detection_probability",
     "lrt_area",
     "roc_curve",
-    "detect",
     "regime_map",
 ]
 
@@ -54,11 +52,12 @@ class InfeasibleFitError(numerics.NumericsError):
     """The interference mean does not exceed the signal power; no rate fits."""
 
 
-def thermal_noise_power(bandwidth_hz: float, psd_dbm_per_hz: float = -174.0) -> float:
-    """Thermal noise power in watts over a bandwidth (default -174 dBm/Hz)."""
+def thermal_noise_power(bandwidth_hz: float) -> float:
+    """Thermal noise power in watts over a bandwidth, at the room-temperature
+    floor of -174 dBm/Hz."""
     if bandwidth_hz <= 0.0:
         raise DomainError(f"bandwidth must be > 0, got {bandwidth_hz}")
-    return 10.0 ** ((psd_dbm_per_hz + 10.0 * math.log10(bandwidth_hz) - 30.0) / 10.0)
+    return 10.0 ** ((-174.0 + 10.0 * math.log10(bandwidth_hz) - 30.0) / 10.0)
 
 
 @dataclass(frozen=True)
@@ -80,23 +79,10 @@ class MeFit:
     """Fitted shifted-exponential rate for the interference hypothesis."""
 
     lam: float
-    mode: str
-    mean_used: float
 
     def __post_init__(self):
         if not (self.lam > 0.0):
             raise DomainError(f"lambda must be > 0, got {self.lam}")
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    """Threshold test outcome at one operating point."""
-
-    eta_prime: float
-    beta_th: float
-    p_d: float
-    lrt_area: float
-    verdict: str
 
 
 @dataclass(frozen=True)
@@ -165,7 +151,7 @@ def fit_me_lambda(mean_y: float, phi: float, mode: str = "transcendental") -> Me
             "for an exponential tail to fit"
         )
     if mode == "closed_form":
-        return MeFit(lam=1.0 / (mean_y - phi), mode=mode, mean_used=mean_y)
+        return MeFit(lam=1.0 / (mean_y - phi))
 
     def equation(lam):
         lp = lam * phi
@@ -173,7 +159,7 @@ def fit_me_lambda(mean_y: float, phi: float, mode: str = "transcendental") -> Me
 
     scale = max(phi, mean_y - phi)
     lam = numerics.find_root(equation, 1e-12 / scale, 1e12 / scale)
-    return MeFit(lam=lam, mode=mode, mean_used=mean_y)
+    return MeFit(lam=lam)
 
 
 def h1_pdf(y, fit: MeFit, phi: float):
@@ -287,14 +273,14 @@ def _dawson(u: float) -> float:
         n += 1
 
 
-def lrt_area(fit: MeFit, noise: NoiseConfig, y_max: Optional[float] = None) -> float:
+def lrt_area(fit: MeFit, noise: NoiseConfig) -> float:
     """Area under the likelihood-ratio curve from phi up to y_max.
 
     A scalar summary of how strongly the interference hypothesis dominates:
-    larger rate (weaker interference) shrinks it.  The default y_max spans
-    twenty times the wider of the two hypothesis scales, past which the
-    integrand either decays (lam > 1/(2 sigma2)) or the window already
-    dominates the value.
+    larger rate (weaker interference) shrinks it.  The window is fixed at
+    y_max = phi + 20*max(2 sigma2, 1/lam), twenty times the wider of the two
+    hypothesis scales, past which the integrand either decays
+    (lam > 1/(2 sigma2)) or the window already dominates the value.
 
     Closed form in log space.  With x = y - phi, X = y_max - phi,
     k = 1/(2 sigma2) - lam and C = sqrt(2 pi sigma2) * lam the area is
@@ -304,10 +290,9 @@ def lrt_area(fit: MeFit, noise: NoiseConfig, y_max: Optional[float] = None) -> f
     k X = 0, where the other two cancel.  Returns inf past double range.
     """
     phi = noise.phi
-    if y_max is None:
-        y_max = phi + 20.0 * max(2.0 * noise.sigma2, 1.0 / fit.lam)
+    y_max = phi + 20.0 * max(2.0 * noise.sigma2, 1.0 / fit.lam)
     if not (y_max > phi):
-        raise DomainError(f"y_max must exceed phi, got {y_max} <= {phi}")
+        raise DomainError(f"the window phi + 20*max(2 sigma2, 1/lam) rounds to phi = {phi}")
     big_x = y_max - phi
     k = 0.5 / noise.sigma2 - fit.lam
     z = k * big_x
@@ -343,16 +328,6 @@ def roc_curve(
     return sorted(pts)
 
 
-def detect(fit: MeFit, noise: NoiseConfig, beta_th: float) -> DetectionResult:
-    """Full threshold-test summary at one significance level."""
-    eta = np_threshold(beta_th, noise)
-    p_d = detection_probability(fit, eta, noise.phi)
-    area = lrt_area(fit, noise)
-    verdict = INTERFERENCE_LIMITED if p_d > 0.5 else NOISE_LIMITED
-    return DetectionResult(eta_prime=eta, beta_th=beta_th, p_d=p_d,
-                           lrt_area=area, verdict=verdict)
-
-
 def _regime_point(
     v0: float,
     blockage_cfg: BlockageConfig,
@@ -361,36 +336,25 @@ def _regime_point(
     band: BandConfig,
     model: SpectralModel,
     noise: NoiseConfig,
-    beta_th: float,
+    eta_prime: float,
     fit_mode: str,
-    p_b_override: Optional[float],
 ) -> RegimePoint:
     geo_v = replace(geo, v0_norm=float(v0))
     p_b = mean_y = None
     try:
-        if p_b_override is None:
-            p_b = blockage_probability(blockage_cfg, geo_v).p_b
-        else:
-            p_b = float(p_b_override)
+        p_b = blockage_probability(blockage_cfg, geo_v).p_b
         mean_y = mean_received_power(noise.phi, p_b, channel, geo_v, band, model)
         fit = fit_me_lambda(mean_y, noise.phi, fit_mode)
-        result = detect(fit, noise, beta_th)
-    except InfeasibleFitError as exc:
-        # no interference mean above the signal power: trivially noise-limited
-        return RegimePoint(
-            v0_norm=float(v0), p_b=p_b, mean_y=mean_y, lam=None, eta_prime=None,
-            p_d=None, lrt_area=None, verdict=NOISE_LIMITED, error=str(exc),
-        )
+        p_d = detection_probability(fit, eta_prime, noise.phi)
+        area = lrt_area(fit, noise)
     except numerics.NumericsError as exc:
-        return RegimePoint(
-            v0_norm=float(v0), p_b=p_b, mean_y=mean_y, lam=None, eta_prime=None,
-            p_d=None, lrt_area=None, verdict="error", error=str(exc),
-        )
-    return RegimePoint(
-        v0_norm=float(v0), p_b=p_b, mean_y=mean_y, lam=fit.lam,
-        eta_prime=result.eta_prime, p_d=result.p_d, lrt_area=result.lrt_area,
-        verdict=result.verdict, error=None,
-    )
+        # no interference mean above the signal power is trivially noise-limited
+        verdict = NOISE_LIMITED if isinstance(exc, InfeasibleFitError) else "error"
+        return RegimePoint(float(v0), p_b, mean_y, lam=None, eta_prime=None, p_d=None,
+                           lrt_area=None, verdict=verdict, error=str(exc))
+    verdict = INTERFERENCE_LIMITED if p_d > 0.5 else NOISE_LIMITED
+    return RegimePoint(float(v0), p_b, mean_y, lam=fit.lam, eta_prime=eta_prime, p_d=p_d,
+                       lrt_area=area, verdict=verdict)
 
 
 def regime_map(
@@ -403,23 +367,21 @@ def regime_map(
     v0_grid: Sequence[float],
     beta_th: float,
     fit_mode: str = "transcendental",
-    p_b_override: Optional[float] = None,
 ) -> list[RegimePoint]:
-    """Recompute the full detection chain at each receiver offset.
+    """Recompute the detection chain at each receiver offset, in grid order.
 
-    Per-location failures are recorded on the returned point instead of
-    aborting the sweep.  Points are returned in grid order.  The sweep runs
-    serially: each point is a handful of small numpy evaluations, so a
-    thread pool would only add contention.
-
-    p_b_override replaces the analytic blockage probability at every
-    location (0.0 reproduces a blockage-free network).
+    Each point is interference-limited when P_D > 1/2 at the threshold of
+    beta_th, which is computed once (an invalid beta_th raises DomainError).
+    An infeasible fit is noise-limited with its reason in the error field;
+    any other numerical failure gives verdict "error" instead of aborting
+    the sweep.  Serial: a point is a few small numpy evaluations.  For a
+    blockage-free network pass a blockage config with rho 0.
     """
     for v in v0_grid:
         if not (0.0 <= v < geo.radius):
             raise DomainError(f"v0 grid value {v} outside [0, radius)")
+    eta_prime = np_threshold(beta_th, noise)
     return [
-        _regime_point(v, blockage_cfg, geo, channel, band, model, noise, beta_th,
-                      fit_mode, p_b_override)
+        _regime_point(v, blockage_cfg, geo, channel, band, model, noise, eta_prime, fit_mode)
         for v in v0_grid
     ]

@@ -261,8 +261,6 @@ class UpsilonTable:
     def __init__(self, band: BandConfig, model: SpectralModel):
         stop = (1.0 + model.filter.rolloff) * 0.5 * model.filter.width
         cutoff = min(0.5 * band.bandwidth, stop) + _psd_halfwidth(model.psd)
-        self.band = band
-        self.model = model
         self.grid = np.linspace(0.0, cutoff, TABLE_POINTS)
         self.values = upsilon(self.grid, band, model)
 

@@ -143,11 +143,8 @@ def test_07_detection_probability_exceedance():
     report(7, f"detection probability {analytic:.3f} matched within 0.01")
 
 
-def _area_grid(blockage, channel, p_b_override=None):
-    pts = mw.regime_map(
-        blockage, GEO, channel, BAND, MODEL, NOISE, V0_GRID, beta_th=0.05,
-        p_b_override=p_b_override,
-    )
+def _area_grid(blockage, channel):
+    pts = mw.regime_map(blockage, GEO, channel, BAND, MODEL, NOISE, V0_GRID, beta_th=0.05)
     assert all(p.error is None for p in pts)
     return [p.lrt_area for p in pts]
 
@@ -171,7 +168,7 @@ def test_09_population_sweep_trends():
     for n in (50, 100, 200):
         channel = dataclasses.replace(CHANNEL, n=n)
         by_n[n] = _area_grid(BLOCKAGE, channel)
-        free_by_n[n] = _area_grid(BLOCKAGE, channel, p_b_override=0.0)
+        free_by_n[n] = _area_grid(dataclasses.replace(BLOCKAGE, rho=0.0), channel)
     for i in range(len(V0_GRID)):
         assert by_n[50][i] <= by_n[100][i] <= by_n[200][i], i
         for n in (50, 100, 200):

@@ -376,6 +376,18 @@ class TestBlockageProbability:
         cfg_w = BlockageConfig(rho=1.0, d_s=0.2, d_e=0.8, mode="length_weighted")
         assert blockage_probability(cfg_v, geo()).p_b != blockage_probability(cfg_w, geo()).p_b
 
+    @pytest.mark.parametrize("rho", [450.0, 1e3, 1e4])
+    def test_dense_field_stays_finite(self, rho):
+        # from rho*E[S] ~ 709.78 (rho ~ 458 on this geometry) expm1 overflows;
+        # the shadow-count ceiling is 1 there
+        cfg = BlockageConfig(rho=rho, d_s=0.2, d_e=0.8, mode="reciprocal_length")
+        res = blockage_probability(cfg, geo(eps=0.5))
+        for value in (res.p_b1, res.p_b2, res.p_b):
+            assert math.isfinite(value) and 0.0 <= value <= 1.0
+        if rho == 450.0:
+            # below the overflow the expression is unchanged, bit for bit
+            assert res.p_b == 0.7053079228338226
+
     def test_clamp_reported(self):
         # reciprocal-length weights blow past 1 for slim, long cones
         cfg = BlockageConfig(rho=6.0, d_s=0.05, d_e=0.1, mode="reciprocal_length")

@@ -292,6 +292,51 @@ class TestCli:
         assert [r for r in rows if r["error"] or r["verdict"] == "error"] == []
         assert any(r["lrt_area"] == "inf" for r in rows)
 
+    @pytest.mark.parametrize("edit, command, filename", [
+        ({"blockage": {"rho_per_m2": 500.0}}, "blockage", "blockage.json"),
+        ({"blockage": {"rho_per_m2": 500.0}}, "roc", "roc.csv"),
+        ({"channel": {"occupancy": 0.0}}, "roc", "roc.csv"),
+        ({"channel": {"occupancy": 0.0}}, "regime-map", "regime_map.csv"),
+        ({"channel": {"q_dbm": -150.0}}, "roc", "roc.csv"),
+        ({"channel": {"q_dbm": -150.0}}, "regime-map", "regime_map.csv"),
+        ({"sweeps": {"n_list": [0, 50]}}, "roc", "roc.csv"),
+    ], ids=["rho_500-blockage", "rho_500-roc", "occupancy_0-roc", "occupancy_0-regime_map",
+            "q_dbm_-150-roc", "q_dbm_-150-regime_map", "n_list_0_50-roc"])
+    def test_valid_config_exits_zero(self, tmp_path, edit, command, filename):
+        # a dense obstacle field, or no interference above the signal power
+        cfg = write_config(tmp_path, **edit)
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 0
+        assert (out / filename).is_file()
+
+    def test_regime_map_of_infeasible_fits_is_noise_limited(self, tmp_path):
+        # an idle roster: every fit is infeasible, a noise_limited verdict
+        # with its reason in the error column, and the map is a success
+        cfg = write_config(tmp_path, channel={"occupancy": 0.0},
+                           sweeps={"v0_grid_m": [0.0, 5.0], "rho_list": [1.0], "n_list": [200]})
+        out = tmp_path / "out"
+        assert run_cli("regime-map", "--config", str(cfg), "--out", str(out),
+                       "--format", "json") == 0
+        rows = json.loads((out / "regime_map.json").read_text())["rows"]
+        assert len(rows) == 2
+        for row in rows:
+            assert row["verdict"] == "noise_limited" and row["error"]
+            assert row["p_d"] is None
+
+    def test_roc_count_without_interference_has_empty_p_d(self, tmp_path):
+        # no interferer at n = 0: its rows carry an empty p_d in sorted-beta
+        # order, and the other count's rows are those it has on its own
+        def data_lines(n_list, out):
+            cfg = write_config(tmp_path, sweeps={"n_list": n_list,
+                                                 "beta_grid": [0.5, 1e-3, 1.0, 0.05]})
+            assert run_cli("roc", "--config", str(cfg), "--out", str(out)) == 0
+            return [l for l in (out / "roc.csv").read_text().splitlines()
+                    if l and not l.startswith("#")][1:]
+
+        both = data_lines([0, 50], tmp_path / "both")
+        assert both[:4] == ["0,0.001,0.001,", "0,0.05,0.05,", "0,0.5,0.5,", "0,1.0,1.0,"]
+        assert both[4:] == data_lines([50], tmp_path / "alone")
+
     def test_commands_exit_zero_without_partial_shadow(self, tmp_path):
         # a 1 degree beam and 0.6 m obstacles: every obstacle in reach blocks
         # outright, so the mean partial shadow is 0

@@ -13,7 +13,6 @@ from mmwregime.detector import (
     _dawson,
     _erfcinv,
     _gammainc_three_halves,
-    detect,
     detection_probability,
     fit_me_lambda,
     h0_cdf,
@@ -145,7 +144,7 @@ class TestMeFit:
 
 
 class TestAlternativeDensity:
-    FIT = MeFit(lam=4.0, mode="closed_form", mean_used=0.25)
+    FIT = MeFit(lam=4.0)
 
     def test_value_at_signal_power(self):
         assert h1_pdf(NOISE.phi, self.FIT, NOISE.phi) == pytest.approx(4.0)
@@ -166,7 +165,7 @@ class TestAlternativeDensity:
 
 
 class TestLikelihoodRatio:
-    FIT = MeFit(lam=4.0, mode="closed_form", mean_used=0.25)
+    FIT = MeFit(lam=4.0)
 
     def test_vanishes_at_signal_power(self):
         vals = lrt(NOISE.phi + np.array([1e-12, 1e-9, 1e-6]), self.FIT, NOISE)
@@ -233,7 +232,7 @@ class TestThreshold:
 
 
 class TestDetectionProbability:
-    FIT = MeFit(lam=0.5, mode="closed_form", mean_used=2.0)
+    FIT = MeFit(lam=0.5)
 
     def test_threshold_at_signal_power(self):
         assert detection_probability(self.FIT, NOISE.phi, NOISE.phi) == 1.0
@@ -257,7 +256,7 @@ class TestDetectionProbability:
     def test_empirical_exceedance(self):
         rng = np.random.default_rng(8)
         lam = 3.0
-        fit = MeFit(lam=lam, mode="closed_form", mean_used=NOISE.phi + 1.0 / lam)
+        fit = MeFit(lam=lam)
         eta = np_threshold(0.1, NOISE)
         samples = NOISE.phi + rng.exponential(1.0 / lam, 100_000)
         emp = float(np.mean(samples > eta))
@@ -266,7 +265,7 @@ class TestDetectionProbability:
 
 class TestLrtArea:
     def test_non_negative_and_finite(self):
-        fit = MeFit(lam=4.0, mode="closed_form", mean_used=0.25)
+        fit = MeFit(lam=4.0)
         area = lrt_area(fit, NOISE)
         assert area > 0.0
         assert math.isfinite(area)
@@ -274,30 +273,31 @@ class TestLrtArea:
     def test_decreasing_in_rate(self):
         # weaker interference (larger rate) must shrink the area
         areas = [
-            lrt_area(MeFit(lam=lam, mode="closed_form", mean_used=1.0 / lam), NOISE)
+            lrt_area(MeFit(lam=lam), NOISE)
             for lam in (3.0, 5.0, 8.0, 14.0, 30.0)
         ]
         assert all(b < a for a, b in zip(areas, areas[1:]))
 
     def test_window_insensitive_when_integrand_decays(self):
-        # rate above the noise scale: the tail decays and doubling the
-        # window does not move the value
+        # rate above the noise scale: the tail decays and the fixed window
+        # holds the area over the whole half-line,
+        # sqrt(2 pi sigma2) lam Gamma(3/2) |k|^-3/2 with k = 1/(2 sigma2) - lam
         noise = NoiseConfig(sigma2=1.0, phi=0.0)
-        fit = MeFit(lam=1.0, mode="closed_form", mean_used=1.0)
-        assert fit.lam > 1.0 / (2.0 * noise.sigma2)
-        base_window = 20.0 * max(2.0 * noise.sigma2, 1.0 / fit.lam)
-        a1 = lrt_area(fit, noise)
-        a2 = lrt_area(fit, noise, y_max=2.0 * base_window)
-        assert a2 == pytest.approx(a1, rel=1e-3)
+        fit = MeFit(lam=1.0)
+        k = 0.5 / noise.sigma2 - fit.lam
+        assert k < 0.0
+        whole = math.sqrt(2.0 * math.pi * noise.sigma2) * fit.lam * math.gamma(1.5) * (-k) ** -1.5
+        assert lrt_area(fit, noise) == pytest.approx(whole, rel=1e-3)
 
     def test_bad_window(self):
-        fit = MeFit(lam=1.0, mode="closed_form", mean_used=1.0)
+        # phi + 20*max(2 sigma2, 1/lam) rounds to phi: no window to integrate
+        fit = MeFit(lam=1e30)
         with pytest.raises(DomainError):
-            lrt_area(fit, NOISE, y_max=NOISE.phi)
+            lrt_area(fit, NoiseConfig(sigma2=1e-30, phi=1.0))
 
     def test_narrow_integrand_pinned(self):
         # a spike at phi that adaptive quadrature stepped over, returning 0
-        fit = MeFit(lam=1e4, mode="closed_form", mean_used=1e-3 + 1e-4)
+        fit = MeFit(lam=1e4)
         area = lrt_area(fit, NoiseConfig(sigma2=1.0, phi=1e-3))
         assert area == pytest.approx(0.0222160808760298, rel=1e-12)
 
@@ -315,7 +315,7 @@ class TestLrtArea:
     def test_matches_independent_quadrature(self, sigma2, phi, lam):
         from scipy import integrate as sp_integrate
 
-        fit = MeFit(lam=lam, mode="closed_form", mean_used=phi + 1.0 / lam)
+        fit = MeFit(lam=lam)
         big_x = 20.0 * max(2.0 * sigma2, 1.0 / lam)
         k = 0.5 / sigma2 - lam
         # x = t^2 turns int_0^X sqrt(x) e^(kx) dx into int_0^sqrt(X) 2t^2
@@ -337,7 +337,7 @@ class TestLrtArea:
     def test_inf_past_double_range(self):
         # thermal noise over 100 MHz against a 0.1 W interference mean
         noise = NoiseConfig(sigma2=thermal_noise_power(1e8), phi=0.0)
-        fit = MeFit(lam=10.0, mode="closed_form", mean_used=0.1)
+        fit = MeFit(lam=10.0)
         assert lrt_area(fit, noise) == math.inf
 
     def test_needs_no_quadrature(self, monkeypatch):
@@ -349,7 +349,7 @@ class TestLrtArea:
         monkeypatch.setattr(numerics, "integrate", forbidden)
         monkeypatch.setattr(numerics, "integrate_piecewise", forbidden)
         for lam in (0.3, 0.5, 1.0, 1e4):
-            lrt_area(MeFit(lam=lam, mode="closed_form", mean_used=1.0 / lam), NOISE)
+            lrt_area(MeFit(lam=lam), NOISE)
 
 
 class TestLrtAreaSpecialFunctions:
@@ -372,7 +372,7 @@ class TestLrtAreaSpecialFunctions:
 
 
 class TestRocCurve:
-    FIT = MeFit(lam=5.0, mode="closed_form", mean_used=0.2)
+    FIT = MeFit(lam=5.0)
 
     def test_endpoints(self):
         pts = roc_curve(self.FIT, NOISE, [1e-300, 1.0])
@@ -432,24 +432,32 @@ class TestRegimeMap:
         self, baseline_geo, baseline_channel, baseline_band, baseline_model, baseline_noise
     ):
         # p_b = 1 leaves no interference mean above phi: infeasible fit,
-        # reported as noise-limited with the reason attached
+        # reported as noise-limited with the reason attached.  On a 1 m disk
+        # every link is shorter than the apex length, so p_b = p_b1, which a
+        # dense field drives to exactly 1
+        from mmwregime.blockage import BlockageConfig
+
+        dense = BlockageConfig(rho=1e3, d_s=0.2, d_e=0.8, mode="length_weighted")
         pts = regime_map(
-            None, baseline_geo, baseline_channel, baseline_band, baseline_model, baseline_noise,
-            [0.0], 0.05, p_b_override=1.0,
+            dense, replace(baseline_geo, radius=1.0), baseline_channel, baseline_band,
+            baseline_model, baseline_noise, [0.0], 0.05,
         )
+        assert pts[0].p_b == 1.0
         assert pts[0].verdict == NOISE_LIMITED
         assert pts[0].error is not None
 
     def test_near_total_blockage_closed_form_is_noise_limited(
-        self, baseline_geo, baseline_channel, baseline_band, baseline_model, baseline_noise
+        self, baseline_blockage, baseline_geo, baseline_channel, baseline_band, baseline_model,
+        baseline_noise,
     ):
         # the closed-form rate diverges as the interference mean vanishes,
         # so detection probability collapses; the transcendental convention
         # instead saturates at a finite rate, which is why this check pins
         # the fit mode
+        rare = replace(baseline_channel, p=1e-9 * baseline_channel.p)
         pts = regime_map(
-            None, baseline_geo, baseline_channel, baseline_band, baseline_model, baseline_noise,
-            [0.0], 0.05, p_b_override=1.0 - 1e-9, fit_mode="closed_form",
+            baseline_blockage, baseline_geo, rare, baseline_band, baseline_model, baseline_noise,
+            [0.0], 0.05, fit_mode="closed_form",
         )
         assert pts[0].verdict == NOISE_LIMITED
         assert pts[0].error is None
@@ -485,10 +493,36 @@ class TestRegimeMap:
             assert m.p_d == pytest.approx(w.p_d, rel=1e-12)
             assert m.lrt_area == pytest.approx(1e3 * w.lrt_area, rel=1e-12)
 
-    def test_detect_verdict_threshold(self):
-        fit = MeFit(lam=6.0, mode="closed_form", mean_used=NOISE.phi + 1.0 / 6.0)
-        res = detect(fit, NOISE, 0.05)
-        assert res.verdict == (
-            INTERFERENCE_LIMITED if res.p_d > 0.5 else NOISE_LIMITED
-        )
-        assert res.eta_prime >= NOISE.phi
+    def test_verdict_threshold_on_the_shipped_map(self, baseline_run):
+        # interference-limited exactly when P_D > 1/2; the closed-form fit
+        # gives both verdicts on the shipped map
+        net = baseline_run.network
+        verdicts = set()
+        for fit_mode in ("transcendental", "closed_form"):
+            for rho in baseline_run.sweeps.rho_list:
+                blk = replace(baseline_run.blockage, rho=rho)
+                for n in baseline_run.sweeps.n_list:
+                    chan = replace(net.channel, n=n)
+                    for pt in regime_map(blk, net.geo, chan, net.band, net.spectral, net.noise,
+                                         baseline_run.sweeps.v0_grid, baseline_run.beta_th,
+                                         fit_mode):
+                        assert pt.error is None
+                        assert pt.verdict == (
+                            INTERFERENCE_LIMITED if pt.p_d > 0.5 else NOISE_LIMITED
+                        )
+                        assert pt.eta_prime >= net.noise.phi
+                        verdicts.add(pt.verdict)
+        assert verdicts == {INTERFERENCE_LIMITED, NOISE_LIMITED}
+
+    @pytest.mark.parametrize("beta_th", [0.0, -0.1, 1.5])
+    def test_invalid_significance_rejected_once(
+        self, baseline_blockage, baseline_geo, baseline_channel, baseline_band, baseline_model,
+        baseline_noise, beta_th,
+    ):
+        # the threshold does not depend on the point: a bad level is an
+        # error of the call, not an error row at every point
+        with pytest.raises(DomainError):
+            regime_map(
+                baseline_blockage, baseline_geo, baseline_channel, baseline_band, baseline_model,
+                baseline_noise, [0.0, 5.0], beta_th,
+            )

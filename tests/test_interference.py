@@ -109,7 +109,7 @@ class TestGamma:
 def sampled_transform(s, channel, g, band, model, trials, seed):
     """Sample mean of exp(s * P) for one always-active interferer, and its SE."""
     one = ChannelConfig(alpha=channel.alpha, m=channel.m, q=channel.q, n=1, p=1.0)
-    power = simulate_received_power(one, g, band, model, 0.0, trials, seed, blocking="none")
+    power = simulate_received_power(one, g, band, model, 0.0, trials, seed, blocking="thinning")
     vals = np.exp(s * power)
     return float(vals.mean()), float(vals.std() / math.sqrt(trials))
 
@@ -320,7 +320,7 @@ class TestMeanReceivedPower:
         g = geo(v0=v0, eps=eps)
         trials = 400_000
         power = simulate_received_power(
-            one, g, baseline_band, baseline_model, 0.0, trials, 11, blocking="none"
+            one, g, baseline_band, baseline_model, 0.0, trials, 11, blocking="thinning"
         )
         se = power.std() / math.sqrt(trials)
         analytic = mean_received_power(0.0, 0.0, one, g, baseline_band, baseline_model)

@@ -229,9 +229,9 @@ class TestKernelEndToEnd:
         assert np.array_equal(got, simulate_received_power(*args, **kw))
 
     def test_gap_check_row_matches_dense_rule(
-        self, monkeypatch, baseline_channel, baseline_geo, baseline_band, baseline_blockage
+        self, monkeypatch, baseline_channel, baseline_geo, baseline_blockage
     ):
-        args = (baseline_channel, baseline_geo, baseline_band, baseline_blockage, 0.24, 200, 3)
+        args = (baseline_channel, baseline_geo, baseline_blockage, 0.24, 200, 3)
         got = mcsim._geometric_gap_check(*args)
         monkeypatch.setattr(mcsim, "_blocked_mask", _dense_blocked_mask)
         assert got == mcsim._geometric_gap_check(*args)
@@ -464,22 +464,13 @@ class TestSimulatedPower:
         )
         assert np.all(s == 2e-3)
 
-    def test_no_blocking_is_thinning_without_blockage(
-        self, baseline_channel, baseline_band, baseline_model
-    ):
-        args = (baseline_channel, geo(), baseline_band, baseline_model, 1e-3, 5000, 6)
-        assert np.array_equal(
-            simulate_received_power(*args, blocking="none", p_b=0.4),
-            simulate_received_power(*args, blocking="thinning", p_b=0.0),
-        )
-
     def test_exclusion_radius_enforced_in_support(self, baseline_band, baseline_model):
         # a single always-on interferer: the largest possible sample is
         # bounded by the eps_min pathloss
         one = ChannelConfig(alpha=2.5, m=3.0, q=0.5, n=1, p=1.0)
         g = geo(eps=0.5)
         s = simulate_received_power(
-            one, g, baseline_band, baseline_model, 0.0, 20_000, 3, blocking="none"
+            one, g, baseline_band, baseline_model, 0.0, 20_000, 3, blocking="thinning"
         )
         cap = one.q * g.eps_min ** (-one.alpha) * 60.0  # 60 ~ safe fading headroom
         assert s.max() < cap
@@ -504,7 +495,7 @@ class TestSimulatedPower:
         # medians, not means: rare near-exclusion interferers dominate the
         # mean at small trial counts
         free = simulate_received_power(
-            baseline_channel, geo(), baseline_band, baseline_model, 0.0, 400, 13, blocking="none"
+            baseline_channel, geo(), baseline_band, baseline_model, 0.0, 400, 13, blocking="thinning"
         )
         geom = simulate_received_power(
             baseline_channel, geo(), baseline_band, baseline_model, 0.0, 400, 13,
