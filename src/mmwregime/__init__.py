@@ -12,12 +12,11 @@ from .blockage import (
     BlockageConfig,
     BlockageResult,
     GeometryConfig,
-    NonblockedCount,
     blockage_probability,
     distance_pdf,
     mean_distance,
     mean_partial_blockage,
-    nonblocked_count_distribution,
+    nonblocked_count_pmf,
 )
 from .detector import (
     InfeasibleFitError,
@@ -49,7 +48,6 @@ from .interference import (
 from .mcsim import (
     ValidationCheck,
     ValidationReport,
-    empirical_rates,
     simulate_received_power,
     validate_suite,
 )

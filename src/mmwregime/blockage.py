@@ -30,14 +30,13 @@ __all__ = [
     "GeometryConfig",
     "BlockageConfig",
     "BlockageResult",
-    "NonblockedCount",
     "COMBINE_MODES",
     "distance_pdf",
     "distance_cdf",
     "mean_distance",
     "mean_partial_blockage",
     "blockage_probability",
-    "nonblocked_count_distribution",
+    "nonblocked_count_pmf",
 ]
 
 COMBINE_MODES = ("reciprocal_length", "length_weighted")
@@ -110,7 +109,8 @@ class BlockageResult:
 
     p_b1: probability a single obstacle fully blocks the cone near the apex.
     p_b2: probability accumulated partial shadows cover the cone base.
-    delta: mean shadow budget 2*rho*E[ell]*tan(theta) (dimensionless).
+    delta: mean shadow budget 2*rho*E[ell]*tan(theta), per meter (rho is per
+        square meter), so p_b2 depends on the length unit.
     mean_ell: mean interferer-receiver distance E[ell] in meters.
     mean_shadow: mean single-obstacle shadow length E[S] in meters.
     p_b: combined probability, clamped to [0, 1].
@@ -312,37 +312,12 @@ def _log_choose(n: int) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(np.log((n - j + 1) / j))))
 
 
-@dataclass(frozen=True)
-class NonblockedCount:
-    """Binomial law of the number of active, non-blocked interferers."""
+def nonblocked_count_pmf(n: int, p: float, p_b: float) -> np.ndarray:
+    """P(K = k) for k = 0..n, K the number of active, non-blocked interferers.
 
-    n: int
-    success_prob: float
-
-    def pmf(self, k):
-        """P(K = k), evaluated in log space to stay finite for large n."""
-        k = np.asarray(k)
-        inside = (k >= 0) & (k <= self.n)
-        q = self.success_prob
-        if q == 0.0:
-            out = np.where(k == 0, 1.0, 0.0)
-        elif q == 1.0:
-            out = np.where(k == self.n, 1.0, 0.0)
-        else:
-            # k outside 0..n reads C(n, 0) and is masked to 0 below
-            kf = np.where(inside, k, 0)
-            log_pmf = _log_choose(self.n)[kf] + kf * math.log(q) + (self.n - kf) * math.log1p(-q)
-            out = np.exp(log_pmf)
-        out = np.where(inside, out, 0.0)
-        return float(out) if out.ndim == 0 else out
-
-
-def nonblocked_count_distribution(n: int, p: float, p_b: float) -> NonblockedCount:
-    """Thin N candidate interferers by occupancy p and survival (1 - p_b).
-
-    Each candidate transmits with probability p and, independently, escapes
-    blockage with probability 1 - p_b, so the active non-blocked count is
-    Binomial(n, p * (1 - p_b)).
+    Each of n candidates transmits with probability p and, independently,
+    escapes blockage with probability 1 - p_b, so K is Binomial(n, q) with
+    q = p * (1 - p_b).  Evaluated in log space to stay finite for large n.
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
@@ -350,4 +325,8 @@ def nonblocked_count_distribution(n: int, p: float, p_b: float) -> NonblockedCou
         raise DomainError(f"p must be in [0, 1], got {p}")
     if not (0.0 <= p_b <= 1.0):
         raise DomainError(f"p_b must be in [0, 1], got {p_b}")
-    return NonblockedCount(n=int(n), success_prob=p * (1.0 - p_b))
+    q = p * (1.0 - p_b)
+    k = np.arange(n + 1)
+    if q in (0.0, 1.0):
+        return (k == (n if q else 0)).astype(float)
+    return np.exp(_log_choose(n) + k * math.log(q) + (n - k) * math.log1p(-q))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .blockage import (
     _log_choose,
     blockage_probability,
     distance_cdf,
-    nonblocked_count_distribution,
+    nonblocked_count_pmf,
 )
 from .detector import NoiseConfig, np_threshold
 from .interference import ChannelConfig, mean_received_power
@@ -56,7 +56,6 @@ __all__ = [
     "simulate_received_power",
     "sample_h0_power",
     "sample_nonblocked_counts",
-    "empirical_rates",
     "validate_suite",
 ]
 
@@ -355,31 +354,6 @@ def sample_h0_power(noise: NoiseConfig, trials: int, seed: int) -> np.ndarray:
     return noise.phi + noise.sigma2 * z * z
 
 
-def empirical_rates(
-    channel: ChannelConfig,
-    geo: GeometryConfig,
-    band: BandConfig,
-    model: SpectralModel,
-    noise: NoiseConfig,
-    eta_prime: float,
-    trials: int,
-    seed: int,
-    blocking: str = "thinning",
-    p_b: float = 0.0,
-    blockage_cfg: Optional[BlockageConfig] = None,
-    workers: int = 1,
-) -> tuple[float, float]:
-    """Empirical (false alarm, detection) rates at a power threshold."""
-    h0 = sample_h0_power(noise, trials, seed)
-    p_f = float(np.mean(h0 > eta_prime))
-    h1 = simulate_received_power(
-        channel, geo, band, model, noise.phi, trials, seed,
-        blocking=blocking, p_b=p_b, blockage_cfg=blockage_cfg, workers=workers,
-    )
-    p_d = float(np.mean(h1 > eta_prime))
-    return p_f, p_d
-
-
 # ---------------------------------------------------------------------------
 # validation suite
 # ---------------------------------------------------------------------------
@@ -409,10 +383,6 @@ class ValidationReport:
 
     checks: tuple[ValidationCheck, ...]
     passed: bool
-
-    @staticmethod
-    def from_checks(checks: Sequence[ValidationCheck]) -> "ValidationReport":
-        return ValidationReport(tuple(checks), all(c.passed for c in checks))
 
 
 def _gof_check(name: str, p_value: float, samples: int) -> ValidationCheck:
@@ -625,9 +595,7 @@ def sample_nonblocked_counts(
 
 def _count_check(channel, p_b, trials, seed) -> ValidationCheck:
     k = sample_nonblocked_counts(channel, p_b, trials, seed)
-    law = nonblocked_count_distribution(channel.n, channel.p, p_b)
-    support = np.arange(channel.n + 1)
-    pmf = law.pmf(support)
+    pmf = nonblocked_count_pmf(channel.n, channel.p, p_b)
     emp = np.bincount(k, minlength=channel.n + 1) / trials
     tv = 0.5 * float(np.sum(np.abs(emp - pmf)))
     # a perfect sampler still shows TV ~ sum of per-bin binomial noise;
@@ -759,4 +727,4 @@ def validate_suite(
         *_guarded(_false_alarm_checks, noise, trials, seed, (0.1, 0.5, 0.9)),
         *_guarded(_geometric_gap_check, channel, geo, blockage_cfg, p_b, trials, seed),
     ]
-    return ValidationReport.from_checks(checks)
+    return ValidationReport(tuple(checks), all(c.passed for c in checks))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from mmwregime.blockage import (
     distance_pdf,
     mean_distance,
     mean_partial_blockage,
-    nonblocked_count_distribution,
+    nonblocked_count_pmf,
 )
 from mmwregime.numerics import DomainError, integrate, integrate_piecewise
 
@@ -388,6 +389,32 @@ class TestBlockageProbability:
             # below the overflow the expression is unchanged, bit for bit
             assert res.p_b == 0.7053079228338226
 
+    def test_length_unit(self, baseline_blockage, baseline_geo):
+        # the shipped scene with every length times 100 and rho times 1e-4:
+        # p_b1 reads rho*d^2 and is unit-free, delta = 2*rho*E[ell]*tan(theta)
+        # is per meter, so p_b2 and both combinations move (README)
+        big_geo = replace(baseline_geo, radius=1e3, v0_norm=0.0, eps_min=50.0)
+        expected = {"reciprocal_length": (0.2392, 0.002527), "length_weighted": (0.1578, 0.2136)}
+        for mode, (p_b, big_p_b) in expected.items():
+            cfg = replace(baseline_blockage, mode=mode)
+            big = replace(cfg, rho=1e-4 * cfg.rho, d_s=100.0 * cfg.d_s, d_e=100.0 * cfg.d_e)
+            small_res = blockage_probability(cfg, baseline_geo)
+            big_res = blockage_probability(big, big_geo)
+            assert big_res.p_b1 == pytest.approx(small_res.p_b1, rel=1e-12)
+            assert big_res.delta == pytest.approx(small_res.delta / 100.0, rel=1e-12)
+            assert (small_res.p_b2, big_res.p_b2) == pytest.approx((0.1174, 0.1882), abs=5e-5)
+            assert (small_res.p_b, big_res.p_b) == pytest.approx((p_b, big_p_b), rel=5e-4)
+
+    @pytest.mark.parametrize("rho", [1e3, 1e4, 1e6])
+    def test_reciprocal_length_plateau(self, baseline_blockage, baseline_geo, rho):
+        # p_b1 -> 1 and p_b2 -> 0 leave p_b1/length_apex, in 1/m: a dense
+        # field reads 1/1.418 = 0.7053, not 1 (README)
+        res = blockage_probability(replace(baseline_blockage, rho=rho), baseline_geo)
+        length_apex = 0.5 * (0.2 + 0.8) / (2.0 * math.tan(baseline_geo.theta))
+        assert length_apex == pytest.approx(1.418, abs=5e-4)
+        assert res.p_b == pytest.approx(1.0 / length_apex, rel=1e-12)
+        assert not res.clamped
+
     def test_clamp_reported(self):
         # reciprocal-length weights blow past 1 for slim, long cones
         cfg = BlockageConfig(rho=6.0, d_s=0.05, d_e=0.1, mode="reciprocal_length")
@@ -398,24 +425,10 @@ class TestBlockageProbability:
 
 class TestNonblockedCount:
     def test_certain_success(self):
-        law = nonblocked_count_distribution(10, 1.0, 0.0)
-        assert law.success_prob == 1.0
-        assert law.pmf(10) == pytest.approx(1.0)
-        assert law.pmf(9) == 0.0
+        assert nonblocked_count_pmf(10, 1.0, 0.0).tolist() == [0.0] * 10 + [1.0]
 
     def test_idle_network(self):
-        law = nonblocked_count_distribution(10, 0.0, 0.3)
-        assert law.pmf(0) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
-    def test_pmf_zero_outside_support(self, q):
-        law = nonblocked_count_distribution(10, q, 0.0)
-        assert law.pmf(-1) == 0.0
-        assert law.pmf(11) == 0.0
-        k = np.array([-1, 0, 5, 10, 11])
-        mixed = law.pmf(k)
-        assert mixed[0] == 0.0 and mixed[-1] == 0.0
-        assert mixed[1:-1].tolist() == [law.pmf(int(j)) for j in k[1:-1]]
+        assert nonblocked_count_pmf(10, 0.0, 0.3).tolist() == [1.0] + [0.0] * 10
 
     @pytest.mark.parametrize("n", [0, 1, 200, 10_000])
     @pytest.mark.parametrize("q", [0.05, 0.35, 0.5, 0.9])
@@ -424,7 +437,7 @@ class TestNonblockedCount:
 
         k = np.arange(n + 1)
         ref = stats.binom.pmf(k, n, q)
-        got = nonblocked_count_distribution(n, q, 0.0).pmf(k)
+        got = nonblocked_count_pmf(n, q, 0.0)
         # log C(n, k) + k log q + (n - k) log(1 - q) cancels to the log of the
         # pmf from terms up to ~n in size: the relative error grows with n
         normal = ref >= 1e-300
@@ -432,20 +445,22 @@ class TestNonblockedCount:
         assert np.all(np.abs(got - ref)[normal] <= 1e-10 * ref[normal])
 
     def test_thinning_histogram_total_variation(self):
-        law = nonblocked_count_distribution(200, 0.5, 0.3)
+        pmf = nonblocked_count_pmf(200, 0.5, 0.3)
         rng = np.random.default_rng(77)
         trials = 100_000
         counts = np.zeros(201)
         chunk = 20_000
         for start in range(0, trials, chunk):
-            draws = rng.random((chunk, 200)) < law.success_prob
+            draws = rng.random((chunk, 200)) < 0.5 * (1.0 - 0.3)
             counts += np.bincount(draws.sum(axis=1), minlength=201)
         emp = counts / trials
-        tv = 0.5 * float(np.abs(emp - law.pmf(np.arange(201))).sum())
+        tv = 0.5 * float(np.abs(emp - pmf).sum())
         assert tv < 0.01
 
     def test_invalid_arguments(self):
         with pytest.raises(DomainError):
-            nonblocked_count_distribution(-1, 0.5, 0.5)
+            nonblocked_count_pmf(-1, 0.5, 0.5)
         with pytest.raises(DomainError):
-            nonblocked_count_distribution(10, 1.5, 0.5)
+            nonblocked_count_pmf(10, 1.5, 0.5)
+        with pytest.raises(DomainError):
+            nonblocked_count_pmf(10, 0.5, -0.1)

@@ -510,12 +510,12 @@ class TestCli:
     def test_validation_failure_exit_code(self, tmp_path, monkeypatch):
         from mmwregime.mcsim import ValidationCheck, ValidationReport
 
-        failing = ValidationReport.from_checks([
+        failing = ValidationReport((
             ValidationCheck(
                 name="stub", analytic=1.0, empirical=0.0, tolerance=0.1,
                 passed=False, samples=1,
-            )
-        ])
+            ),
+        ), passed=False)
         monkeypatch.setattr(cli.mcsim, "validate_suite", lambda *a, **k: failing)
         cfg = write_config(tmp_path, trials=10)
         assert run_cli("validate", "--config", str(cfg), "--out", str(tmp_path)) == 3

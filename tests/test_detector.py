@@ -514,6 +514,34 @@ class TestRegimeMap:
                         verdicts.add(pt.verdict)
         assert verdicts == {INTERFERENCE_LIMITED, NOISE_LIMITED}
 
+    @pytest.mark.parametrize("fit_mode, in_watts, in_milliwatts", [
+        ("transcendental", 90, 0),
+        ("closed_form", 13, 13),
+    ])
+    def test_interference_limited_count_by_power_unit(
+        self, baseline_run, fit_mode, in_watts, in_milliwatts
+    ):
+        # the shipped map with every power in W and in mW (q, sigma2 and phi
+        # times 1e3): the transcendental rate takes on the power unit and
+        # flips every verdict, the closed-form rate does not (README)
+        net = baseline_run.network
+        milli = (replace(net.channel, q=1e3 * net.channel.q),
+                 NoiseConfig(sigma2=1e3 * net.noise.sigma2, phi=1e3 * net.noise.phi))
+        counts = []
+        for chan0, noise in ((net.channel, net.noise), milli):
+            count = 0
+            for rho in baseline_run.sweeps.rho_list:
+                blk = replace(baseline_run.blockage, rho=rho)
+                for n in baseline_run.sweeps.n_list:
+                    count += sum(
+                        pt.verdict == INTERFERENCE_LIMITED
+                        for pt in regime_map(blk, net.geo, replace(chan0, n=n), net.band,
+                                             net.spectral, noise, baseline_run.sweeps.v0_grid,
+                                             baseline_run.beta_th, fit_mode)
+                    )
+            counts.append(count)
+        assert counts == [in_watts, in_milliwatts]
+
     @pytest.mark.parametrize("beta_th", [0.0, -0.1, 1.5])
     def test_invalid_significance_rejected_once(
         self, baseline_blockage, baseline_geo, baseline_channel, baseline_band, baseline_model,
