@@ -107,7 +107,8 @@ def _write_csv(path: Path, header: list[str], prov: dict, body: list[str]) -> No
     lines = [f"# {k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(prov.items())]
     lines.append(",".join(header))
     lines += body
-    path.write_text("\n".join(lines) + "\n")
+    lines.append("")  # the final newline, without a second copy of the text
+    path.write_text("\n".join(lines))
 
 
 def _write_rows(path: Path, rows: list[dict], header: list[str], prov: dict,

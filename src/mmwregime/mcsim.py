@@ -99,12 +99,41 @@ def _disk_distances(rng: np.random.Generator, n: int, radius: float, v0: float) 
     return np.sqrt(ell2, out=ell2)
 
 
+def _cone_frame(int_xy: np.ndarray, v0_xy: np.ndarray, theta: float):
+    """Each interferer's cone frame: the length ell, the unit axis (ux, uy)
+    toward the receiver and _blocked_mask's stage-1 rows (3, n_i, 3), the
+    half-plane normals and offsets before they are divided by the scene's
+    scale.  Elementwise, so a frame of many scenes' interferers, sliced,
+    equals the frames of the scenes drawn one at a time."""
+    axis = v0_xy[None, :] - int_xy                      # (n_i, 2)
+    ell = np.hypot(axis[:, 0], axis[:, 1])              # (n_i,)
+    safe_ell = np.where(ell > 0.0, ell, 1.0)
+    ux = axis[:, 0] / safe_ell
+    uy = axis[:, 1] / safe_ell
+    # rows (nx, ny, c) of the forms n.o + c, which measure how far obstacle
+    # o lies inside each half-plane; blocks of n_i rows are the edges
+    # (rel.u)*sin - (rel.v)*cos and (rel.u)*sin + (rel.v)*cos with
+    # v = (uy, -ux) and rel = o - apex, then the base ell - rel.u
+    sin_t, cos_t = math.sin(theta), math.cos(theta)
+    planes = np.zeros((3, len(ell), 3))
+    planes[0, :, 0] = sin_t * ux - cos_t * uy
+    planes[0, :, 1] = sin_t * uy + cos_t * ux
+    planes[1, :, 0] = sin_t * ux + cos_t * uy
+    planes[1, :, 1] = sin_t * uy - cos_t * ux
+    planes[2, :, 0] = -ux
+    planes[2, :, 1] = -uy
+    planes[2, :, 2] = ell
+    planes[:, :, 2] -= planes[:, :, 0] * int_xy[:, 0] + planes[:, :, 1] * int_xy[:, 1]
+    return ell, ux, uy, planes
+
+
 def _blocked_mask(
     int_xy: np.ndarray,
     obstacle_xy: np.ndarray,
     obstacle_radius: np.ndarray,
     v0_xy: np.ndarray,
     theta: float,
+    frame=None,
 ) -> np.ndarray:
     """Vectorized cone-shadow blocking decision for many interferers at once.
 
@@ -140,6 +169,9 @@ def _blocked_mask(
     of the pairs the exact rule accepts.  A scene whose coordinates are all 0 keeps
     s = 1.  Candidates keep row-major (interferer, obstacle) order, so the
     shadow sums add in the same order as over the full matrix.
+
+    frame, if given, is _cone_frame(int_xy, v0_xy, theta), computed by the
+    caller for many scenes at once; the decisions are the same.
     """
     n_i = int_xy.shape[0]
     if n_i == 0:
@@ -150,32 +182,17 @@ def _blocked_mask(
     k = obstacle_xy.shape[0]
     if k == 0:
         return np.zeros(n_i, dtype=bool)
-    axis = v0_xy[None, :] - int_xy                      # (n_i, 2)
-    ell = np.hypot(axis[:, 0], axis[:, 1])              # (n_i,)
-    safe_ell = np.where(ell > 0.0, ell, 1.0)
-    ux = axis[:, 0] / safe_ell
-    uy = axis[:, 1] / safe_ell
+    ell, ux, uy, planes = _cone_frame(int_xy, v0_xy, theta) if frame is None else frame
     ix, iy = int_xy[:, 0], int_xy[:, 1]
 
-    # stage 1: rows (nx, ny, c) of the forms n.o + c, which measure how far
-    # obstacle o lies inside each half-plane; blocks of n_i rows are the
-    # edges (rel.u)*sin - (rel.v)*cos and (rel.u)*sin + (rel.v)*cos with
-    # v = (uy, -ux) and rel = o - apex, then the base ell - rel.u
-    sin_t, cos_t = math.sin(theta), math.cos(theta)
-    planes = np.zeros((3, n_i, 3))
-    planes[0, :, 0] = sin_t * ux - cos_t * uy
-    planes[0, :, 1] = sin_t * uy + cos_t * ux
-    planes[1, :, 0] = sin_t * ux + cos_t * uy
-    planes[1, :, 1] = sin_t * uy - cos_t * ux
-    planes[2, :, 0] = -ux
-    planes[2, :, 1] = -uy
-    planes[2, :, 2] = ell
-    planes[:, :, 2] -= planes[:, :, 0] * ix + planes[:, :, 1] * iy
+    # stage 1: the frame's rows, offsets in units of the scene's scale
     scale = max(np.abs(int_xy).max(), np.abs(obstacle_xy).max(), np.abs(v0_xy).max()) or 1.0
-    planes[:, :, 2] /= scale
+    rows = np.empty((3, n_i, 3), dtype=np.float32)
+    rows[:, :, :2] = planes[:, :, :2]
+    rows[:, :, 2] = planes[:, :, 2] / scale
     homog = np.ones((3, k), dtype=np.float32)
     homog[:2] = obstacle_xy.T / scale
-    forms = (planes.reshape(3 * n_i, 3).astype(np.float32) @ homog).reshape(3, n_i, k)
+    forms = (rows.reshape(3 * n_i, 3) @ homog).reshape(3, n_i, k)
     inside = forms >= np.float32(-1e-5)
     i, j = np.divmod(np.flatnonzero(inside[0] & inside[1] & inside[2]), k)
 
@@ -230,13 +247,15 @@ def _draw_positions_with_exclusion(
 
 
 def _draw_obstacles(
-    rng: np.random.Generator, blockage_cfg: BlockageConfig, geo: GeometryConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """One obstacle field: a Poisson count of uniform disk centres, then their
-    sizes uniform on [d_s, d_e]."""
-    n_obs = int(rng.poisson(blockage_cfg.rho * math.pi * geo.radius**2))
+    rng: np.random.Generator, blockage_cfg: BlockageConfig, geo: GeometryConfig, scenes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Obstacle fields of some scenes: their Poisson counts, then every
+    field's uniform disk centres, then their sizes uniform on [d_s, d_e],
+    fields in scene order.  One scene draws what a scalar count would."""
+    counts = rng.poisson(blockage_cfg.rho * math.pi * geo.radius**2, scenes)
+    n_obs = int(counts.sum())
     obs_xy = _uniform_disk(rng, n_obs, geo.radius)
-    return obs_xy, blockage_cfg.d_s + (blockage_cfg.d_e - blockage_cfg.d_s) * rng.random(n_obs)
+    return counts, obs_xy, blockage_cfg.d_s + (blockage_cfg.d_e - blockage_cfg.d_s) * rng.random(n_obs)
 
 
 def _power_block(
@@ -283,7 +302,7 @@ def _power_block(
             continue
         xy, dist = _draw_positions_with_exclusion(rng, n_act, geo, v0_xy)
         freq = band.f_s + (band.f_e - band.f_s) * rng.random(n_act)
-        obs_xy, obs_r = _draw_obstacles(rng, blockage_cfg, geo)
+        _, obs_xy, obs_r = _draw_obstacles(rng, blockage_cfg, geo, 1)
         h = rng.gamma(channel.m, 1.0 / channel.m, n_act)
         blocked = _blocked_mask(xy, obs_xy, obs_r, v0_xy, geo.theta)
         keep = ~blocked
@@ -630,16 +649,16 @@ def _mean_power_check(channel, geo, band, model, noise, p_b, trials, seed, worke
     )
 
 
-def _h0_check(noise, trials, seed) -> ValidationCheck:
-    cdf = detector.h0_cdf(np.sort(sample_h0_power(noise, trials, seed)), noise)
+def _h0_check(noise, h0) -> ValidationCheck:
+    cdf = detector.h0_cdf(np.sort(h0), noise)
     n = len(cdf)
     # D = max(D+, D-), the largest gap between the empirical and null CDFs
     d = max(float(np.max(np.arange(1, n + 1) / n - cdf)), float(np.max(cdf - np.arange(n) / n)))
-    return _gof_check("noise_power_distribution", _ks_pvalue(n, d), trials)
+    return _gof_check("noise_power_distribution", _ks_pvalue(n, d), n)
 
 
-def _false_alarm_checks(noise, trials, seed, betas) -> list[ValidationCheck]:
-    h0 = sample_h0_power(noise, trials, seed)
+def _false_alarm_checks(noise, h0, betas) -> list[ValidationCheck]:
+    trials = len(h0)
     out = []
     for beta in betas:
         eta = np_threshold(beta, noise)
@@ -653,19 +672,43 @@ def _false_alarm_checks(noise, trials, seed, betas) -> list[ValidationCheck]:
     return out
 
 
+# obstacles and interferers drawn per chunk of gap-check scenes: about 64
+# shipped scenes (314 obstacles and 200 interferers each); a scene denser
+# than this is drawn alone, so memory stays that of one scene
+_GAP_CHUNK_ITEMS = 32_768
+
+
+def _gap_chunk(n: int, blockage_cfg: BlockageConfig, geo: GeometryConfig) -> int:
+    """Scenes per chunk of the gap check: the item budget over a scene's
+    interferers plus its mean obstacle count, and at least 1."""
+    per_scene = n + blockage_cfg.rho * math.pi * geo.radius**2
+    return max(1, int(_GAP_CHUNK_ITEMS // max(per_scene, 1.0)))
+
+
 def _geometric_gap_check(channel, geo, blockage_cfg, p_b, trials, seed) -> ValidationCheck:
-    # one _blocked_mask call (0.3-0.4 ms) per scene of the whole roster: 2000
-    # shipped scenes take 0.8-1.1 s and give the informational rate 2 digits
+    # the scenes' interferers, obstacle counts, centres and sizes are drawn a
+    # chunk at a time, and the cone frames built once per chunk; then one
+    # _blocked_mask call per scene of the whole roster.  2000 shipped scenes
+    # take about 0.8 s and give the informational rate 2 digits
     trials = min(trials, 2000)
     rng = _rng(seed, _NS_SCENARIO, 3)
     v0_xy = np.array([geo.v0_norm, 0.0])
+    n = channel.n
+    chunk = _gap_chunk(n, blockage_cfg, geo)
     blocked = 0
-    total = 0
-    for _ in range(trials):
-        xy, _ = _draw_positions_with_exclusion(rng, channel.n, geo, v0_xy)
-        obs_xy, obs_r = _draw_obstacles(rng, blockage_cfg, geo)
-        blocked += int(_blocked_mask(xy, obs_xy, obs_r, v0_xy, geo.theta).sum())
-        total += channel.n
+    for start in range(0, trials, chunk):
+        scenes = min(chunk, trials - start)
+        xy, _ = _draw_positions_with_exclusion(rng, scenes * n, geo, v0_xy)
+        counts, obs_xy, obs_r = _draw_obstacles(rng, blockage_cfg, geo, scenes)
+        ell, ux, uy, planes = _cone_frame(xy, v0_xy, geo.theta)
+        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        for s in range(scenes):
+            i = slice(s * n, (s + 1) * n)
+            o = slice(bounds[s], bounds[s + 1])
+            blocked += int(_blocked_mask(
+                xy[i], obs_xy[o], obs_r[o], v0_xy, geo.theta, (ell[i], ux[i], uy[i], planes[:, i])
+            ).sum())
+    total = trials * n
     rate = blocked / total if total else 0.0
     return ValidationCheck(
         name="geometric_blockage_gap", analytic=float(p_b), empirical=rate,
@@ -718,13 +761,15 @@ def validate_suite(
     """
     trials = int(trials)
     p_b = blockage_probability(blockage_cfg, geo).p_b
+    # one set of noise-limited draws serves the KS and false-alarm checks
+    h0 = sample_h0_power(noise, trials, seed)
     checks = [
         *_guarded(_distance_check, geo, trials, seed),
         *_guarded(_frequency_check, band, trials, seed),
         *_guarded(_count_check, channel, p_b, trials, seed),
         *_guarded(_mean_power_check, channel, geo, band, model, noise, p_b, trials, seed, workers),
-        *_guarded(_h0_check, noise, trials, seed),
-        *_guarded(_false_alarm_checks, noise, trials, seed, (0.1, 0.5, 0.9)),
+        *_guarded(_h0_check, noise, h0),
+        *_guarded(_false_alarm_checks, noise, h0, (0.1, 0.5, 0.9)),
         *_guarded(_geometric_gap_check, channel, geo, blockage_cfg, p_b, trials, seed),
     ]
     return ValidationReport(tuple(checks), all(c.passed for c in checks))

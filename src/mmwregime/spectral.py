@@ -256,6 +256,11 @@ class UpsilonTable:
     exactly 0.  Values are linear-interpolated, which keeps the table cheap
     to evaluate on millions of sampled offsets.  The samples come from one
     call of the closed-form upsilon on the whole grid.
+
+    The grid is uniform, so lookup finds each offset's interval by direct
+    index instead of a binary search, and interpolates with the slopes
+    np.interp would form: its results equal np.interp(|omega|, grid,
+    values, right=0.0) bit for bit, NaN included.
     """
 
     def __init__(self, band: BandConfig, model: SpectralModel):
@@ -263,6 +268,7 @@ class UpsilonTable:
         cutoff = min(0.5 * band.bandwidth, stop) + _psd_halfwidth(model.psd)
         self.grid = np.linspace(0.0, cutoff, TABLE_POINTS)
         self.values = upsilon(self.grid, band, model)
+        self.slopes = np.diff(self.values) / np.diff(self.grid)
 
     @property
     def cutoff(self) -> float:
@@ -270,8 +276,18 @@ class UpsilonTable:
 
     def lookup(self, omega):
         """Interpolated Upsilon(|omega|); zero beyond the cutoff."""
-        w = np.abs(np.asarray(omega, dtype=float))
-        out = np.interp(w, self.grid, self.values, right=0.0)
+        g = self.grid
+        cutoff = g[-1]
+        last = len(g) - 2
+        # clamped so that inf reaches no arithmetic; NaN passes through
+        w = np.minimum(np.abs(np.asarray(omega, dtype=float)), 2.0 * cutoff)
+        # the interval index up to rounding (fmin sends NaN to the last),
+        # then one step each way to g[j] <= w < g[j + 1]
+        j = np.fmin(w * ((last + 1) / cutoff), last).astype(np.intp)
+        j -= g[j] > w
+        j += (g[j + 1] <= w) & (j < last)
+        out = self.slopes[j] * (w - g[j]) + self.values[j]
+        out = np.where(w >= cutoff, np.where(w == cutoff, self.values[-1], 0.0), out)
         return float(out) if out.ndim == 0 else out
 
     def trapezoid(self, upper: float) -> tuple[np.ndarray, np.ndarray]:

@@ -81,9 +81,10 @@ class TestIsBlocked:
             assert after or not before
 
 
-def _dense_blocked_mask(int_xy, obstacle_xy, obstacle_radius, v0_xy, theta):
+def _dense_blocked_mask(int_xy, obstacle_xy, obstacle_radius, v0_xy, theta, frame=None):
     # reference: the all-pairs cone-shadow rule, kept verbatim so the
-    # two-stage kernel can be held to its decisions
+    # two-stage kernel can be held to its decisions; it takes the kernel's
+    # signature but builds its own geometry, ignoring a caller's frame
     n_i = int_xy.shape[0]
     if n_i == 0:
         return np.zeros(0, dtype=bool)
@@ -235,6 +236,51 @@ class TestKernelEndToEnd:
         monkeypatch.setattr(mcsim, "_blocked_mask", _dense_blocked_mask)
         assert got == mcsim._geometric_gap_check(*args)
         assert 0.0 < got.empirical < 1.0
+
+
+def _gap_rate_per_scene(channel, g, blockage_cfg, trials, seed):
+    """The gap check's blocked share from the same chunked draws, with the
+    kernel called scene by scene on its own frames."""
+    rng = mcsim._rng(seed, mcsim._NS_SCENARIO, 3)
+    v0_xy = np.array([g.v0_norm, 0.0])
+    n = channel.n
+    chunk = mcsim._gap_chunk(n, blockage_cfg, g)
+    blocked = 0
+    for start in range(0, trials, chunk):
+        scenes = min(chunk, trials - start)
+        xy, _ = mcsim._draw_positions_with_exclusion(rng, scenes * n, g, v0_xy)
+        counts, obs, rad = mcsim._draw_obstacles(rng, blockage_cfg, g, scenes)
+        cuts = np.cumsum(counts)[:-1]
+        for s, (o, r) in enumerate(zip(np.split(obs, cuts), np.split(rad, cuts))):
+            blocked += int(mcsim._blocked_mask(xy[s * n:(s + 1) * n], o, r, v0_xy, g.theta).sum())
+    return blocked / (trials * n)
+
+
+class TestGapCheckChunks:
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    def test_rate_matches_per_scene_loop(self, offset, baseline_channel, baseline_geo, baseline_blockage):
+        # one scene, and the chunk boundary from either side
+        chunk = mcsim._gap_chunk(baseline_channel.n, baseline_blockage, baseline_geo)
+        trials = 1 if offset is None else chunk + offset
+        got = mcsim._geometric_gap_check(
+            baseline_channel, baseline_geo, baseline_blockage, 0.24, trials, 11
+        )
+        assert got.samples == trials
+        assert got.empirical == _gap_rate_per_scene(
+            baseline_channel, baseline_geo, baseline_blockage, trials, 11
+        )
+        assert 0.0 < got.empirical < 1.0
+
+    def test_shipped_chunk_size(self, baseline_channel, baseline_geo, baseline_blockage):
+        # 32768 items over 200 interferers and 314 obstacles a scene
+        assert mcsim._gap_chunk(baseline_channel.n, baseline_blockage, baseline_geo) == 63
+
+    def test_dense_field_draws_one_scene_per_chunk(
+        self, baseline_channel, baseline_geo, baseline_blockage
+    ):
+        # about 157 000 obstacles a scene at rho = 500: over the budget alone
+        dense = dataclasses.replace(baseline_blockage, rho=500.0)
+        assert mcsim._gap_chunk(baseline_channel.n, dense, baseline_geo) == 1
 
 
 class TestDistanceSampler:
@@ -415,7 +461,7 @@ class TestKsPvalue:
         for trials, seed in [(50, 3), (2000, 4), (20_000, 5)]:
             samples = sample_h0_power(baseline_noise, trials, seed)
             ref = stats.kstest(samples, lambda y: h0_cdf(y, baseline_noise)).pvalue
-            got = mcsim._h0_check(baseline_noise, trials, seed)
+            got = mcsim._h0_check(baseline_noise, samples)
             assert got.samples == trials
             assert got.empirical == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
@@ -586,20 +632,23 @@ class TestEmpiricalRates:
 
 class TestFalseAlarmGate:
     def test_tolerance_is_four_binomial_standard_errors_at_few_trials(self, baseline_noise):
-        rows = mcsim._false_alarm_checks(baseline_noise, 2000, 7, (0.01, 0.1, 0.5, 0.9))
+        h0 = sample_h0_power(baseline_noise, 2000, 7)
+        rows = mcsim._false_alarm_checks(baseline_noise, h0, (0.01, 0.1, 0.5, 0.9))
         # four standard errors are 0.0089 (floored to 0.01), 0.0268, 0.0447, 0.0268
         tols = [row.tolerance for row in rows]
         assert tols == pytest.approx([0.01, 0.026833, 0.044721, 0.026833], abs=1e-6)
         assert all(row.passed for row in rows)
 
     def test_fixed_floor_at_the_shipped_trials(self, baseline_noise):
-        rows = mcsim._false_alarm_checks(baseline_noise, 100_000, 7, (0.1, 0.5, 0.9))
+        h0 = sample_h0_power(baseline_noise, 100_000, 7)
+        rows = mcsim._false_alarm_checks(baseline_noise, h0, (0.1, 0.5, 0.9))
         assert [row.tolerance for row in rows] == [0.01] * 3
 
     def test_miscalibrated_threshold_fails(self, baseline_noise, monkeypatch):
         # a threshold set for 2 beta: off by beta, far past 4 standard errors
         monkeypatch.setattr(mcsim, "np_threshold", lambda beta, noise: np_threshold(2 * beta, noise))
-        rows = mcsim._false_alarm_checks(baseline_noise, 2000, 7, (0.1, 0.3))
+        h0 = sample_h0_power(baseline_noise, 2000, 7)
+        rows = mcsim._false_alarm_checks(baseline_noise, h0, (0.1, 0.3))
         assert not any(row.passed for row in rows)
 
 
@@ -673,6 +722,18 @@ class TestValidateSuite:
             ChannelConfig(alpha=2.5, m=3.0, q=0.5, n=10, p=0.5), geo(), band, model, noise,
             BlockageConfig(rho=0.5, d_s=0.2, d_e=0.8), trials=4000, seed=9, workers=workers,
         )
+
+    def test_noise_samples_drawn_once(self, monkeypatch, baseline_band, baseline_model, baseline_noise):
+        # the KS and false-alarm checks read one set of noise-limited draws
+        calls = []
+
+        def counting(noise, trials, seed):
+            calls.append((trials, seed))
+            return sample_h0_power(noise, trials, seed)
+
+        monkeypatch.setattr(mcsim, "sample_h0_power", counting)
+        self.run_small(baseline_band, baseline_model, baseline_noise)
+        assert calls == [(4000, 9)]
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_runs_in_one_process(self, monkeypatch, workers, baseline_band, baseline_model, baseline_noise):

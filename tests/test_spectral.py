@@ -269,6 +269,35 @@ class TestUpsilonTable:
         assert table.values[0] == pytest.approx(upsilon(0.0, band(), gaussian_model(rolloff=0.25)))
         assert np.all((table.values >= 0.0) & (table.values <= 1.0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("model", [
+        pytest.param(gaussian_model(), id="gaussian-0"),
+        pytest.param(gaussian_model(rolloff=0.25), id="gaussian-0.25"),
+        pytest.param(SpectralModel(
+            psd=RectangularPsd(width=5e7), filter=RaisedCosineFilter(rolloff=0.0, width=1e8)
+        ), id="rectangular-0"),
+        # cutoffs where the first index guess is one low (3.3e7) or one
+        # high (3.1e7) at some grid points or their neighbours
+        pytest.param(gaussian_model(std=3.3e7), id="gaussian-step-up"),
+        pytest.param(gaussian_model(std=3.1e7), id="gaussian-step-down"),
+    ])
+    def test_lookup_equals_np_interp(self, model):
+        # the direct-index lookup is np.interp on |omega|, bit for bit
+        table = upsilon_table(band(), model)
+        g, c = table.grid, table.cutoff
+        omega = np.concatenate([
+            np.random.default_rng(5).uniform(-1.2 * c, 1.2 * c, 200_000),
+            g, np.nextafter(g, np.inf), np.nextafter(g, -np.inf), -g,
+            [0.0, -0.0, c, -c, np.inf, -np.inf, np.nan, 5e-324],
+        ])
+        ref = np.interp(np.abs(omega), g, table.values, right=0.0)
+        assert np.array_equal(table.lookup(omega), ref, equal_nan=True)
+        for w in (0.0, 0.3 * c, c, np.inf, np.nan):
+            got = table.lookup(np.array(w))  # 0-d
+            assert type(got) is float
+            assert np.array_equal(got, np.interp(abs(w), g, table.values, right=0.0), equal_nan=True)
+        assert table.lookup(np.empty(0)).shape == (0,)
+
     def test_lookup_zero_past_cutoff(self):
         table = upsilon_table(band(), gaussian_model())
         assert table.lookup(table.cutoff * 2.0) == 0.0
