@@ -11,9 +11,10 @@ The fading averages out in closed form, (1 - s*x/m)^(-m) for the power
 x = q*ell^(-alpha)*Upsilon before fading, which leaves the single-interferer
 MGF as a weighted sum over atoms of x: the distance nodes of the one fixed
 rule in numerics on each branch of the distance law, crossed with the
-overlap table's nodes and trapezoid weights.  The pathloss moments kappa_n
-are closed form on the near branch and take the same fixed rule on the
-arccos tail.  Thinning by occupancy and blockage then lifts the MGF to the
+overlap table's offset rule, the same rule on both offset slabs.  The
+pathloss moments kappa_n are closed form on the near branch and take the
+fixed rule on the arccos tail; the overlap moments gamma_n take the offset
+rule.  Thinning by occupancy and blockage then lifts the MGF to the
 network.  The mean needs no transform: it is the product of the first
 pathloss moment kappa_1 and overlap moment gamma_1.
 """
@@ -124,16 +125,15 @@ def gamma_n(n: int, band: BandConfig, model: SpectralModel) -> float:
 
     Relates to the offset law through E[Upsilon^n] = gamma_n / (f_e - f_s).
     Order 0 is exact (the slab lengths sum to the band span); higher orders
-    integrate the shared overlap table, whose tail past the cutoff is
-    numerically zero.
+    take the overlap table's offset rule, which stops at the cutoff, past
+    which Upsilon is numerically zero.
     """
     if n < 0:
         raise DomainError(f"moment order n must be >= 0, got {n}")
-    near, far = band.offset_edges
     if n == 0:
-        return near + far
+        return sum(band.offset_edges)
     table = upsilon_table(band, model)
-    return sum(float(w @ ys**n) for ys, w in map(table.trapezoid, (near, far)))
+    return float(table.rule_weights @ table.rule_values**n)
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +150,17 @@ def _power_atoms(
 
     x = q * ell^(-alpha) * Upsilon on the fixed rule's distance nodes on
     each branch of the conditioned distance law (numerics.rule_piecewise)
-    crossed with the overlap table's nodes over both offset slabs; w is the
+    crossed with the overlap table's offset rule over both slabs; w is the
     distance weight distance_pdf / mass times the rule weight, times the
-    trapezoid weight over the band span (the weights gamma_n uses).  The
-    rest of the mass, 1 - sum(w), sits at x = 0: offsets past the overlap
-    cutoff.
+    offset rule's weight over the band span (the weights gamma_n uses).
+    The rest of the mass, 1 - sum(w), sits at x = 0: offsets past the
+    overlap cutoff, the ones the simulator's in-band count leaves out.
     """
     edges, mass = _distance_law(geo)
     ell, w_ell = numerics.rule_piecewise(edges)
     table = upsilon_table(band, model)
-    ups, w_ups = zip(*map(table.trapezoid, band.offset_edges))
-    ups, w_ups = np.concatenate(ups), np.concatenate(w_ups)
-    x = np.outer(cfg.q * ell**-cfg.alpha, ups)
-    w = np.outer(distance_pdf(ell, geo) / mass * w_ell, w_ups / (band.f_e - band.f_s))
+    x = np.outer(cfg.q * ell**-cfg.alpha, table.rule_values)
+    w = np.outer(distance_pdf(ell, geo) / mass * w_ell, table.rule_weights / (band.f_e - band.f_s))
     return x.ravel(), w.ravel()
 
 
@@ -208,7 +206,7 @@ def aggregate_mgf(
     count: each of the n candidates contributes independently with
     probability p*(1 - p_b).  When that probability is zero (idle network
     or total blockage) the result is exactly exp(phi*s) and the transform
-    is never evaluated.
+    is never evaluated.  Returns inf past double range.
     """
     s = float(s)
     if not (0.0 <= p_b <= 1.0):
@@ -216,10 +214,12 @@ def aggregate_mgf(
     if s == 0.0:
         return 1.0
     thin = cfg.p * (1.0 - p_b)
-    if thin == 0.0 or cfg.n == 0:
-        return math.exp(phi * s)
-    m_p = interferer_power_mgf(s, cfg, geo, band, model)
-    return math.exp(phi * s) * (1.0 - thin + thin * m_p) ** cfg.n
+    idle = thin == 0.0 or cfg.n == 0
+    m_p = 1.0 if idle else interferer_power_mgf(s, cfg, geo, band, model)
+    try:
+        return math.exp(phi * s) * (1.0 - thin + thin * m_p) ** cfg.n
+    except OverflowError:
+        return math.inf
 
 
 def mean_interferer_power(

@@ -5,11 +5,11 @@ are computed in the modules that use them.  Quadrature is one fixed
 64-node Gauss-Legendre rule under a cosine map of each finite interval: it
 clusters nodes at both ends, never evaluates the integrand on an endpoint
 (the disk-distance density has square-root behaviour there) and takes no
-tolerance.  It serves only the averages over the disk-distance law that
-have no closed form, and its nodes are the package's only distance node
-set: rule_piecewise hands them out as (x, w) arrays for a caller that
-weights them itself.  Root finding is bisection down to adjacent doubles,
-which also takes no tolerance.
+tolerance.  It serves the disk-distance averages with no closed form and
+every integral over the frequency offset, and its nodes are the package's
+only node set: rule_piecewise hands them out as (x, w) arrays, to the
+MGF's distance atoms and the overlap table's offset rule.  Root finding is
+bisection down to adjacent doubles, which also takes no tolerance.
 
 Everything in this module is a pure function; all routines are safe to call
 concurrently from any number of threads.

@@ -8,7 +8,8 @@ shifted by the offset omega, integrated against the filter's squared
 magnitude over the receiver window.  PSDs are unit-mass and the filter is
 peak-normalized, so Upsilon is a dimensionless capture fraction in [0, 1]
 and the transmit power carries all power units.  Upsilon has a closed form
-for every rolloff and both PSD shapes; nothing here needs quadrature.
+for every rolloff and both PSD shapes; the overlap table integrates it over
+the offset law with the one fixed rule of numerics.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .numerics import DomainError
+from .numerics import DomainError, rule_piecewise
 
 __all__ = [
     "BandConfig",
@@ -249,13 +250,15 @@ TABLE_POINTS = 4097
 
 
 class UpsilonTable:
-    """Dense overlap samples on [0, cutoff], shared by the MGF and simulation.
+    """Overlap samples for simulation, and the offset rule for the moments.
 
     The overlap decays to numerical zero beyond cutoff = (filter stop edge
-    clipped to the window) + (PSD halfwidth); lookups past the grid return
-    exactly 0.  Values are linear-interpolated, which keeps the table cheap
-    to evaluate on millions of sampled offsets.  The samples come from one
-    call of the closed-form upsilon on the whole grid.
+    clipped to the window) + (PSD halfwidth).  grid and values are dense
+    samples on [0, cutoff] that lookup interpolates linearly (0 past the
+    grid), cheap on millions of simulated offsets; the MGF reads only their
+    maximum.  rule_values and rule_weights (Hz) are Upsilon on the fixed
+    rule of numerics over both offset slabs, [0, min(slab, cutoff)] each:
+    the package's only integral over the offset, for gamma_n and the atoms.
 
     The grid is uniform, so lookup finds each offset's interval by direct
     index instead of a binary search, and interpolates with the slopes
@@ -264,11 +267,22 @@ class UpsilonTable:
     """
 
     def __init__(self, band: BandConfig, model: SpectralModel):
-        stop = (1.0 + model.filter.rolloff) * 0.5 * model.filter.width
-        cutoff = min(0.5 * band.bandwidth, stop) + _psd_halfwidth(model.psd)
+        rolloff, half = model.filter.rolloff, 0.5 * model.filter.width
+        cutoff = min(0.5 * band.bandwidth, (1.0 + rolloff) * half) + _psd_halfwidth(model.psd)
         self.grid = np.linspace(0.0, cutoff, TABLE_POINTS)
         self.values = upsilon(self.grid, band, model)
         self.slopes = np.diff(self.values) / np.diff(self.grid)
+        # rule edges: four equal pieces per slab, and the kinks of Upsilon at
+        # |c -+ w/2| for the breakpoints c and a rectangular PSD's width w
+        w = model.psd.width if isinstance(model.psd, RectangularPsd) else 0.0
+        breaks = ((1.0 - rolloff) * half, (1.0 + rolloff) * half, 0.5 * band.bandwidth)
+        kinks = [abs(c + 0.5 * w * sign) for c in breaks for sign in (-1, 1)]
+        nodes, weights = zip(*(
+            rule_piecewise(sorted([*np.linspace(0.0, top, 5), *(k for k in kinks if k < top)]))
+            for top in (min(edge, cutoff) for edge in band.offset_edges)
+        ))
+        self.rule_values = upsilon(np.concatenate(nodes), band, model)
+        self.rule_weights = np.concatenate(weights)
 
     @property
     def cutoff(self) -> float:
@@ -289,20 +303,6 @@ class UpsilonTable:
         out = self.slopes[j] * (w - g[j]) + self.values[j]
         out = np.where(w >= cutoff, np.where(w == cutoff, self.values[-1], 0.0), out)
         return float(out) if out.ndim == 0 else out
-
-    def trapezoid(self, upper: float) -> tuple[np.ndarray, np.ndarray]:
-        """Overlap samples on [0, min(upper, cutoff)] and their trapezoid weights (Hz)."""
-        if upper <= 0.0:
-            return np.empty(0), np.empty(0)
-        g, v = self.grid, self.values
-        if upper < g[-1]:
-            idx = int(np.searchsorted(g, upper))
-            xs = np.append(g[:idx], upper)
-            ys = np.append(v[:idx], self.lookup(upper))
-        else:
-            xs, ys = g, v
-        half_dx = 0.5 * np.diff(xs)
-        return ys, np.append(half_dx, 0.0) + np.insert(half_dx, 0, 0.0)
 
 
 @lru_cache(maxsize=64)

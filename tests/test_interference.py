@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -94,11 +95,13 @@ class TestGamma:
 
     def test_order_one_both_slabs_capture_full_overlap(self, baseline_band, baseline_model):
         # overlap support is ~0.35 GHz versus slab ends at 2 and 4 GHz, so
-        # each slab integral saturates at the half-line value
-        ys, weights = upsilon_table(baseline_band, baseline_model).trapezoid(math.inf)
-        half_line = weights @ ys
+        # each slab integral saturates at the half-line value: the PSD's unit
+        # mass times the window, where a rolloff-0 filter as wide as the
+        # window passes everything, over the half line, W/2
+        assert baseline_model.filter.rolloff == 0.0
+        assert baseline_model.filter.width == baseline_band.bandwidth
         assert gamma_n(1, baseline_band, baseline_model) == pytest.approx(
-            2.0 * half_line, rel=1e-12
+            baseline_band.bandwidth, rel=1e-12
         )
 
     def test_monotone_decreasing_in_order(self, baseline_band, baseline_model):
@@ -146,6 +149,25 @@ class TestPowerAtoms:
         x, w = _power_atoms(baseline_channel, geo(v0=v0), baseline_band, baseline_model)
         assert x.shape == w.shape and np.all(w > 0.0) and np.all(x >= 0.0)
         assert 0.0 < w.sum() < 1.0
+
+    @pytest.mark.parametrize("f_0_below_f_e", [None, 0.0])
+    @pytest.mark.parametrize("v0", (0.0, 9.0))
+    def test_in_band_mass_is_the_simulators(
+        self, v0, f_0_below_f_e, baseline_band, baseline_model, baseline_channel
+    ):
+        # sum(w) is the share of offsets within the cutoff of f_0, the
+        # survivor fraction mcsim._power_block's Binomial count draws
+        band = baseline_band
+        cutoff = upsilon_table(band, baseline_model).cutoff
+        if f_0_below_f_e is not None:
+            band = dataclasses.replace(band, f_0=band.f_e - f_0_below_f_e * cutoff)
+        x, w = _power_atoms(baseline_channel, geo(v0=v0), band, baseline_model)
+        in_band = min(band.f_e, band.f_0 + cutoff) - max(band.f_s, band.f_0 - cutoff)
+        assert w.sum() == pytest.approx(in_band / (band.f_e - band.f_s), rel=1e-13, abs=0.0)
+        if f_0_below_f_e is None:
+            # a 4097-point trapezoid on both slabs, the offset rule this one
+            # replaced, gave 524 416 atoms at v0 = 0 and 1 048 832 at v0 > 0
+            assert x.size * 10 <= {0.0: 524_416, 9.0: 1_048_832}[v0]
 
 
 class TestSingleInterfererMgf:
@@ -241,14 +263,13 @@ class TestSingleInterfererMgf:
         self, v0, baseline_band, baseline_model, baseline_channel
     ):
         # 1 - M_P against scipy.integrate.quad per branch of the distance
-        # law at epsrel 1e-13, on the same offset weights
+        # law at epsrel 1e-13, on the same offset rule
         from scipy.integrate import quad
 
         ch = baseline_channel
-        ups, w = zip(*(upsilon_table(baseline_band, baseline_model).trapezoid(e)
-                       for e in baseline_band.offset_edges))
-        ups = np.concatenate(ups)
-        w = np.concatenate(w) / (baseline_band.f_e - baseline_band.f_s)
+        table = upsilon_table(baseline_band, baseline_model)
+        ups = table.rule_values
+        w = table.rule_weights / (baseline_band.f_e - baseline_band.f_s)
         for eps in (0.1, 0.5):
             g = geo(v0=v0, eps=eps)
             cuts = distance_law_cuts(g)
@@ -292,6 +313,27 @@ class TestAggregateMgf:
         assert out[-1] == 1.0
         assert all(0.0 < v <= 1.0 for v in out)
         assert all(a < b for a, b in zip(out, out[1:]))
+
+    def test_inf_past_double_range_below_the_radius(
+        self, baseline_band, baseline_model, baseline_channel, baseline_geo
+    ):
+        # (1 - thin + thin*M_P)^n overflows just below the convergence
+        # radius, and exp(phi*s) does for a weak interferer at s far below it
+        ch, g = baseline_channel, baseline_geo
+        ups_max = upsilon_table(baseline_band, baseline_model).values.max()
+        radius = ch.m / (ch.q * g.eps_min ** -ch.alpha * ups_max)
+        assert radius == pytest.approx(1.1086, rel=1e-4)
+        args = (ch, g, baseline_band, baseline_model)
+        assert aggregate_mgf(0.999999 * radius, 1e-3, 0.24, *args) == math.inf
+        weak = dataclasses.replace(ch, q=1e-9)
+        assert 1e6 < weak.m / (weak.q * g.eps_min ** -weak.alpha * ups_max)
+        assert aggregate_mgf(1e6, 1e-3, 0.24, weak, *args[1:]) == math.inf
+        # at s <= 0 the value is the product form itself
+        thin = ch.p * (1.0 - 0.24)
+        for s in (-1e-3, -1.0, -1e3, -1e6):
+            m_p = interferer_power_mgf(s, *args)
+            expected = math.exp(1e-3 * s) * (1.0 - thin + thin * m_p) ** ch.n
+            assert aggregate_mgf(s, 1e-3, 0.24, *args) == pytest.approx(expected, rel=1e-14), s
 
 
 class TestMeanReceivedPower:

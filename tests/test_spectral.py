@@ -37,6 +37,35 @@ def brick_overlap(omega, w, std):
     return 0.5 * (erf((w / 2.0 + omega) / s) + erf((w / 2.0 - omega) / s))
 
 
+OFFSET_MODELS = [
+    pytest.param(GaussianPsd(std=2.5e7), 0.0, id="gaussian-0"),
+    pytest.param(GaussianPsd(std=2.5e7), 0.25, id="gaussian-0.25"),
+    pytest.param(RectangularPsd(width=5e7), 0.0, id="rectangular-0"),
+    pytest.param(RectangularPsd(width=5e7), 0.25, id="rectangular-0.25"),
+    pytest.param(RectangularPsd(width=5e7), 1.0, id="rectangular-1"),
+]
+
+
+def offset_quad(g, b, model, epsrel=1e-13):
+    """scipy quad of g(Upsilon) over both offset slabs, told where Upsilon
+    has kinks: a rectangular PSD's edges crossing the filter and window
+    breakpoints, and the cutoff."""
+    from scipy.integrate import quad
+
+    flt = model.filter
+    breaks = ((1.0 - flt.rolloff) * 0.5 * flt.width, (1.0 + flt.rolloff) * 0.5 * flt.width,
+              0.5 * b.bandwidth)
+    half = 0.5 * model.psd.width if isinstance(model.psd, RectangularPsd) else 0.0
+    kinks = {abs(c + s * half) for c in breaks for s in (-1, 0, 1)}
+    kinks.add(upsilon_table(b, model).cutoff)
+    total = 0.0
+    for edge in b.offset_edges:
+        total += quad(lambda w: g(upsilon(w, b, model)), 0.0, edge,
+                      points=sorted(k for k in kinks if 0.0 < k < edge),
+                      epsabs=0.0, epsrel=epsrel, limit=500)[0]
+    return total
+
+
 class TestBandConfig:
     def test_invariants(self):
         with pytest.raises(DomainError):
@@ -303,34 +332,40 @@ class TestUpsilonTable:
         assert table.lookup(table.cutoff * 2.0) == 0.0
 
     @pytest.mark.parametrize("n", [1, 2])
-    @pytest.mark.parametrize("psd, rolloff", [
-        pytest.param(GaussianPsd(std=2.5e7), 0.0, id="gaussian-0"),
-        pytest.param(GaussianPsd(std=2.5e7), 0.25, id="gaussian-0.25"),
-        pytest.param(RectangularPsd(width=5e7), 0.0, id="rectangular-0"),
-        pytest.param(RectangularPsd(width=5e7), 0.25, id="rectangular-0.25"),
-        pytest.param(RectangularPsd(width=5e7), 1.0, id="rectangular-1"),
-    ])
+    @pytest.mark.parametrize("psd, rolloff", OFFSET_MODELS)
     def test_gamma_n_against_quadrature(self, psd, rolloff, n):
-        # gamma_n is the trapezoid rule on the table grid; the reference is
-        # scipy quad of the closed-form Upsilon^n over both offset slabs, told
-        # where Upsilon has kinks: a rectangular PSD's edges crossing the
-        # filter and window breakpoints.  Measured: <= 5e-16 for a Gaussian
-        # PSD, 1.5e-8 for the rectangular one (rolloff 0, n = 1)
-        from scipy.integrate import quad
-
+        # gamma_n is the table's offset rule; the reference is scipy quad of
+        # the closed-form Upsilon^n over both offset slabs, told where
+        # Upsilon has kinks.  Measured: <= 1.6e-15 in every case
         from mmwregime.interference import gamma_n
 
         b = band()
         model = SpectralModel(psd=psd, filter=RaisedCosineFilter(rolloff=rolloff, width=1e8))
-        breaks = ((1.0 - rolloff) * 0.5e8, (1.0 + rolloff) * 0.5e8, 0.5 * b.bandwidth)
-        half = 0.5 * psd.width if isinstance(psd, RectangularPsd) else 0.0
-        kinks = sorted({abs(c + s * half) for c in breaks for s in (-1, 0, 1)})
-        direct = 0.0
-        for edge in b.offset_edges:
-            direct += quad(lambda w: upsilon(w, b, model) ** n, 0.0, edge,
-                           points=[k for k in kinks if 0.0 < k < edge],
-                           epsabs=0.0, epsrel=1e-13, limit=500)[0]
-        assert gamma_n(n, b, model) == pytest.approx(direct, rel=5e-8)
+        direct = offset_quad(lambda u: u**n, b, model)
+        assert gamma_n(n, b, model) == pytest.approx(direct, rel=1e-13)
+
+    # a Gaussian Upsilon's far tail is an erf difference with 1e-16 absolute
+    # noise, which k = 1e9 lifts above the reference's 1e-10 goal: quad then
+    # warns of roundoff, and still agrees with its own epsrel-1e-8 value to 1e-9
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("f_0", [62e9, 64e9], ids=["inside", "band-edge"])
+    @pytest.mark.parametrize("psd, rolloff", OFFSET_MODELS)
+    def test_offset_rule_on_the_mgf_integrand(self, psd, rolloff, f_0):
+        # the single-interferer MGF integrates 1 - (1 + k*Upsilon/m)^-m over
+        # the offset for k = -s*q*ell^-alpha.  Measured: <= 9.6e-7 relative
+        # (rectangular PSD, rolloff 0, k = 1e6), <= 8.6e-10 for a Gaussian
+        # PSD.  At f_0 = f_e the near slab is empty and must give no nodes
+        m = 3.0
+        b = band(f_0=f_0)
+        model = SpectralModel(psd=psd, filter=RaisedCosineFilter(rolloff=rolloff, width=1e8))
+        table = upsilon_table(b, model)
+        for k in (1.0, 1e3, 1e6, 1e9):
+            def g(u):
+                return -np.expm1(-m * np.log1p(k * u / m))
+
+            got = float(table.rule_weights @ g(table.rule_values))
+            expected = offset_quad(g, b, model, epsrel=1e-10)
+            assert got == pytest.approx(expected, rel=1e-5, abs=0.0), k
 
     def test_cached_instance_reused(self):
         b = band()
