@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: blockage, regime-map, roc, validate, simulate.  Every command
-reads one JSON config, writes plot-ready CSV or JSON under --out, and
-embeds a provenance header (tool version, config hash, seed, defaulted
+reads one JSON config, writes one plot-ready file under --out
+(blockage.json, regime_map.csv, roc.csv, validation.json or samples.csv)
+and embeds a provenance header (tool version, config hash, seed, defaulted
 fields) so identical config+seed runs are byte-identical regardless of
 worker count.
 
@@ -59,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (created if absent)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--trials", type=int, default=None, help="override the config trial count")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format (default: csv for tabular commands, json otherwise)")
         p.add_argument("--workers", type=int, default=1,
                        help="trial-block threads for simulate and validate's mean-power "
                             "check (results identical for any count)")
@@ -111,12 +110,7 @@ def _write_csv(path: Path, header: list[str], prov: dict, body: list[str]) -> No
     path.write_text("\n".join(lines))
 
 
-def _write_rows(path: Path, rows: list[dict], header: list[str], prov: dict,
-                fmt: str) -> None:
-    if fmt == "json":
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(_json_text({"_provenance": prov, "rows": rows}))
-        return
+def _write_rows(path: Path, rows: list[dict], header: list[str], prov: dict) -> None:
     body = [",".join([_fmt(row.get(col)) for col in header]) for row in rows]
     _write_csv(path, header, prov, body)
 
@@ -126,19 +120,13 @@ def _write_document(path: Path, document: dict, prov: dict) -> None:
     path.write_text(_json_text({"_provenance": prov, **document}))
 
 
-def cmd_blockage(run: RunConfig, out: Path, fmt: str, workers: int) -> int:
-    net = run.network
-    result = blockage_probability(run.blockage, net.geo)
-    doc = dataclasses.asdict(result)
-    prov = _provenance(run)
-    if fmt == "csv":
-        header = list(doc.keys())
-        _write_rows(out / "blockage.csv", [doc], header, prov, "csv")
-    else:
-        _write_document(out / "blockage.json", {"blockage": doc}, prov)
+def cmd_blockage(run: RunConfig, out: Path, workers: int) -> int:
+    doc = dataclasses.asdict(blockage_probability(run.blockage, run.network.geo))
+    _write_document(out / "blockage.json", {"blockage": doc}, _provenance(run))
     return EXIT_OK
 
-def cmd_regime_map(run: RunConfig, out: Path, fmt: str, workers: int) -> int:
+
+def cmd_regime_map(run: RunConfig, out: Path, workers: int) -> int:
     net = run.network
     header = ["rho", "n", "v0_m", "p_b", "mean_y_w", "lambda", "eta_prime_w",
               "p_d", "lrt_area", "verdict", "error"]
@@ -159,7 +147,7 @@ def cmd_regime_map(run: RunConfig, out: Path, fmt: str, workers: int) -> int:
                     "lrt_area": pt.lrt_area, "verdict": pt.verdict,
                     "error": pt.error,
                 })
-    _write_rows(out / f"regime_map.{fmt}", rows, header, _provenance(run), fmt)
+    _write_rows(out / "regime_map.csv", rows, header, _provenance(run))
     # per-point failures are recorded in the verdict and error columns; an
     # infeasible fit is a noise_limited verdict that also fills error, so
     # only a sweep whose every verdict is "error" is a numerical failure
@@ -169,7 +157,7 @@ def cmd_regime_map(run: RunConfig, out: Path, fmt: str, workers: int) -> int:
     return EXIT_OK
 
 
-def cmd_roc(run: RunConfig, out: Path, fmt: str, workers: int) -> int:
+def cmd_roc(run: RunConfig, out: Path, workers: int) -> int:
     net = run.network
     p_b = blockage_probability(run.blockage, net.geo).p_b
     rows = []
@@ -189,27 +177,21 @@ def cmd_roc(run: RunConfig, out: Path, fmt: str, workers: int) -> int:
         for beta, p_d in curve:
             rows.append({"n": n, "beta": beta, "p_f": beta, "p_d": p_d})
     header = ["n", "beta", "p_f", "p_d"]
-    _write_rows(out / f"roc.{fmt}", rows, header, _provenance(run), fmt)
+    _write_rows(out / "roc.csv", rows, header, _provenance(run))
     return EXIT_OK
 
 
-def cmd_validate(run: RunConfig, out: Path, fmt: str, workers: int) -> int:
+def cmd_validate(run: RunConfig, out: Path, workers: int) -> int:
     net = run.network
     report = mcsim.validate_suite(
         net.channel, net.geo, net.band, net.spectral, net.noise, run.blockage,
         trials=run.trials, seed=run.seed, workers=workers,
     )
-    doc = dataclasses.asdict(report)
-    prov = _provenance(run)
-    if fmt == "csv":
-        header = ["name", "analytic", "empirical", "tolerance", "passed", "samples", "note"]
-        _write_rows(out / "validation.csv", doc["checks"], header, prov, "csv")
-    else:
-        _write_document(out / "validation.json", doc, prov)
+    _write_document(out / "validation.json", dataclasses.asdict(report), _provenance(run))
     return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
-def cmd_simulate(run: RunConfig, out: Path, fmt: str, workers: int) -> int:
+def cmd_simulate(run: RunConfig, out: Path, workers: int) -> int:
     net = run.network
     p_b = 0.0
     if run.blocking == "thinning":
@@ -219,22 +201,18 @@ def cmd_simulate(run: RunConfig, out: Path, fmt: str, workers: int) -> int:
         trials=run.trials, seed=run.seed, blocking=run.blocking, p_b=p_b,
         blockage_cfg=run.blockage, workers=workers,
     )
-    path, header, prov = out / f"samples.{fmt}", ["trial", "y_watts"], _provenance(run)
-    if fmt == "csv":
-        # the lines _write_rows would format, without a dict per sample
-        _write_csv(path, header, prov, [f"{i},{y!r}" for i, y in enumerate(samples.tolist())])
-    else:
-        rows = [{"trial": i, "y_watts": y} for i, y in enumerate(samples.tolist())]
-        _write_rows(path, rows, header, prov, fmt)
+    # the lines _write_rows would format, without a dict per sample
+    _write_csv(out / "samples.csv", ["trial", "y_watts"], _provenance(run),
+               [f"{i},{y!r}" for i, y in enumerate(samples.tolist())])
     return EXIT_OK
 
 
 _COMMANDS = {
-    "blockage": (cmd_blockage, "json"),
-    "regime-map": (cmd_regime_map, "csv"),
-    "roc": (cmd_roc, "csv"),
-    "validate": (cmd_validate, "json"),
-    "simulate": (cmd_simulate, "csv"),
+    "blockage": cmd_blockage,
+    "regime-map": cmd_regime_map,
+    "roc": cmd_roc,
+    "validate": cmd_validate,
+    "simulate": cmd_simulate,
 }
 
 
@@ -245,8 +223,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    handler, default_fmt = _COMMANDS[args.command]
-    fmt = args.format or default_fmt
     try:
         run = load_config(args.config, seed=args.seed, trials=args.trials)
         if args.workers < 1:
@@ -256,7 +232,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        return handler(run, Path(args.out), fmt, args.workers)
+        return _COMMANDS[args.command](run, Path(args.out), args.workers)
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

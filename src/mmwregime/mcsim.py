@@ -55,7 +55,6 @@ __all__ = [
     "TRIAL_BLOCK",
     "simulate_received_power",
     "sample_h0_power",
-    "sample_nonblocked_counts",
     "validate_suite",
 ]
 
@@ -69,7 +68,6 @@ TRIAL_BLOCK = 4096
 _NS_POWER = 0
 _NS_H0 = 1
 _NS_SCENARIO = 2
-_NS_COUNT = 3
 
 
 def _rng(seed: int, namespace: int, block: int = 0) -> np.random.Generator:
@@ -258,6 +256,20 @@ def _draw_obstacles(
     return counts, obs_xy, blockage_cfg.d_s + (blockage_cfg.d_e - blockage_cfg.d_s) * rng.random(n_obs)
 
 
+def _inband_counts(
+    rng: np.random.Generator, n_trials: int, channel: ChannelConfig, band: BandConfig,
+    cutoff: float, p_b: float,
+) -> tuple[np.ndarray, float, float]:
+    """A thinning block's first draw: per trial, the count of active
+    non-blocked candidates whose frequency lies in [lo, hi], the band within
+    cutoff of f_0, where Upsilon > 0.  One Binomial(n, p*(1-p_b)*(hi-lo)/
+    (f_e-f_s)) draw each; returns the counts, lo and hi."""
+    lo = max(band.f_s, band.f_0 - cutoff)
+    hi = min(band.f_e, band.f_0 + cutoff)
+    thin = channel.p * (1.0 - p_b)
+    return rng.binomial(channel.n, thin * (hi - lo) / (band.f_e - band.f_s), n_trials), lo, hi
+
+
 def _power_block(
     block: int,
     n_trials: int,
@@ -275,11 +287,7 @@ def _power_block(
     n = channel.n
 
     if blocking == "thinning":
-        thin = channel.p * (1.0 - p_b)
-        # per trial, the count of survivors in [lo, hi], where Upsilon > 0
-        lo = max(band.f_s, band.f_0 - table.cutoff)
-        hi = min(band.f_e, band.f_0 + table.cutoff)
-        counts = rng.binomial(n, thin * (hi - lo) / (band.f_e - band.f_s), n_trials)
+        counts, lo, hi = _inband_counts(rng, n_trials, channel, band, table.cutoff, p_b)
         total = int(counts.sum())
         y = np.full(n_trials, phi, dtype=float)
         if total == 0:
@@ -584,8 +592,10 @@ def _chi2_pvalue(counts: np.ndarray, probs: np.ndarray) -> float:
 
 
 def _distance_check(geo, trials, seed) -> ValidationCheck:
-    dist = _disk_distances(_rng(seed, _NS_SCENARIO, 1), trials, geo.radius, geo.v0_norm)
-    edges = np.linspace(0.0, geo.radius + geo.v0_norm, 41)
+    # the simulator's draws, eps_min redraws included; _chi2_pvalue
+    # renormalises the law's mass on [eps_min, R + v0] to the conditioned law
+    dist = _distances_with_exclusion(_rng(seed, _NS_SCENARIO, 1), trials, geo)
+    edges = np.linspace(geo.eps_min, geo.radius + geo.v0_norm, 41)
     counts, _ = np.histogram(dist, bins=edges)
     probs = np.diff(distance_cdf(edges, geo))
     return _gof_check("interferer_distance_density", _chi2_pvalue(counts, probs), trials)
@@ -604,17 +614,17 @@ def _frequency_check(band, trials, seed) -> ValidationCheck:
     return _gof_check("frequency_offset_density", _chi2_pvalue(counts, probs), trials)
 
 
-def sample_nonblocked_counts(
-    channel: ChannelConfig, p_b: float, trials: int, seed: int
-) -> np.ndarray:
-    """Per-trial counts of active non-blocked candidates: n independent
-    Bernoulli survivals, drawn as one Binomial(n, p*(1-p_b)) per trial."""
-    return _rng(seed, _NS_COUNT).binomial(channel.n, channel.p * (1.0 - p_b), trials)
+def _count_check(channel, band, model, p_b, trials, seed) -> ValidationCheck:
+    # the in-band counts of the mean-power check's thinning blocks, against
+    # the count law with the analytic in-band share of offsets
+    table = upsilon_table(band, model)
+    cutoff, in_band = table.cutoff, float(table.rule_weights.sum()) / (band.f_e - band.f_s)
 
+    def counts(block, size):
+        return _inband_counts(_rng(seed, _NS_POWER, block), size, channel, band, cutoff, p_b)[0]
 
-def _count_check(channel, p_b, trials, seed) -> ValidationCheck:
-    k = sample_nonblocked_counts(channel, p_b, trials, seed)
-    pmf = nonblocked_count_pmf(channel.n, channel.p, p_b)
+    k = _run_blocks(counts, trials, 1)
+    pmf = nonblocked_count_pmf(channel.n, channel.p * in_band, p_b)
     emp = np.bincount(k, minlength=channel.n + 1) / trials
     tv = 0.5 * float(np.sum(np.abs(emp - pmf)))
     # a perfect sampler still shows TV ~ sum of per-bin binomial noise;
@@ -626,8 +636,9 @@ def _count_check(channel, p_b, trials, seed) -> ValidationCheck:
     return ValidationCheck(
         name="nonblocked_count_tv", analytic=0.0, empirical=tv, tolerance=tol,
         passed=tv <= tol, samples=trials,
-        note="total variation vs Binomial(n, p*(1-p_b)) with the analytic p_b "
-             "injected; tolerance = max(1%, twice the sampling-noise expectation)",
+        note="total variation of the simulated in-band count vs Binomial(n, p*w*(1-p_b)), "
+             "w the analytic in-band share of offsets and p_b the analytic blockage; "
+             "tolerance = max(1%, twice the sampling-noise expectation)",
     )
 
 
@@ -744,11 +755,11 @@ def validate_suite(
 ) -> ValidationReport:
     """Bind every analytic quantity to an empirical estimate.
 
-    Runs: distance-density and offset-density goodness of fit, the thinned
-    count law in total variation, the mean received power, the noise-power
-    distribution (KS), false-alarm calibration at significance levels 0.1,
-    0.5 and 0.9, and an informational geometric-vs-analytic blockage
-    comparison.  A numerical failure aborts only its own check.
+    Runs: distance-density and offset-density goodness of fit, the
+    simulator's in-band count law in total variation, the mean received
+    power, the noise-power distribution (KS), false-alarm calibration at
+    significance levels 0.1, 0.5 and 0.9, and an informational
+    geometric-vs-analytic blockage comparison.  A numerical failure aborts only its own check.
 
     The p-values are computed here, without scipy: the two density checks
     use a chi-square survival sum (_chi2_sf), the noise-power check the
@@ -766,7 +777,7 @@ def validate_suite(
     checks = [
         *_guarded(_distance_check, geo, trials, seed),
         *_guarded(_frequency_check, band, trials, seed),
-        *_guarded(_count_check, channel, p_b, trials, seed),
+        *_guarded(_count_check, channel, band, model, p_b, trials, seed),
         *_guarded(_mean_power_check, channel, geo, band, model, noise, p_b, trials, seed, workers),
         *_guarded(_h0_check, noise, h0),
         *_guarded(_false_alarm_checks, noise, h0, (0.1, 0.5, 0.9)),

@@ -207,10 +207,25 @@ def run_cli(*args):
     return cli.main(list(args))
 
 
+def csv_rows(path):
+    """The data rows of a CSV the CLI wrote, as dicts keyed by its header."""
+    lines = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
+    header = lines[0].split(",")
+    return [dict(zip(header, l.split(","))) for l in lines[1:]]
+
+
 class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert run_cli("blockage") == 1  # --config missing
         assert run_cli("no-such-command", "--config", "x") == 1
+
+    @pytest.mark.parametrize("command", ["blockage", "regime-map", "roc", "validate", "simulate"])
+    def test_format_flag_is_a_usage_error(self, tmp_path, capsys, command):
+        # each command writes one file in one format, so there is no --format
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(BASELINE_CONFIG), "--out", str(out),
+                       "--format", "json") == 1
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -315,13 +330,12 @@ class TestCli:
         cfg = write_config(tmp_path, channel={"occupancy": 0.0},
                            sweeps={"v0_grid_m": [0.0, 5.0], "rho_list": [1.0], "n_list": [200]})
         out = tmp_path / "out"
-        assert run_cli("regime-map", "--config", str(cfg), "--out", str(out),
-                       "--format", "json") == 0
-        rows = json.loads((out / "regime_map.json").read_text())["rows"]
+        assert run_cli("regime-map", "--config", str(cfg), "--out", str(out)) == 0
+        rows = csv_rows(out / "regime_map.csv")
         assert len(rows) == 2
         for row in rows:
             assert row["verdict"] == "noise_limited" and row["error"]
-            assert row["p_d"] is None
+            assert row["p_d"] == ""
 
     def test_roc_count_without_interference_has_empty_p_d(self, tmp_path):
         # no interferer at n = 0: its rows carry an empty p_d in sorted-beta
@@ -348,22 +362,39 @@ class TestCli:
         assert doc["mean_shadow"] == 0.0 and doc["p_b2"] == 0.0
         assert run_cli("regime-map", "--config", str(cfg), "--out", str(out)) == 0
 
-    def test_json_output_is_standard_json(self, tmp_path):
+    def test_infinite_lrt_area_is_written_inf(self, tmp_path):
         # the thermal-noise default gives infinite LRT areas
         raw = json.loads(BASELINE_CONFIG.read_text())
         del raw["noise"]
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "out"
-        assert run_cli("regime-map", "--config", str(cfg), "--out", str(out),
-                       "--format", "json") == 0
+        assert run_cli("regime-map", "--config", str(cfg), "--out", str(out)) == 0
+        rows = csv_rows(out / "regime_map.csv")
+        assert len(rows) == 90
+        assert any(row["lrt_area"] == "inf" for row in rows)
+
+    def test_failed_check_writes_standard_json(self, tmp_path, monkeypatch):
+        # a check's numerical failure fills its row with nan, which standard
+        # JSON has no constant for
+        from mmwregime import mcsim
+        from mmwregime.numerics import NumericsError
+
+        def _distance_check(*args):
+            raise NumericsError("forced non-convergence")
+
+        monkeypatch.setattr(mcsim, "_distance_check", _distance_check)
+        cfg = write_config(tmp_path, trials=2000)
+        out = tmp_path / "out"
+        assert run_cli("validate", "--config", str(cfg), "--out", str(out)) == 3
 
         def reject(token):
             raise ValueError(f"non-standard JSON constant {token}")
 
-        doc = json.loads((out / "regime_map.json").read_text(), parse_constant=reject)
-        assert len(doc["rows"]) == 90
-        assert any(row["lrt_area"] == "inf" for row in doc["rows"])
+        doc = json.loads((out / "validation.json").read_text(), parse_constant=reject)
+        row = next(c for c in doc["checks"] if c["name"] == "distance_check")
+        assert row["analytic"] == row["empirical"] == "nan"
+        assert not row["passed"] and not doc["passed"]
 
     def test_finite_json_bytes_are_plain_dumps(self):
         payload = {"b": [1.0, 2.5e-300, None, "x"], "a": {"p": 0.1, "n": 3}}
@@ -404,14 +435,13 @@ class TestCli:
         ][1:]
         assert rows == [f"{i},{y!r}" for i, y in enumerate(samples.tolist())]
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_simulate_file_is_the_one_write_rows_makes(self, tmp_path, fmt):
+    def test_simulate_file_is_the_one_write_rows_makes(self, tmp_path):
         from mmwregime import mcsim
         from mmwregime.blockage import blockage_probability
 
         cfg = write_config(tmp_path, trials=300, seed=17)
         out = tmp_path / "out"
-        assert run_cli("simulate", "--config", str(cfg), "--out", str(out), "--format", fmt) == 0
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
         run = load_config(cfg)
         net = run.network
         samples = mcsim.simulate_received_power(
@@ -420,9 +450,9 @@ class TestCli:
             p_b=blockage_probability(run.blockage, net.geo).p_b,
         )
         rows = [{"trial": i, "y_watts": y} for i, y in enumerate(samples.tolist())]
-        ref = tmp_path / f"ref.{fmt}"
-        cli._write_rows(ref, rows, ["trial", "y_watts"], cli._provenance(run), fmt)
-        assert (out / f"samples.{fmt}").read_bytes() == ref.read_bytes()
+        ref = tmp_path / "ref.csv"
+        cli._write_rows(ref, rows, ["trial", "y_watts"], cli._provenance(run))
+        assert (out / "samples.csv").read_bytes() == ref.read_bytes()
 
     def test_validate_json_and_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, trials=20_000)
@@ -519,15 +549,6 @@ class TestCli:
         monkeypatch.setattr(cli.mcsim, "validate_suite", lambda *a, **k: failing)
         cfg = write_config(tmp_path, trials=10)
         assert run_cli("validate", "--config", str(cfg), "--out", str(tmp_path)) == 3
-
-    def test_json_format_flag(self, tmp_path):
-        cfg = write_config(tmp_path, sweeps={"beta_grid": [0.5, 1.0], "n_list": [100]})
-        out = tmp_path / "out"
-        assert run_cli(
-            "roc", "--config", str(cfg), "--out", str(out), "--format", "json"
-        ) == 0
-        doc = json.loads((out / "roc.json").read_text())
-        assert len(doc["rows"]) == 2
 
 
 class TestReproducibility:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mmwregime import mcsim
-from mmwregime.blockage import BlockageConfig, GeometryConfig
+from mmwregime.blockage import BlockageConfig, GeometryConfig, nonblocked_count_pmf
 from mmwregime.detector import np_threshold
 from mmwregime.interference import ChannelConfig, mean_received_power
 from mmwregime.mcsim import (
@@ -474,17 +474,57 @@ class TestKsPvalue:
         assert mcsim._ks_pvalue(4, 0.8) == pytest.approx(2.0 * 0.2 ** 4, rel=1e-14)
 
 
-class TestCountSampler:
-    @pytest.mark.parametrize("n, p_b", [(0, 0.3), (1, 0.3), (200, 0.3), (200, 1.0)])
-    def test_one_binomial_draw(self, baseline_channel, n, p_b):
-        channel = dataclasses.replace(baseline_channel, n=n)
-        trials, seed = 7000, 12
-        got = mcsim.sample_nonblocked_counts(channel, p_b, trials, seed)
-        ref = mcsim._rng(seed, mcsim._NS_COUNT).binomial(n, channel.p * (1.0 - p_b), trials)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, ref)
-        # no candidate, or every one blocked, leaves nothing to count
-        assert got.any() == (n > 0 and p_b < 1.0)
+class TestDistanceCheck:
+    @pytest.mark.parametrize("v0", [0.0, 4.0])
+    def test_bins_the_exclusion_sampler(self, monkeypatch, v0):
+        # eps_min = 2 m redraws several percent of the draws; the row passes
+        # on the simulator's sampler and fails when its redraws are replaced
+        # by clipping to eps_min
+        g = GeometryConfig(radius=10.0, v0_norm=v0, theta=THETA, eps_min=2.0)
+        assert mcsim._distance_check(g, 20_000, 5).passed
+
+        def clipped(rng, count, geo):
+            dist = mcsim._disk_distances(rng, count, geo.radius, geo.v0_norm)
+            return np.maximum(dist, geo.eps_min)
+
+        monkeypatch.setattr(mcsim, "_distances_with_exclusion", clipped)
+        assert mcsim._distance_check(g, 20_000, 5).empirical < 1e-6
+
+
+class TestCountCheck:
+    def test_counts_are_the_simulators(
+        self, monkeypatch, baseline_channel, baseline_band, baseline_model
+    ):
+        # the check's counts are the in-band counts _power_block draws: the
+        # blocks' counts, captured while simulate_received_power runs, give
+        # the check's total variation
+        drawn = []
+
+        def recording(*args):
+            result = in_band_counts(*args)
+            drawn.append(result[0])
+            return result
+
+        in_band_counts = mcsim._inband_counts
+        monkeypatch.setattr(mcsim, "_inband_counts", recording)
+        trials, seed, p_b = 10_000, 12, 0.3
+        simulate_received_power(
+            baseline_channel, geo(), baseline_band, baseline_model, 1e-3,
+            trials=trials, seed=seed, blocking="thinning", p_b=p_b, workers=1,
+        )
+        simulated = np.concatenate(drawn)
+        drawn.clear()
+        check = mcsim._count_check(
+            baseline_channel, baseline_band, baseline_model, p_b, trials, seed
+        )
+        assert len(simulated) == trials and simulated.any()
+        assert np.array_equal(np.concatenate(drawn), simulated)
+        table = mcsim.upsilon_table(baseline_band, baseline_model)
+        in_band = table.rule_weights.sum() / (baseline_band.f_e - baseline_band.f_s)
+        pmf = nonblocked_count_pmf(baseline_channel.n, baseline_channel.p * in_band, p_b)
+        emp = np.bincount(simulated, minlength=baseline_channel.n + 1) / trials
+        assert check.empirical == 0.5 * float(np.sum(np.abs(emp - pmf)))
+        assert check.passed
 
 
 class TestSimulatedPower:
