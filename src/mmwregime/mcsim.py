@@ -11,6 +11,14 @@ disks from a Poisson field.  Blocking can be decided two ways:
                (matches the analytic treatment of blockage exactly); p_b = 0
                simulates a blockage-free network.
 
+Cone-shadow scenes have one path, _judge_scenes, which serves both the
+geometric simulator and validate's blockage gap check.  It draws a chunk
+of scenes at once (their interferers, then their obstacle fields), builds
+the chunk's cone frames once and judges each scene with _blocked_mask.
+The simulator asks for one Binomial(n, p) active count per trial and then
+draws the chunk's offsets and gains in one go; the gap check asks for the
+whole roster in every scene.
+
 Without cones, "thinning" draws only the candidates that add power.
 Survival, frequency, distance and fading are independent, and Upsilon is
 exactly 0 past the overlap cutoff, so a trial draws the Binomial count of
@@ -28,7 +36,6 @@ worker count reproduces the serial sample stream bit for bit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -125,13 +132,19 @@ def _cone_frame(int_xy: np.ndarray, v0_xy: np.ndarray, theta: float):
     return ell, ux, uy, planes
 
 
+# _blocked_mask's budget in bytes for one tile of interferer rows; a row
+# costs about 18 bytes an obstacle in stage 1 (three float32 forms, their
+# three masks and two ands), and a tile has at least one row
+_KERNEL_BYTES = 1 << 25
+
+
 def _blocked_mask(
     int_xy: np.ndarray,
     obstacle_xy: np.ndarray,
     obstacle_radius: np.ndarray,
     v0_xy: np.ndarray,
     theta: float,
-    frame=None,
+    frame,
 ) -> np.ndarray:
     """Vectorized cone-shadow blocking decision for many interferers at once.
 
@@ -148,8 +161,8 @@ def _blocked_mask(
     out by three half-planes: its two edges at +-theta about the axis u,
     and the base line through the receiver with normal -u.  Stage 1 stacks
     their unit normals and offsets into a (3*n_i, 3) matrix and multiplies
-    it once by the homogeneous obstacle coordinates (3, k), one small GEMM
-    in float32; the pairs where all three forms are >= -1e-5 are the
+    it by the homogeneous obstacle coordinates (3, k), one small GEMM in
+    float32 per tile; the pairs where all three forms are >= -1e-5 are the
     candidates.  Stage 2 applies the exact rule, r > 0, r <= ell and
     |perp| <= r*tan(theta), in float64 to the candidates alone.  Both are
     needed: the GEMM rounds differently from the exact expressions, so on
@@ -168,8 +181,13 @@ def _blocked_mask(
     s = 1.  Candidates keep row-major (interferer, obstacle) order, so the
     shadow sums add in the same order as over the full matrix.
 
-    frame, if given, is _cone_frame(int_xy, v0_xy, theta), computed by the
-    caller for many scenes at once; the decisions are the same.
+    Both stages run over tiles of interferer rows, as many as fit in
+    _KERNEL_BYTES, so a dense scene's memory stays bounded.  Each row lies
+    in one tile and s is the scene's, so the tiles' decisions are those of
+    one pass over every row; the shipped scene is a single tile.
+
+    frame is _cone_frame(int_xy, v0_xy, theta), which callers build for
+    many scenes at once.
     """
     n_i = int_xy.shape[0]
     if n_i == 0:
@@ -180,7 +198,7 @@ def _blocked_mask(
     k = obstacle_xy.shape[0]
     if k == 0:
         return np.zeros(n_i, dtype=bool)
-    ell, ux, uy, planes = _cone_frame(int_xy, v0_xy, theta) if frame is None else frame
+    ell, ux, uy, planes = frame
     ix, iy = int_xy[:, 0], int_xy[:, 1]
 
     # stage 1: the frame's rows, offsets in units of the scene's scale
@@ -190,26 +208,31 @@ def _blocked_mask(
     rows[:, :, 2] = planes[:, :, 2] / scale
     homog = np.ones((3, k), dtype=np.float32)
     homog[:2] = obstacle_xy.T / scale
-    forms = (rows.reshape(3 * n_i, 3) @ homog).reshape(3, n_i, k)
-    inside = forms >= np.float32(-1e-5)
-    i, j = np.divmod(np.flatnonzero(inside[0] & inside[1] & inside[2]), k)
-
-    # stage 2: the exact rule, on the candidates only
-    relx = obstacle_xy[j, 0] - ix[i]
-    rely = obstacle_xy[j, 1] - iy[i]
-    r_ax = relx * ux[i] + rely * uy[i]
-    perp = np.abs(relx * uy[i] - rely * ux[i])
-    in_cone = (r_ax > 0.0) & (r_ax <= ell[i]) & (perp <= r_ax * tan_t)
-    # one entry per in-cone pair: interferer, axial distance, obstacle size
-    i = i[in_cone]
-    r = r_ax[in_cone]
-    d = obstacle_radius[j[in_cone]]
-
+    tile = max(1, _KERNEL_BYTES // (18 * k))
     blocked = np.zeros(n_i, dtype=bool)
-    blocked[i[r <= d / (2.0 * tan_t)]] = True
-    # full blocks already decide those links; adding their shadow is harmless
-    shadow_total = np.bincount(i, weights=2.0 * d * ell[i] / r, minlength=n_i)
-    blocked |= shadow_total >= 2.0 * ell * tan_t
+    for lo in range(0, n_i, tile):
+        t = slice(lo, min(lo + tile, n_i))
+        m = t.stop - lo
+        forms = (rows[:, t].reshape(3 * m, 3) @ homog).reshape(3, m, k)
+        inside = forms >= np.float32(-1e-5)
+        i, j = np.divmod(np.flatnonzero(inside[0] & inside[1] & inside[2]), k)
+        i += lo
+
+        # stage 2: the exact rule, on the candidates only
+        relx = obstacle_xy[j, 0] - ix[i]
+        rely = obstacle_xy[j, 1] - iy[i]
+        r_ax = relx * ux[i] + rely * uy[i]
+        perp = np.abs(relx * uy[i] - rely * ux[i])
+        in_cone = (r_ax > 0.0) & (r_ax <= ell[i]) & (perp <= r_ax * tan_t)
+        # one entry per in-cone pair: interferer, axial distance, obstacle size
+        i = i[in_cone]
+        r = r_ax[in_cone]
+        d = obstacle_radius[j[in_cone]]
+
+        blocked[i[r <= d / (2.0 * tan_t)]] = True
+        # full blocks already decide those links; adding their shadow is harmless
+        shadow_total = np.bincount(i - lo, weights=2.0 * d * ell[i] / r, minlength=m)
+        blocked[t] |= shadow_total >= 2.0 * ell[t] * tan_t
     blocked &= ell > 0.0
     return blocked
 
@@ -249,11 +272,46 @@ def _draw_obstacles(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Obstacle fields of some scenes: their Poisson counts, then every
     field's uniform disk centres, then their sizes uniform on [d_s, d_e],
-    fields in scene order.  One scene draws what a scalar count would."""
+    fields in scene order."""
     counts = rng.poisson(blockage_cfg.rho * math.pi * geo.radius**2, scenes)
     n_obs = int(counts.sum())
     obs_xy = _uniform_disk(rng, n_obs, geo.radius)
     return counts, obs_xy, blockage_cfg.d_s + (blockage_cfg.d_e - blockage_cfg.d_s) * rng.random(n_obs)
+
+
+# obstacles and interferers drawn per chunk of cone-shadow scenes: about 64
+# shipped scenes (314 obstacles and 200 interferers each); a scene denser
+# than this is drawn alone, so memory stays that of one scene
+_SCENE_CHUNK_ITEMS = 32_768
+
+
+def _scene_chunk(n: int, blockage_cfg: BlockageConfig, geo: GeometryConfig) -> int:
+    """Scenes per chunk: the item budget over a scene's n interferers plus
+    its mean obstacle count, and at least 1."""
+    per_scene = n + blockage_cfg.rho * math.pi * geo.radius**2
+    return max(1, int(_SCENE_CHUNK_ITEMS // max(per_scene, 1.0)))
+
+
+def _judge_scenes(
+    rng: np.random.Generator, counts: np.ndarray, blockage_cfg: BlockageConfig, geo: GeometryConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a chunk of scenes, counts[s] interferers in scene s (eps_min
+    redraws included), then their obstacle fields, and judge every link on
+    cone frames built once per chunk.  Returns each interferer's distance
+    to the receiver and whether it is blocked, in scene order."""
+    v0_xy = np.array([geo.v0_norm, 0.0])
+    xy, dist = _draw_positions_with_exclusion(rng, int(counts.sum()), geo, v0_xy)
+    obs_counts, obs_xy, obs_r = _draw_obstacles(rng, blockage_cfg, geo, len(counts))
+    ell, ux, uy, planes = _cone_frame(xy, v0_xy, geo.theta)
+    ib = np.concatenate(([0], np.cumsum(counts))).tolist()
+    ob = np.concatenate(([0], np.cumsum(obs_counts))).tolist()
+    blocked = np.empty(len(dist), dtype=bool)
+    for s in range(len(counts)):
+        i, o = slice(ib[s], ib[s + 1]), slice(ob[s], ob[s + 1])
+        blocked[i] = _blocked_mask(
+            xy[i], obs_xy[o], obs_r[o], v0_xy, geo.theta, (ell[i], ux[i], uy[i], planes[:, i])
+        )
+    return dist, blocked
 
 
 def _inband_counts(
@@ -270,6 +328,11 @@ def _inband_counts(
     return rng.binomial(channel.n, thin * (hi - lo) / (band.f_e - band.f_s), n_trials), lo, hi
 
 
+def _trial_sums(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per trial t, the sum of its counts[t] consecutive values, in order."""
+    return np.bincount(np.repeat(np.arange(len(counts)), counts), weights=values, minlength=len(counts))
+
+
 def _power_block(
     block: int,
     n_trials: int,
@@ -284,41 +347,25 @@ def _power_block(
     blockage_cfg: Optional[BlockageConfig],
 ) -> np.ndarray:
     rng = _rng(seed, _NS_POWER, block)
-    n = channel.n
-
     if blocking == "thinning":
         counts, lo, hi = _inband_counts(rng, n_trials, channel, band, table.cutoff, p_b)
         total = int(counts.sum())
-        y = np.full(n_trials, phi, dtype=float)
-        if total == 0:
-            return y
         dist = _distances_with_exclusion(rng, total, geo)
         omega = np.abs(lo + (hi - lo) * rng.random(total) - band.f_0)
         h = rng.gamma(channel.m, 1.0 / channel.m, total)
-        power = channel.q * h * dist ** (-channel.alpha) * table.lookup(omega)
-        y += np.bincount(np.repeat(np.arange(n_trials), counts), weights=power, minlength=n_trials)
-        return y
+        return phi + _trial_sums(counts, channel.q * h * dist ** (-channel.alpha) * table.lookup(omega))
 
     if blockage_cfg is None:
         raise DomainError("geometric blocking requires a BlockageConfig")
-    v0_xy = np.array([geo.v0_norm, 0.0])
     y = np.full(n_trials, phi, dtype=float)
-    for i in range(n_trials):
-        active = rng.random(n) < channel.p
-        n_act = int(active.sum())
-        if n_act == 0:
-            continue
-        xy, dist = _draw_positions_with_exclusion(rng, n_act, geo, v0_xy)
-        freq = band.f_s + (band.f_e - band.f_s) * rng.random(n_act)
-        _, obs_xy, obs_r = _draw_obstacles(rng, blockage_cfg, geo, 1)
-        h = rng.gamma(channel.m, 1.0 / channel.m, n_act)
-        blocked = _blocked_mask(xy, obs_xy, obs_r, v0_xy, geo.theta)
-        keep = ~blocked
-        if keep.any():
-            ups = table.lookup(np.abs(freq[keep] - band.f_0))
-            y[i] += float(np.sum(
-                channel.q * h[keep] * dist[keep] ** (-channel.alpha) * ups
-            ))
+    chunk = _scene_chunk(channel.n, blockage_cfg, geo)
+    for start in range(0, n_trials, chunk):
+        counts = rng.binomial(channel.n, channel.p, min(chunk, n_trials - start))
+        dist, blocked = _judge_scenes(rng, counts, blockage_cfg, geo)
+        omega = np.abs(band.f_s + (band.f_e - band.f_s) * rng.random(len(dist)) - band.f_0)
+        h = rng.gamma(channel.m, 1.0 / channel.m, len(dist))
+        power = channel.q * h * dist ** (-channel.alpha) * table.lookup(omega)
+        y[start:start + len(counts)] += _trial_sums(counts, np.where(blocked, 0.0, power))
     return y
 
 
@@ -330,6 +377,8 @@ def _run_blocks(worker_fn, n_trials: int, workers: int) -> np.ndarray:
     if workers <= 1:
         parts = [worker_fn(b, size) for b, size in blocks]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda bs: worker_fn(*bs), blocks))
     return np.concatenate(parts) if parts else np.empty(0)
@@ -683,43 +732,18 @@ def _false_alarm_checks(noise, h0, betas) -> list[ValidationCheck]:
     return out
 
 
-# obstacles and interferers drawn per chunk of gap-check scenes: about 64
-# shipped scenes (314 obstacles and 200 interferers each); a scene denser
-# than this is drawn alone, so memory stays that of one scene
-_GAP_CHUNK_ITEMS = 32_768
-
-
-def _gap_chunk(n: int, blockage_cfg: BlockageConfig, geo: GeometryConfig) -> int:
-    """Scenes per chunk of the gap check: the item budget over a scene's
-    interferers plus its mean obstacle count, and at least 1."""
-    per_scene = n + blockage_cfg.rho * math.pi * geo.radius**2
-    return max(1, int(_GAP_CHUNK_ITEMS // max(per_scene, 1.0)))
-
-
 def _geometric_gap_check(channel, geo, blockage_cfg, p_b, trials, seed) -> ValidationCheck:
-    # the scenes' interferers, obstacle counts, centres and sizes are drawn a
-    # chunk at a time, and the cone frames built once per chunk; then one
-    # _blocked_mask call per scene of the whole roster.  2000 shipped scenes
-    # take about 0.8 s and give the informational rate 2 digits
+    # whole-roster scenes through the simulator's scene path; 2000 shipped
+    # scenes take about 0.8 s and give the informational rate 2 digits.  The
+    # cost grows with rho*R^2, the mean obstacle count of a scene
     trials = min(trials, 2000)
     rng = _rng(seed, _NS_SCENARIO, 3)
-    v0_xy = np.array([geo.v0_norm, 0.0])
-    n = channel.n
-    chunk = _gap_chunk(n, blockage_cfg, geo)
+    chunk = _scene_chunk(channel.n, blockage_cfg, geo)
     blocked = 0
     for start in range(0, trials, chunk):
-        scenes = min(chunk, trials - start)
-        xy, _ = _draw_positions_with_exclusion(rng, scenes * n, geo, v0_xy)
-        counts, obs_xy, obs_r = _draw_obstacles(rng, blockage_cfg, geo, scenes)
-        ell, ux, uy, planes = _cone_frame(xy, v0_xy, geo.theta)
-        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-        for s in range(scenes):
-            i = slice(s * n, (s + 1) * n)
-            o = slice(bounds[s], bounds[s + 1])
-            blocked += int(_blocked_mask(
-                xy[i], obs_xy[o], obs_r[o], v0_xy, geo.theta, (ell[i], ux[i], uy[i], planes[:, i])
-            ).sum())
-    total = trials * n
+        counts = np.full(min(chunk, trials - start), channel.n)
+        blocked += int(_judge_scenes(rng, counts, blockage_cfg, geo)[1].sum())
+    total = trials * channel.n
     rate = blocked / total if total else 0.0
     return ValidationCheck(
         name="geometric_blockage_gap", analytic=float(p_b), empirical=rate,

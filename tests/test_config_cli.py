@@ -203,6 +203,19 @@ def test_start_up_and_every_command_on_the_shipped_config_load_no_scipy(tmp_path
     assert run_python(code, str(BASELINE_CONFIG), str(tmp_path)) == "[]"
 
 
+def test_analytic_commands_load_no_thread_pool(tmp_path):
+    # worker threads serve simulate and validate alone, so the thread pool
+    # (and the logging, queue and traceback it brings) loads only there
+    code = (
+        "import sys\n"
+        "from mmwregime import cli\n"
+        "for cmd in ('blockage', 'roc', 'regime-map'):\n"
+        "    assert cli.main([cmd, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0, cmd\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    assert run_python(code, str(BASELINE_CONFIG), str(tmp_path)) == "False"
+
+
 def run_cli(*args):
     return cli.main(list(args))
 

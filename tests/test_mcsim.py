@@ -26,9 +26,15 @@ def geo(v0=0.0, eps=0.1):
     return GeometryConfig(radius=10.0, v0_norm=v0, theta=THETA, eps_min=eps)
 
 
+def kernel(int_xy, obstacle_xy, obstacle_radius, v0_xy, theta):
+    """The kernel on cone frames built for this scene alone."""
+    frame = mcsim._cone_frame(int_xy, v0_xy, theta)
+    return mcsim._blocked_mask(int_xy, obstacle_xy, obstacle_radius, v0_xy, theta, frame)
+
+
 def is_blocked(ixy, obs, rad):
     """The kernel's decision for one interferer."""
-    return bool(mcsim._blocked_mask(np.array([ixy], dtype=float), obs, rad, V0, THETA)[0])
+    return bool(kernel(np.array([ixy], dtype=float), obs, rad, V0, THETA)[0])
 
 
 class TestIsBlocked:
@@ -81,6 +87,22 @@ class TestIsBlocked:
             assert after or not before
 
 
+def _dense_cone_pairs(int_xy, obstacle_xy, v0_xy, theta):
+    # the all-pairs exact in-cone rule: each cone's length, and the axial
+    # distance and in-cone flag of every (interferer, obstacle) pair
+    axis = v0_xy[None, :] - int_xy
+    ell = np.hypot(axis[:, 0], axis[:, 1])
+    safe_ell = np.where(ell > 0.0, ell, 1.0)
+    ux = axis[:, 0] / safe_ell
+    uy = axis[:, 1] / safe_ell
+    relx = obstacle_xy[None, :, 0] - int_xy[:, None, 0]
+    rely = obstacle_xy[None, :, 1] - int_xy[:, None, 1]
+    r_ax = relx * ux[:, None] + rely * uy[:, None]
+    perp = np.abs(relx * uy[:, None] - rely * ux[:, None])
+    in_cone = (r_ax > 0.0) & (r_ax <= ell[:, None]) & (perp <= r_ax * math.tan(theta))
+    return ell, r_ax, in_cone
+
+
 def _dense_blocked_mask(int_xy, obstacle_xy, obstacle_radius, v0_xy, theta, frame=None):
     # reference: the all-pairs cone-shadow rule, kept verbatim so the
     # two-stage kernel can be held to its decisions; it takes the kernel's
@@ -91,16 +113,7 @@ def _dense_blocked_mask(int_xy, obstacle_xy, obstacle_radius, v0_xy, theta, fram
     tan_t = math.tan(theta)
     if obstacle_xy.shape[0] == 0:
         return np.zeros(n_i, dtype=bool)
-    axis = v0_xy[None, :] - int_xy
-    ell = np.hypot(axis[:, 0], axis[:, 1])
-    safe_ell = np.where(ell > 0.0, ell, 1.0)
-    ux = axis[:, 0] / safe_ell
-    uy = axis[:, 1] / safe_ell
-    relx = obstacle_xy[None, :, 0] - int_xy[:, None, 0]
-    rely = obstacle_xy[None, :, 1] - int_xy[:, None, 1]
-    r_ax = relx * ux[:, None] + rely * uy[:, None]
-    perp = np.abs(relx * uy[:, None] - rely * ux[:, None])
-    in_cone = (r_ax > 0.0) & (r_ax <= ell[:, None]) & (perp <= r_ax * tan_t)
+    ell, r_ax, in_cone = _dense_cone_pairs(int_xy, obstacle_xy, v0_xy, theta)
     d = obstacle_radius[None, :]
     full_block = in_cone & (r_ax <= d / (2.0 * tan_t))
     blocked = full_block.any(axis=1)
@@ -150,7 +163,7 @@ class TestBlockedMaskAgainstDense:
             n_obs = rng.poisson(math.pi * 100.0)
             obs = mcsim._uniform_disk(rng, n_obs, g.radius)
             rad = (0.2 + 0.6 * rng.random(n_obs)) * scale
-            got = mcsim._blocked_mask(ixy, obs, rad, v0_xy, g.theta)
+            got = kernel(ixy, obs, rad, v0_xy, g.theta)
             assert np.array_equal(got, _dense_blocked_mask(ixy, obs, rad, v0_xy, g.theta))
             blocked += int(got.sum())
         if n_int > 1:
@@ -180,7 +193,7 @@ class TestBlockedMaskAgainstDense:
         # prefilter's rounding; the apex itself (r = 0) is never in the cone
         for case, scenes in _boundary_scenes(math.radians(theta_deg), scale).items():
             dense = [bool(_dense_blocked_mask(*sc)[0]) for sc in scenes]
-            got = [bool(mcsim._blocked_mask(*sc)[0]) for sc in scenes]
+            got = [bool(kernel(*sc)[0]) for sc in scenes]
             assert got == dense, case
             assert any(dense) != (case == "apex"), case
 
@@ -194,7 +207,7 @@ class TestBlockedMaskAgainstDense:
         ixy[17] = v0_xy
         obs = mcsim._uniform_disk(rng, 300, g.radius)
         rad = 0.2 + 0.6 * rng.random(300)
-        got = mcsim._blocked_mask(ixy, obs, rad, v0_xy, g.theta)
+        got = kernel(ixy, obs, rad, v0_xy, g.theta)
         assert np.array_equal(got, _dense_blocked_mask(ixy, obs, rad, v0_xy, g.theta))
         assert not got[17] and got.any()
 
@@ -202,16 +215,83 @@ class TestBlockedMaskAgainstDense:
         # no length to scale by, and no cone: nothing is blocked
         ixy, obs = np.zeros((3, 2)), np.zeros((4, 2))
         rad = np.full(4, 0.5)
-        got = mcsim._blocked_mask(ixy, obs, rad, V0, THETA)
+        got = kernel(ixy, obs, rad, V0, THETA)
         assert np.array_equal(got, _dense_blocked_mask(ixy, obs, rad, V0, THETA))
         assert not got.any()
 
     @pytest.mark.parametrize("n_int", [0, 1, 33])
     def test_empty_obstacle_set(self, n_int):
         ixy = mcsim._uniform_disk(np.random.default_rng(n_int), n_int, 10.0)
-        got = mcsim._blocked_mask(ixy, np.empty((0, 2)), np.empty(0), V0, THETA)
+        got = kernel(ixy, np.empty((0, 2)), np.empty(0), V0, THETA)
         assert got.shape == (n_int,) and not got.any()
         assert np.array_equal(got, _dense_blocked_mask(ixy, np.empty((0, 2)), np.empty(0), V0, THETA))
+
+
+class TestKernelTiles:
+    """Stage 1 and 2 run over tiles of interferer rows under _KERNEL_BYTES."""
+
+    @staticmethod
+    def scene(rng, rho, n_int):
+        g = GeometryConfig(radius=10.0, v0_norm=4.0, theta=THETA, eps_min=0.5)
+        v0_xy = np.array([g.v0_norm, 0.0])
+        ixy, _ = mcsim._draw_positions_with_exclusion(rng, n_int, g, v0_xy)
+        _, obs, rad = mcsim._draw_obstacles(rng, BlockageConfig(rho=rho, d_s=0.2, d_e=0.8), g, 1)
+        return ixy, obs, rad, v0_xy, g.theta
+
+    # one row a tile, and tiles of 7 and 70 rows on a shipped field (about
+    # 314 obstacles); 1 and 7 rows on a dense one (about 3140)
+    @pytest.mark.parametrize("budget", [1, 40_000, 400_000])
+    @pytest.mark.parametrize("rho", [1.0, 10.0])
+    def test_tiled_masks_match_dense_rule(self, monkeypatch, budget, rho):
+        monkeypatch.setattr(mcsim, "_KERNEL_BYTES", budget)
+        rng = np.random.default_rng([budget, int(rho)])
+        blocked = 0
+        for _ in range(5):
+            sc = self.scene(rng, rho, 200)
+            assert budget // (18 * len(sc[1])) < 200  # more than one tile
+            got = kernel(*sc)
+            assert np.array_equal(got, _dense_blocked_mask(*sc))
+            blocked += int(got.sum())
+        assert 0 < blocked < 5 * 200
+
+    def test_shipped_scene_is_one_tile(self, baseline_channel, baseline_blockage, baseline_geo):
+        # even with twice the mean obstacle count
+        k = baseline_blockage.rho * math.pi * baseline_geo.radius**2
+        assert mcsim._KERNEL_BYTES // (18 * 2 * k) > baseline_channel.n
+
+    def test_peak_memory_within_the_budget(self, monkeypatch):
+        # 100 interferers over 10 000 obstacles: about 18 MB of stage-1
+        # arrays in one pass, against a 1 MiB budget
+        import tracemalloc
+
+        budget = 1 << 20
+        sc = self.scene(np.random.default_rng(12), 10_000 / (math.pi * 100.0), 100)
+        ixy, obs, rad, v0_xy, theta = sc
+        k = len(obs)
+        # stage 2's candidate arrays: a generous 400 bytes for each pair the
+        # exact rule accepts in the largest tile (stage 1 adds only the pairs
+        # within its slack of the cone's edges)
+        per_row = np.array([
+            int(_dense_cone_pairs(ixy[i:i + 1], obs, v0_xy, theta)[2].sum()) for i in range(100)
+        ])
+        rows = budget // (18 * k)
+        candidates = max(per_row[lo:lo + rows].sum() for lo in range(0, 100, rows))
+        # plus the float32 obstacle coordinates and the rows of the frame
+        bound = budget + 400 * candidates + 12 * k + 64 * 1024
+        frame = mcsim._cone_frame(ixy, v0_xy, theta)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                mcsim._blocked_mask(ixy, obs, rad, v0_xy, theta, frame)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(mcsim, "_KERNEL_BYTES", budget)
+        assert peak() <= bound
+        monkeypatch.setattr(mcsim, "_KERNEL_BYTES", 1 << 40)  # one pass
+        assert peak() > 4 * bound
 
 
 class TestKernelEndToEnd:
@@ -244,7 +324,7 @@ def _gap_rate_per_scene(channel, g, blockage_cfg, trials, seed):
     rng = mcsim._rng(seed, mcsim._NS_SCENARIO, 3)
     v0_xy = np.array([g.v0_norm, 0.0])
     n = channel.n
-    chunk = mcsim._gap_chunk(n, blockage_cfg, g)
+    chunk = mcsim._scene_chunk(n, blockage_cfg, g)
     blocked = 0
     for start in range(0, trials, chunk):
         scenes = min(chunk, trials - start)
@@ -252,7 +332,7 @@ def _gap_rate_per_scene(channel, g, blockage_cfg, trials, seed):
         counts, obs, rad = mcsim._draw_obstacles(rng, blockage_cfg, g, scenes)
         cuts = np.cumsum(counts)[:-1]
         for s, (o, r) in enumerate(zip(np.split(obs, cuts), np.split(rad, cuts))):
-            blocked += int(mcsim._blocked_mask(xy[s * n:(s + 1) * n], o, r, v0_xy, g.theta).sum())
+            blocked += int(kernel(xy[s * n:(s + 1) * n], o, r, v0_xy, g.theta).sum())
     return blocked / (trials * n)
 
 
@@ -260,7 +340,7 @@ class TestGapCheckChunks:
     @pytest.mark.parametrize("offset", [None, -1, 0, 1])
     def test_rate_matches_per_scene_loop(self, offset, baseline_channel, baseline_geo, baseline_blockage):
         # one scene, and the chunk boundary from either side
-        chunk = mcsim._gap_chunk(baseline_channel.n, baseline_blockage, baseline_geo)
+        chunk = mcsim._scene_chunk(baseline_channel.n, baseline_blockage, baseline_geo)
         trials = 1 if offset is None else chunk + offset
         got = mcsim._geometric_gap_check(
             baseline_channel, baseline_geo, baseline_blockage, 0.24, trials, 11
@@ -273,14 +353,89 @@ class TestGapCheckChunks:
 
     def test_shipped_chunk_size(self, baseline_channel, baseline_geo, baseline_blockage):
         # 32768 items over 200 interferers and 314 obstacles a scene
-        assert mcsim._gap_chunk(baseline_channel.n, baseline_blockage, baseline_geo) == 63
+        assert mcsim._scene_chunk(baseline_channel.n, baseline_blockage, baseline_geo) == 63
 
     def test_dense_field_draws_one_scene_per_chunk(
         self, baseline_channel, baseline_geo, baseline_blockage
     ):
         # about 157 000 obstacles a scene at rho = 500: over the budget alone
         dense = dataclasses.replace(baseline_blockage, rho=500.0)
-        assert mcsim._gap_chunk(baseline_channel.n, dense, baseline_geo) == 1
+        assert mcsim._scene_chunk(baseline_channel.n, dense, baseline_geo) == 1
+
+
+def _geometric_per_scene(channel, g, band, model, blockage_cfg, phi, trials, seed):
+    """Geometric samples from the simulator's draws, judged scene by scene:
+    per trial block and chunk of scenes, one Binomial(n, p) active count per
+    trial, the positions and the obstacle fields, then every link's offset
+    and gain; the kernel runs on each scene's own frames, and each trial
+    adds its unblocked power link by link.  Also returns the blocked and
+    unblocked link counts."""
+    table = mcsim.upsilon_table(band, model)
+    v0_xy = np.array([g.v0_norm, 0.0])
+    chunk = mcsim._scene_chunk(channel.n, blockage_cfg, g)
+    y, links = [], [0, 0]
+    for block in range(-(-trials // mcsim.TRIAL_BLOCK)):
+        rng = mcsim._rng(seed, mcsim._NS_POWER, block)
+        size = min(mcsim.TRIAL_BLOCK, trials - block * mcsim.TRIAL_BLOCK)
+        for start in range(0, size, chunk):
+            active = rng.binomial(channel.n, channel.p, min(chunk, size - start))
+            xy, dist = mcsim._draw_positions_with_exclusion(rng, int(active.sum()), g, v0_xy)
+            counts, obs, rad = mcsim._draw_obstacles(rng, blockage_cfg, g, len(active))
+            freq = band.f_s + (band.f_e - band.f_s) * rng.random(len(dist))
+            h = rng.gamma(channel.m, 1.0 / channel.m, len(dist))
+            power = channel.q * h * dist ** (-channel.alpha) * table.lookup(np.abs(freq - band.f_0))
+            cuts = np.cumsum(counts)[:-1]
+            ends = np.cumsum(active)
+            for a, end, o, r in zip(active, ends, np.split(obs, cuts), np.split(rad, cuts)):
+                scene = slice(end - a, end)
+                total = 0.0
+                for p, b in zip(power[scene], kernel(xy[scene], o, r, v0_xy, g.theta)):
+                    links[int(b)] += 1
+                    if not b:
+                        total += p
+                y.append(phi + total)
+    return np.array(y), links
+
+
+class TestGeometricScenes:
+    """Geometric simulate judges its scenes a chunk at a time, as the gap
+    check does, and draws the law of independent active links."""
+
+    @pytest.mark.parametrize("boundary, offset", [
+        ("chunk", -1), ("chunk", 1), ("block", -1), ("block", 1),
+    ])
+    def test_samples_match_per_scene_loop(self, boundary, offset, baseline_band, baseline_model):
+        # ten candidates over the shipped obstacle field: 101 scenes a chunk
+        channel = ChannelConfig(alpha=2.5, m=3.0, q=0.5, n=10, p=0.5)
+        blockage_cfg = BlockageConfig(rho=1.0, d_s=0.2, d_e=0.8)
+        g = geo(v0=4.0, eps=0.5)
+        chunk = mcsim._scene_chunk(channel.n, blockage_cfg, g)
+        assert chunk == 101 and mcsim.TRIAL_BLOCK % chunk != 0
+        trials = {"chunk": chunk, "block": mcsim.TRIAL_BLOCK}[boundary] + offset
+        args = (channel, g, baseline_band, baseline_model, 1e-3, trials, 6)
+        ref, (unblocked, blocked) = _geometric_per_scene(
+            channel, g, baseline_band, baseline_model, blockage_cfg, 1e-3, trials, 6
+        )
+        assert unblocked > 0 and blocked > 0
+        for workers in (1, 2):
+            got = simulate_received_power(
+                *args, blocking="geometric", blockage_cfg=blockage_cfg, workers=workers
+            )
+            assert np.array_equal(got, ref), workers
+
+    @pytest.mark.parametrize("v0", [0.0, 4.0])
+    def test_mean_without_obstacles_matches_analytic(
+        self, v0, baseline_channel, baseline_band, baseline_model
+    ):
+        # no obstacle blocks anything, so the mean is the analytic one at p_b = 0
+        g = geo(v0=v0, eps=0.5)
+        s = simulate_received_power(
+            baseline_channel, g, baseline_band, baseline_model, 1e-3, 20_000, 8,
+            blocking="geometric", blockage_cfg=BlockageConfig(rho=0.0, d_s=0.2, d_e=0.8),
+        )
+        analytic = mean_received_power(1e-3, 0.0, baseline_channel, g, baseline_band, baseline_model)
+        se = s.std(ddof=1) / math.sqrt(len(s))
+        assert s.mean() == pytest.approx(analytic, abs=4.0 * se)
 
 
 class TestDistanceSampler:
@@ -621,8 +776,8 @@ class TestSimulatedPower:
             ri = g.radius * np.sqrt(rng.random(20))
             ai = 2.0 * math.pi * rng.random(20)
             ixy = np.column_stack((ri * np.cos(ai), ri * np.sin(ai)))
-            hi = mcsim._blocked_mask(ixy, obs, rad, V0, g.theta)
-            lo = mcsim._blocked_mask(ixy, obs[keep], rad[keep], V0, g.theta)
+            hi = kernel(ixy, obs, rad, V0, g.theta)
+            lo = kernel(ixy, obs[keep], rad[keep], V0, g.theta)
             assert not np.any(lo & ~hi)  # subset field never blocks more
             blocked_hi += hi.sum()
             blocked_lo += lo.sum()
