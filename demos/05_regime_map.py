@@ -36,8 +36,9 @@ for rho in (0.5, 2.0):
           f"{'log10 area':>11} verdict")
     for pt in regime_map(blockage, geo, channel, band, model, noise, grid, beta_th=0.05):
         print(
-            f"{pt.v0_norm:7.1f} {pt.p_b:7.4f} {pt.mean_y*1e3:9.3f} "
-            f"{pt.lam:7.3f} {pt.p_d:7.4f} {math.log10(pt.lrt_area):11.1f} {pt.verdict}"
+            f"{pt['v0_m']:7.1f} {pt['p_b']:7.4f} {pt['mean_y_w']*1e3:9.3f} "
+            f"{pt['lambda']:7.3f} {pt['p_d']:7.4f} {math.log10(pt['lrt_area']):11.1f} "
+            f"{pt['verdict']}"
         )
     print()
 

@@ -22,7 +22,6 @@ from .detector import (
     InfeasibleFitError,
     MeFit,
     NoiseConfig,
-    RegimePoint,
     detection_probability,
     fit_me_lambda,
     h0_cdf,

@@ -103,7 +103,7 @@ def _json_text(payload: dict) -> str:
     return json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_csv(path: Path, header: list[str], prov: dict, body: list[str]) -> None:
+def _write_csv(path: Path, header: tuple[str, ...], prov: dict, body: list[str]) -> None:
     """Provenance comments, the header line, then the formatted data lines."""
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# {k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(prov.items())]
@@ -113,7 +113,7 @@ def _write_csv(path: Path, header: list[str], prov: dict, body: list[str]) -> No
     path.write_text("\n".join(lines))
 
 
-def _write_rows(path: Path, rows: list[dict], header: list[str], prov: dict) -> None:
+def _write_rows(path: Path, rows: list[dict], header: tuple[str, ...], prov: dict) -> None:
     body = [",".join([_fmt(row.get(col)) for col in header]) for row in rows]
     _write_csv(path, header, prov, body)
 
@@ -131,26 +131,16 @@ def cmd_blockage(run: RunConfig, out: Path, workers: int) -> int:
 
 def cmd_regime_map(run: RunConfig, out: Path, workers: int) -> int:
     net = run.network
-    header = ["rho", "n", "v0_m", "p_b", "mean_y_w", "lambda", "eta_prime_w",
-              "p_d", "lrt_area", "verdict", "error"]
     rows = []
     for rho in run.sweeps.rho_list:
         blk = dataclasses.replace(run.blockage, rho=rho)
         for n in run.sweeps.n_list:
             chan = dataclasses.replace(net.channel, n=n)
-            points = detector.regime_map(
+            rows += detector.regime_map(
                 blk, net.geo, chan, net.band, net.spectral, net.noise,
                 run.sweeps.v0_grid, run.beta_th, fit_mode=run.fit_mode,
             )
-            for pt in points:
-                rows.append({
-                    "rho": rho, "n": n, "v0_m": pt.v0_norm, "p_b": pt.p_b,
-                    "mean_y_w": pt.mean_y, "lambda": pt.lam,
-                    "eta_prime_w": pt.eta_prime, "p_d": pt.p_d,
-                    "lrt_area": pt.lrt_area, "verdict": pt.verdict,
-                    "error": pt.error,
-                })
-    _write_rows(out / "regime_map.csv", rows, header, _provenance(run))
+    _write_rows(out / "regime_map.csv", rows, detector.REGIME_COLUMNS, _provenance(run))
     # per-point failures are recorded in the verdict and error columns; an
     # infeasible fit is a noise_limited verdict that also fills error, so
     # only a sweep whose every verdict is "error" is a numerical failure
@@ -179,7 +169,7 @@ def cmd_roc(run: RunConfig, out: Path, workers: int) -> int:
             curve = detector.roc_curve(fit, net.noise, run.sweeps.beta_grid)
         for beta, p_d in curve:
             rows.append({"n": n, "beta": beta, "p_f": beta, "p_d": p_d})
-    header = ["n", "beta", "p_f", "p_d"]
+    header = ("n", "beta", "p_f", "p_d")
     _write_rows(out / "roc.csv", rows, header, _provenance(run))
     return EXIT_OK
 
@@ -205,7 +195,7 @@ def cmd_simulate(run: RunConfig, out: Path, workers: int) -> int:
         blockage_cfg=run.blockage, workers=workers,
     )
     # the lines _write_rows would format, without a dict per sample
-    _write_csv(out / "samples.csv", ["trial", "y_watts"], _provenance(run),
+    _write_csv(out / "samples.csv", ("trial", "y_watts"), _provenance(run),
                [f"{i},{y!r}" for i, y in enumerate(samples.tolist())])
     return EXIT_OK
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,14 +21,14 @@ from . import numerics
 from .blockage import BlockageConfig, GeometryConfig, blockage_probability
 from .interference import ChannelConfig, mean_received_power
 from .numerics import DomainError
-from .spectral import BandConfig, SpectralModel, _erf
+from .spectral import BandConfig, SpectralModel
 
 __all__ = [
     "NoiseConfig",
     "MeFit",
-    "RegimePoint",
     "InfeasibleFitError",
     "FIT_MODES",
+    "REGIME_COLUMNS",
     "thermal_noise_power",
     "h0_pdf",
     "h0_cdf",
@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 FIT_MODES = ("transcendental", "closed_form")
+
+# the columns of a regime-map row, in the order regime_map.csv writes them
+REGIME_COLUMNS = ("rho", "n", "v0_m", "p_b", "mean_y_w", "lambda", "eta_prime_w",
+                  "p_d", "lrt_area", "verdict", "error")
 
 NOISE_LIMITED = "noise_limited"
 INTERFERENCE_LIMITED = "interference_limited"
@@ -85,21 +89,6 @@ class MeFit:
             raise DomainError(f"lambda must be > 0, got {self.lam}")
 
 
-@dataclass(frozen=True)
-class RegimePoint:
-    """One location of a regime sweep; numeric fields are None on failure."""
-
-    v0_norm: float
-    p_b: Optional[float]
-    mean_y: Optional[float]
-    lam: Optional[float]
-    eta_prime: Optional[float]
-    p_d: Optional[float]
-    lrt_area: Optional[float]
-    verdict: str
-    error: Optional[str] = None
-
-
 # ---------------------------------------------------------------------------
 # hypothesis densities
 # ---------------------------------------------------------------------------
@@ -129,7 +118,7 @@ def h0_cdf(y, noise: NoiseConfig):
     out = np.zeros_like(y)
     pos = y > noise.phi
     u = (y[pos] - noise.phi) / (2.0 * noise.sigma2)
-    out[pos] = _erf(np.sqrt(u))
+    out[pos] = [math.erf(math.sqrt(v)) for v in u.tolist()]
     return float(out[0]) if scalar else out
 
 
@@ -338,23 +327,32 @@ def _regime_point(
     noise: NoiseConfig,
     eta_prime: float,
     fit_mode: str,
-) -> RegimePoint:
+) -> dict:
+    """The regime-map row of one location, keyed by REGIME_COLUMNS.
+
+    rho and n come from blockage_cfg and channel, v0_m is v0 as a float.
+    The values the chain did not reach are None, and error holds the
+    reason of a failed point.
+    """
     geo_v = replace(geo, v0_norm=float(v0))
-    p_b = mean_y = None
+    row = dict.fromkeys(REGIME_COLUMNS)
+    row.update(rho=blockage_cfg.rho, n=channel.n, v0_m=geo_v.v0_norm)
     try:
-        p_b = blockage_probability(blockage_cfg, geo_v).p_b
-        mean_y = mean_received_power(noise.phi, p_b, channel, geo_v, band, model)
+        row["p_b"] = blockage_probability(blockage_cfg, geo_v).p_b
+        row["mean_y_w"] = mean_y = mean_received_power(
+            noise.phi, row["p_b"], channel, geo_v, band, model
+        )
         fit = fit_me_lambda(mean_y, noise.phi, fit_mode)
         p_d = detection_probability(fit, eta_prime, noise.phi)
         area = lrt_area(fit, noise)
     except numerics.NumericsError as exc:
         # no interference mean above the signal power is trivially noise-limited
-        verdict = NOISE_LIMITED if isinstance(exc, InfeasibleFitError) else "error"
-        return RegimePoint(float(v0), p_b, mean_y, lam=None, eta_prime=None, p_d=None,
-                           lrt_area=None, verdict=verdict, error=str(exc))
-    verdict = INTERFERENCE_LIMITED if p_d > 0.5 else NOISE_LIMITED
-    return RegimePoint(float(v0), p_b, mean_y, lam=fit.lam, eta_prime=eta_prime, p_d=p_d,
-                       lrt_area=area, verdict=verdict)
+        row["verdict"] = NOISE_LIMITED if isinstance(exc, InfeasibleFitError) else "error"
+        row["error"] = str(exc)
+        return row
+    row.update({"lambda": fit.lam, "eta_prime_w": eta_prime, "p_d": p_d, "lrt_area": area,
+                "verdict": INTERFERENCE_LIMITED if p_d > 0.5 else NOISE_LIMITED})
+    return row
 
 
 def regime_map(
@@ -367,12 +365,13 @@ def regime_map(
     v0_grid: Sequence[float],
     beta_th: float,
     fit_mode: str = "transcendental",
-) -> list[RegimePoint]:
-    """Recompute the detection chain at each receiver offset, in grid order.
+) -> list[dict]:
+    """The regime-map rows of one (rho, N) family, one per receiver offset
+    in grid order, each a dict keyed by REGIME_COLUMNS (see _regime_point).
 
     Each point is interference-limited when P_D > 1/2 at the threshold of
     beta_th, which is computed once (an invalid beta_th raises DomainError).
-    An infeasible fit is noise-limited with its reason in the error field;
+    An infeasible fit is noise-limited with its reason in the error column;
     any other numerical failure gives verdict "error" instead of aborting
     the sweep.  Serial: a point is a few small numpy evaluations.  For a
     blockage-free network pass a blockage config with rho 0.

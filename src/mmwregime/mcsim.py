@@ -439,9 +439,11 @@ class ValidationCheck:
     """One analytic-vs-empirical comparison.
 
     For goodness-of-fit checks the empirical field holds the test p-value,
-    the analytic field is the ideal 1.0 and the tolerance 0.99, so the
-    uniform rule pass == (|analytic - empirical| <= tolerance) encodes
-    p > 0.01.  Informational checks carry tolerance None and always pass.
+    the analytic field is the ideal 1.0 and the tolerance 0.99, and passed
+    is p > 0.01.  The uniform rule |analytic - empirical| <= tolerance
+    reads p >= 0.01 up to the rounding of 1 - p instead: at p = 0.01 it
+    holds while the check fails.  Informational checks carry tolerance
+    None and always pass.
     """
 
     name: str

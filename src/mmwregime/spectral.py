@@ -169,10 +169,20 @@ def _psd_halfwidth(psd: Psd) -> float:
     return 0.5 * psd.width
 
 
-def _erf(x):
-    """math.erf over an array, element by element."""
-    x = np.asarray(x, dtype=float)
-    return np.array([math.erf(v) for v in x.ravel().tolist()]).reshape(x.shape)
+def _gauss_mass(a, b):
+    """0.5 * (erf(b) - erf(a)) element by element, for a <= b.
+
+    Where both ends lie on one side of 0 the erf difference cancels, so an
+    interval left of 0 is mirrored to the right and the mass is taken there
+    as 0.5 * (erfc(a) - erfc(b)).
+    """
+    left = b <= 0.0
+    a, b = np.where(left, -b, a), np.where(left, -a, b)
+    tail = a >= 0.0
+    out = np.empty(a.shape)
+    out[tail] = [math.erfc(x) - math.erfc(y) for x, y in zip(a[tail].tolist(), b[tail].tolist())]
+    out[~tail] = [math.erf(y) - math.erf(x) for x, y in zip(a[~tail].tolist(), b[~tail].tolist())]
+    return 0.5 * out
 
 
 def _overlap(omega, lo: float, hi: float, centre: float, freq: float, psd: Psd):
@@ -181,7 +191,7 @@ def _overlap(omega, lo: float, hi: float, centre: float, freq: float, psd: Psd):
         s = math.sqrt(2.0) * psd.std
         if freq == 0.0:
             # the Gaussian mass on [lo, hi]
-            return 0.5 * (_erf((hi - omega) / s) - _erf((lo - omega) / s))
+            return _gauss_mass((lo - omega) / s, (hi - omega) / s)
         # erf(x - iy) with y = freq*s/2, taken as exp(-y^2)*erf(x - iy) =
         # sign(x)*[exp(-y^2) - exp(-x^2 + 2ixy)*w(sign(x)*y + i|x|)] with the
         # Faddeeva function w, which stays finite for any freq*std.  Only the

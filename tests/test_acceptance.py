@@ -151,8 +151,8 @@ def test_07_detection_probability_exceedance():
 
 def _area_grid(blockage, channel):
     pts = mw.regime_map(blockage, GEO, channel, BAND, MODEL, NOISE, V0_GRID, beta_th=0.05)
-    assert all(p.error is None for p in pts)
-    return [p.lrt_area for p in pts]
+    assert all(p["error"] is None for p in pts)
+    return [p["lrt_area"] for p in pts]
 
 
 def test_08_location_sweep_trends():

@@ -297,6 +297,21 @@ class TestCli:
         for v0 in sparse:
             assert dense[v0] <= sparse[v0]
 
+    def test_roc_and_regime_map_agree_at_the_shipped_significance(self, tmp_path):
+        # the two commands reach P_D by separate chains; at the map's
+        # significance level and the shipped density they write the same
+        # string for every receiver at the centre
+        raw = json.loads(BASELINE_CONFIG.read_text())
+        assert raw["detection"]["beta_th"] == 0.05 and 0.05 in raw["sweeps"]["beta_grid"]
+        assert (raw["blockage"]["rho_per_m2"], raw["geometry"]["v0_norm_m"]) == (1.0, 0.0)
+        for command in ("roc", "regime-map"):
+            assert run_cli(command, "--config", str(BASELINE_CONFIG), "--out", str(tmp_path)) == 0
+        roc = {r["n"]: r["p_d"] for r in csv_rows(tmp_path / "roc.csv") if r["beta"] == "0.05"}
+        centre = {r["n"]: r["p_d"] for r in csv_rows(tmp_path / "regime_map.csv")
+                  if (r["rho"], r["v0_m"]) == ("1.0", "0.0")}
+        assert sorted(centre, key=int) == ["50", "100", "200"]
+        assert centre == roc
+
     @pytest.mark.parametrize("section, override", [
         ("noise", None),  # thermal noise floor, 1/(2 sigma2) ~ 1e12 per watt
         ("channel", {"q_dbm": 40.0}),

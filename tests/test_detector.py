@@ -7,6 +7,7 @@ import pytest
 from mmwregime.detector import (
     INTERFERENCE_LIMITED,
     NOISE_LIMITED,
+    REGIME_COLUMNS,
     InfeasibleFitError,
     MeFit,
     NoiseConfig,
@@ -118,11 +119,11 @@ class TestMeFit:
                                      baseline_run.sweeps.v0_grid, baseline_run.beta_th):
                     def f(lam):
                         lp = lam * phi
-                        return (lp + 1.0) * math.exp(-lp) - pt.mean_y * lam * lam
+                        return (lp + 1.0) * math.exp(-lp) - pt["mean_y_w"] * lam * lam
 
-                    f_lam = f(pt.lam)
-                    neighbours = (f(math.nextafter(pt.lam, -math.inf)),
-                                  f(math.nextafter(pt.lam, math.inf)))
+                    f_lam = f(pt["lambda"])
+                    neighbours = (f(math.nextafter(pt["lambda"], -math.inf)),
+                                  f(math.nextafter(pt["lambda"], math.inf)))
                     assert f_lam == 0.0 or any((v < 0.0) != (f_lam < 0.0) for v in neighbours)
                     fits += 1
         assert fits == 90
@@ -406,12 +407,31 @@ class TestRegimeMap:
             baseline_blockage, baseline_geo, baseline_channel, baseline_band, baseline_model,
             baseline_noise, [0.0, 4.0, 8.0], 0.05,
         )
-        assert [p.v0_norm for p in pts] == [0.0, 4.0, 8.0]
+        assert [p["v0_m"] for p in pts] == [0.0, 4.0, 8.0]
         for p in pts:
-            assert p.error is None
-            assert p.verdict in (NOISE_LIMITED, INTERFERENCE_LIMITED)
-            assert 0.0 <= p.p_b <= 1.0
-            assert p.mean_y > baseline_noise.phi
+            assert p["error"] is None
+            assert p["verdict"] in (NOISE_LIMITED, INTERFERENCE_LIMITED)
+            assert 0.0 <= p["p_b"] <= 1.0
+            assert p["mean_y_w"] > baseline_noise.phi
+
+    def test_rows_are_keyed_by_the_columns_with_python_floats(
+        self, baseline_blockage, baseline_geo, baseline_channel, baseline_band, baseline_model,
+        baseline_noise,
+    ):
+        # the CLI writes these rows as they are, each value through repr,
+        # which would spell a numpy float np.float64(...)
+        numeric = [c for c in REGIME_COLUMNS if c not in ("n", "verdict", "error")]
+        idle = replace(baseline_channel, n=0)
+        for chan, filled in ((baseline_channel, True), (idle, False)):
+            rows = regime_map(baseline_blockage, baseline_geo, chan, baseline_band,
+                              baseline_model, baseline_noise, [0.0, 4.0], 0.05)
+            for row in rows:
+                assert tuple(row) == REGIME_COLUMNS
+                assert (row["rho"], row["n"]) == (baseline_blockage.rho, chan.n)
+                assert type(row["n"]) is int and type(row["verdict"]) is str
+                assert all(row[c] is None or type(row[c]) is float for c in numeric)
+                assert (row["p_d"] is not None) == filled
+                assert (row["error"] is None) == filled
 
     def test_idle_network_reports_noise_limited_with_flag(
         self, baseline_blockage, baseline_geo, baseline_band, baseline_model, baseline_noise
@@ -424,9 +444,9 @@ class TestRegimeMap:
             baseline_noise, [0.0, 5.0], 0.05,
         )
         for p in pts:
-            assert p.verdict == NOISE_LIMITED
-            assert p.error is not None
-            assert p.lrt_area is None
+            assert p["verdict"] == NOISE_LIMITED
+            assert p["error"] is not None
+            assert p["lrt_area"] is None
 
     def test_total_blockage_is_noise_limited(
         self, baseline_geo, baseline_channel, baseline_band, baseline_model, baseline_noise
@@ -442,9 +462,9 @@ class TestRegimeMap:
             dense, replace(baseline_geo, radius=1.0), baseline_channel, baseline_band,
             baseline_model, baseline_noise, [0.0], 0.05,
         )
-        assert pts[0].p_b == 1.0
-        assert pts[0].verdict == NOISE_LIMITED
-        assert pts[0].error is not None
+        assert pts[0]["p_b"] == 1.0
+        assert pts[0]["verdict"] == NOISE_LIMITED
+        assert pts[0]["error"] is not None
 
     def test_near_total_blockage_closed_form_is_noise_limited(
         self, baseline_blockage, baseline_geo, baseline_channel, baseline_band, baseline_model,
@@ -459,8 +479,8 @@ class TestRegimeMap:
             baseline_blockage, baseline_geo, rare, baseline_band, baseline_model, baseline_noise,
             [0.0], 0.05, fit_mode="closed_form",
         )
-        assert pts[0].verdict == NOISE_LIMITED
-        assert pts[0].error is None
+        assert pts[0]["verdict"] == NOISE_LIMITED
+        assert pts[0]["error"] is None
 
     def test_grid_outside_disk_rejected(
         self, baseline_blockage, baseline_geo, baseline_channel, baseline_band, baseline_model, baseline_noise
@@ -488,10 +508,10 @@ class TestRegimeMap:
         )
         assert len(milli) == len(v0_grid) == 10
         for w, m in zip(watts, milli):
-            assert w.error is None and m.error is None
-            assert m.verdict == w.verdict
-            assert m.p_d == pytest.approx(w.p_d, rel=1e-12)
-            assert m.lrt_area == pytest.approx(1e3 * w.lrt_area, rel=1e-12)
+            assert w["error"] is None and m["error"] is None
+            assert m["verdict"] == w["verdict"]
+            assert m["p_d"] == pytest.approx(w["p_d"], rel=1e-12)
+            assert m["lrt_area"] == pytest.approx(1e3 * w["lrt_area"], rel=1e-12)
 
     def test_verdict_threshold_on_the_shipped_map(self, baseline_run):
         # interference-limited exactly when P_D > 1/2; the closed-form fit
@@ -506,12 +526,12 @@ class TestRegimeMap:
                     for pt in regime_map(blk, net.geo, chan, net.band, net.spectral, net.noise,
                                          baseline_run.sweeps.v0_grid, baseline_run.beta_th,
                                          fit_mode):
-                        assert pt.error is None
-                        assert pt.verdict == (
-                            INTERFERENCE_LIMITED if pt.p_d > 0.5 else NOISE_LIMITED
+                        assert pt["error"] is None
+                        assert pt["verdict"] == (
+                            INTERFERENCE_LIMITED if pt["p_d"] > 0.5 else NOISE_LIMITED
                         )
-                        assert pt.eta_prime >= net.noise.phi
-                        verdicts.add(pt.verdict)
+                        assert pt["eta_prime_w"] >= net.noise.phi
+                        verdicts.add(pt["verdict"])
         assert verdicts == {INTERFERENCE_LIMITED, NOISE_LIMITED}
 
     @pytest.mark.parametrize("fit_mode, in_watts, in_milliwatts", [
@@ -534,7 +554,7 @@ class TestRegimeMap:
                 blk = replace(baseline_run.blockage, rho=rho)
                 for n in baseline_run.sweeps.n_list:
                     count += sum(
-                        pt.verdict == INTERFERENCE_LIMITED
+                        pt["verdict"] == INTERFERENCE_LIMITED
                         for pt in regime_map(blk, net.geo, replace(chan0, n=n), net.band,
                                              net.spectral, noise, baseline_run.sweeps.v0_grid,
                                              baseline_run.beta_th, fit_mode)

@@ -1,10 +1,14 @@
 """The benchmark's own tests run with the package's, so that renaming a
 function the benchmark wraps fails here and not only in the benchmark."""
 
+import importlib.util
+import json
 import subprocess
 import sys
 
-from conftest import REPO_ROOT
+from mmwregime import cli
+
+from conftest import BASELINE_CONFIG, REPO_ROOT
 
 
 def test_perfbench_unit_tests_pass():
@@ -13,3 +17,38 @@ def test_perfbench_unit_tests_pass():
         cwd=REPO_ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
+
+
+def _load_oracles():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_oracles", REPO_ROOT / "perfbench" / "oracles.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_oracles_accept_the_analytic_commands(tmp_path):
+    # the checks the benchmark applies to blockage, roc and regime-map on the
+    # shipped config, so a renamed or reordered column fails here as well
+    oracles = _load_oracles()
+    raw = json.loads(BASELINE_CONFIG.read_text())
+    for command in ("blockage", "roc", "regime-map"):
+        assert cli.main([command, "--config", str(BASELINE_CONFIG), "--out", str(tmp_path)]) == 0
+    reference = oracles.read_csv(
+        REPO_ROOT / "perfbench" / "reference" / "analytic_sweep" / "regime_map.csv"
+    )
+    scene = (raw["blockage"]["rho_per_m2"], raw["channel"]["n_interferers"],
+             raw["geometry"]["v0_norm_m"])
+    (ref_p_b,) = [float(r["p_b"]) for r in reference
+                  if (float(r["rho"]), int(r["n"]), float(r["v0_m"])) == scene]
+    rows = oracles.read_csv(tmp_path / "regime_map.csv")
+    # the stable columns keep their order; new ones are appended
+    assert tuple(rows[0])[:len(oracles.REGIME_COLUMNS)] == oracles.REGIME_COLUMNS
+    outcome = oracles.Outcome()
+    outcome.merge(oracles.check_blockage(oracles.load_json(tmp_path / "blockage.json"), ref_p_b))
+    outcome.merge(oracles.check_roc(oracles.read_csv(tmp_path / "roc.csv"), raw["sweeps"]))
+    outcome.merge(oracles.check_regime_map(rows, raw["sweeps"], reference))
+    assert outcome.problems == []
+    assert (outcome.ops, outcome.failed) == (93, 0)

@@ -168,6 +168,19 @@ class TestUpsilon:
                 brick_overlap(omega, 1e8, 2.5e7), abs=1e-14
             )
 
+    def test_gaussian_tail_keeps_relative_accuracy(self):
+        # past the window edge the flat part's Gaussian mass is a difference
+        # of two small erfc values, where an erf difference cancels to 0
+        from scipy.special import erfc
+
+        s = math.sqrt(2.0) * 2.5e7
+        for omega in (0.0, 1e8, 2e8, 2.5e8, 3e8, 3.4e8):
+            expected = 0.5 * (erfc((omega - 5e7) / s) - erfc((omega + 5e7) / s))
+            assert expected > 0.0
+            assert upsilon(omega, band(), gaussian_model()) == pytest.approx(
+                expected, rel=1e-13, abs=0.0
+            )
+
     def test_even_in_offset(self):
         b = band()
         model = gaussian_model()
