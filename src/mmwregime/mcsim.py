@@ -11,22 +11,21 @@ disks from a Poisson field.  Blocking can be decided two ways:
                (matches the analytic treatment of blockage exactly); p_b = 0
                simulates a blockage-free network.
 
-Cone-shadow scenes have one path, _judge_scenes, which serves both the
-geometric simulator and validate's blockage gap check.  It draws a chunk
-of scenes at once (their interferers, then their obstacle fields), builds
-the chunk's cone frames once and judges each scene with _blocked_mask.
-The simulator asks for one Binomial(n, p) active count per trial and then
-draws the chunk's offsets and gains in one go; the gap check asks for the
-whole roster in every scene.
+Both modes draw only the candidates that can add power.  Activity,
+frequency, position, fading and survival are independent per candidate,
+a link's cone-shadow decision depends only on its own position and its
+scene's obstacles, and Upsilon is exactly 0 past the overlap cutoff.  So
+a trial block draws each trial's Binomial count of candidates within the
+cutoff of f_0, then their distances (thinning) or their cone-shadow
+scenes (geometric), then an offset uniform on that slice of the band and
+a gain for each; blocked links add 0.  Distances are drawn alone, from
+the same uniforms (in the same order) as the (x, y) positions of scenes.
 
-Without cones, "thinning" draws only the candidates that add power.
-Survival, frequency, distance and fading are independent, and Upsilon is
-exactly 0 past the overlap cutoff, so a trial draws the Binomial count of
-survivors whose frequency is within the cutoff of f_0, then for each a
-frequency uniform on that slice of the band, a distance and a gain: the
-per-candidate law without its zero terms.  Distances are drawn alone,
-from the same uniforms (in the same order) as the (x, y) positions the
-geometric mode needs.
+Cone-shadow scenes have one path, _judge_scenes, shared with validate's
+blockage gap check, which puts the whole roster in every scene.  It draws
+a chunk of scenes at once (their interferers, then their obstacle
+fields), builds the chunk's cone frames once and judges each scene with
+_blocked_mask.
 
 Randomness comes from counter-based Philox streams keyed by (seed,
 namespace, block), with trials partitioned into fixed-size blocks, so any
@@ -281,7 +280,9 @@ def _draw_obstacles(
 
 # obstacles and interferers drawn per chunk of cone-shadow scenes: about 64
 # shipped scenes (314 obstacles and 200 interferers each); a scene denser
-# than this is drawn alone, so memory stays that of one scene
+# than this is drawn alone, so memory stays that of one scene.  The sizing
+# counts the whole roster, which the gap check's scenes hold exactly and
+# simulate's in-band scenes at most
 _SCENE_CHUNK_ITEMS = 32_768
 
 
@@ -318,10 +319,11 @@ def _inband_counts(
     rng: np.random.Generator, n_trials: int, channel: ChannelConfig, band: BandConfig,
     cutoff: float, p_b: float,
 ) -> tuple[np.ndarray, float, float]:
-    """A thinning block's first draw: per trial, the count of active
+    """A trial block's first draw: per trial, the count of active
     non-blocked candidates whose frequency lies in [lo, hi], the band within
     cutoff of f_0, where Upsilon > 0.  One Binomial(n, p*(1-p_b)*(hi-lo)/
-    (f_e-f_s)) draw each; returns the counts, lo and hi."""
+    (f_e-f_s)) draw each (p_b = 0 under geometric blocking, whose scenes
+    decide blocking); returns the counts, lo and hi."""
     lo = max(band.f_s, band.f_0 - cutoff)
     hi = min(band.f_e, band.f_0 + cutoff)
     thin = channel.p * (1.0 - p_b)
@@ -347,26 +349,18 @@ def _power_block(
     blockage_cfg: Optional[BlockageConfig],
 ) -> np.ndarray:
     rng = _rng(seed, _NS_POWER, block)
-    if blocking == "thinning":
-        counts, lo, hi = _inband_counts(rng, n_trials, channel, band, table.cutoff, p_b)
-        total = int(counts.sum())
-        dist = _distances_with_exclusion(rng, total, geo)
-        omega = np.abs(lo + (hi - lo) * rng.random(total) - band.f_0)
-        h = rng.gamma(channel.m, 1.0 / channel.m, total)
-        return phi + _trial_sums(counts, channel.q * h * dist ** (-channel.alpha) * table.lookup(omega))
-
-    if blockage_cfg is None:
-        raise DomainError("geometric blocking requires a BlockageConfig")
-    y = np.full(n_trials, phi, dtype=float)
-    chunk = _scene_chunk(channel.n, blockage_cfg, geo)
-    for start in range(0, n_trials, chunk):
-        counts = rng.binomial(channel.n, channel.p, min(chunk, n_trials - start))
-        dist, blocked = _judge_scenes(rng, counts, blockage_cfg, geo)
-        omega = np.abs(band.f_s + (band.f_e - band.f_s) * rng.random(len(dist)) - band.f_0)
-        h = rng.gamma(channel.m, 1.0 / channel.m, len(dist))
-        power = channel.q * h * dist ** (-channel.alpha) * table.lookup(omega)
-        y[start:start + len(counts)] += _trial_sums(counts, np.where(blocked, 0.0, power))
-    return y
+    geometric = blocking == "geometric"
+    counts, lo, hi = _inband_counts(rng, n_trials, channel, band, table.cutoff, 0.0 if geometric else p_b)
+    if geometric:
+        chunk = _scene_chunk(channel.n, blockage_cfg, geo)
+        parts = [_judge_scenes(rng, counts[s:s + chunk], blockage_cfg, geo) for s in range(0, n_trials, chunk)]
+        dist, blocked = (np.concatenate(a) for a in zip(*parts))
+    else:
+        dist, blocked = _distances_with_exclusion(rng, int(counts.sum()), geo), False
+    omega = np.abs(lo + (hi - lo) * rng.random(len(dist)) - band.f_0)
+    h = rng.gamma(channel.m, 1.0 / channel.m, len(dist))
+    power = channel.q * h * dist ** (-channel.alpha) * table.lookup(omega)
+    return phi + _trial_sums(counts, np.where(blocked, 0.0, power))
 
 
 def _run_blocks(worker_fn, n_trials: int, workers: int) -> np.ndarray:
@@ -402,9 +396,9 @@ def simulate_received_power(
     Interferers closer to the receiver than geo.eps_min are redrawn, the
     same truncation the analytic pathloss moments apply.  Fading is the
     unit-mean Nakagami power gain Gamma(m, 1/m).  Spectral capture comes
-    from the shared overlap table; without cones, only survivors within its
-    cutoff are drawn (see the module docstring).  Output is ordered by trial
-    index and is identical for any worker count.
+    from the shared overlap table, and in both modes only the candidates
+    within its cutoff are drawn (see the module docstring).  Output is
+    ordered by trial index and is identical for any worker count.
     """
     if trials < 0:
         raise DomainError(f"trials must be >= 0, got {trials}")
@@ -412,6 +406,8 @@ def simulate_received_power(
         raise DomainError(f"blocking must be one of {BLOCKING_MODES}, got {blocking!r}")
     if blocking == "thinning" and not (0.0 <= p_b <= 1.0):
         raise DomainError(f"p_b must be in [0, 1], got {p_b}")
+    if blocking == "geometric" and blockage_cfg is None:
+        raise DomainError("geometric blocking requires a BlockageConfig")
     table = upsilon_table(band, model)
 
     def work(block, size):

@@ -363,38 +363,70 @@ class TestGapCheckChunks:
         assert mcsim._scene_chunk(baseline_channel.n, dense, baseline_geo) == 1
 
 
+def _in_band(channel, band, table, p_b=0.0):
+    """The slice [lo, hi] of the band within the cutoff of f_0, and a
+    candidate's chance to be active, unblocked and in it."""
+    lo = max(band.f_s, band.f_0 - table.cutoff)
+    hi = min(band.f_e, band.f_0 + table.cutoff)
+    return lo, hi, channel.p * (1.0 - p_b) * (hi - lo) / (band.f_e - band.f_s)
+
+
 def _geometric_per_scene(channel, g, band, model, blockage_cfg, phi, trials, seed):
     """Geometric samples from the simulator's draws, judged scene by scene:
-    per trial block and chunk of scenes, one Binomial(n, p) active count per
-    trial, the positions and the obstacle fields, then every link's offset
-    and gain; the kernel runs on each scene's own frames, and each trial
-    adds its unblocked power link by link.  Also returns the blocked and
-    unblocked link counts."""
+    per trial block, one Binomial in-band count per trial; per chunk of
+    scenes, the positions and the obstacle fields; then every link's offset
+    on [lo, hi] and gain.  The kernel runs on each scene's own frames, and
+    each trial adds its unblocked power link by link.  Also returns the
+    blocked and unblocked link counts."""
     table = mcsim.upsilon_table(band, model)
+    lo, hi, in_band = _in_band(channel, band, table)
     v0_xy = np.array([g.v0_norm, 0.0])
     chunk = mcsim._scene_chunk(channel.n, blockage_cfg, g)
     y, links = [], [0, 0]
     for block in range(-(-trials // mcsim.TRIAL_BLOCK)):
         rng = mcsim._rng(seed, mcsim._NS_POWER, block)
         size = min(mcsim.TRIAL_BLOCK, trials - block * mcsim.TRIAL_BLOCK)
+        active = rng.binomial(channel.n, in_band, size)
+        xy, dist, scenes = [], [], []
         for start in range(0, size, chunk):
-            active = rng.binomial(channel.n, channel.p, min(chunk, size - start))
-            xy, dist = mcsim._draw_positions_with_exclusion(rng, int(active.sum()), g, v0_xy)
-            counts, obs, rad = mcsim._draw_obstacles(rng, blockage_cfg, g, len(active))
-            freq = band.f_s + (band.f_e - band.f_s) * rng.random(len(dist))
-            h = rng.gamma(channel.m, 1.0 / channel.m, len(dist))
-            power = channel.q * h * dist ** (-channel.alpha) * table.lookup(np.abs(freq - band.f_0))
+            a = active[start:start + chunk]
+            chunk_xy, chunk_dist = mcsim._draw_positions_with_exclusion(rng, int(a.sum()), g, v0_xy)
+            counts, obs, rad = mcsim._draw_obstacles(rng, blockage_cfg, g, len(a))
             cuts = np.cumsum(counts)[:-1]
-            ends = np.cumsum(active)
-            for a, end, o, r in zip(active, ends, np.split(obs, cuts), np.split(rad, cuts)):
-                scene = slice(end - a, end)
-                total = 0.0
-                for p, b in zip(power[scene], kernel(xy[scene], o, r, v0_xy, g.theta)):
-                    links[int(b)] += 1
-                    if not b:
-                        total += p
-                y.append(phi + total)
+            xy.append(chunk_xy)
+            dist.append(chunk_dist)
+            scenes += zip(np.split(obs, cuts), np.split(rad, cuts))
+        xy, dist = np.concatenate(xy), np.concatenate(dist)
+        freq = lo + (hi - lo) * rng.random(len(dist))
+        h = rng.gamma(channel.m, 1.0 / channel.m, len(dist))
+        power = channel.q * h * dist ** (-channel.alpha) * table.lookup(np.abs(freq - band.f_0))
+        for a, end, (o, r) in zip(active, np.cumsum(active), scenes):
+            scene = slice(end - a, end)
+            total = 0.0
+            for p, b in zip(power[scene], kernel(xy[scene], o, r, v0_xy, g.theta)):
+                links[int(b)] += 1
+                if not b:
+                    total += p
+            y.append(phi + total)
     return np.array(y), links
+
+
+def _geometric_every_candidate(channel, g, band, model, blockage_cfg, phi, trials, rng):
+    """The geometric law drawn with every active candidate: per chunk of
+    scenes, a Binomial(n, p) active count per trial and the scenes judged
+    by _judge_scenes, then a full-band offset and a gain for every link,
+    out-of-band links adding Upsilon = 0."""
+    table = mcsim.upsilon_table(band, model)
+    y = np.full(trials, phi)
+    chunk = mcsim._scene_chunk(channel.n, blockage_cfg, g)
+    for start in range(0, trials, chunk):
+        active = rng.binomial(channel.n, channel.p, min(chunk, trials - start))
+        dist, blocked = mcsim._judge_scenes(rng, active, blockage_cfg, g)
+        freq = band.f_s + (band.f_e - band.f_s) * rng.random(len(dist))
+        h = rng.gamma(channel.m, 1.0 / channel.m, len(dist))
+        power = channel.q * h * dist ** (-channel.alpha) * table.lookup(np.abs(freq - band.f_0))
+        y[start:start + len(active)] += mcsim._trial_sums(active, np.where(blocked, 0.0, power))
+    return y
 
 
 class TestGeometricScenes:
@@ -422,6 +454,27 @@ class TestGeometricScenes:
                 *args, blocking="geometric", blockage_cfg=blockage_cfg, workers=workers
             )
             assert np.array_equal(got, ref), workers
+
+    def test_same_law_as_every_candidate_drawn(
+        self, baseline_channel, baseline_geo, baseline_band, baseline_model, baseline_blockage,
+        baseline_noise,
+    ):
+        # drawing only the in-band candidates leaves the law of Y: on unrelated
+        # streams, the exceedance of eta' at beta = 0.05, the chance that no
+        # link adds power and the mean agree within 4 combined standard errors
+        args = (baseline_channel, baseline_geo, baseline_band, baseline_model)
+        phi, trials = baseline_noise.phi, 5000
+        got = simulate_received_power(
+            *args, phi, trials, 1, blocking="geometric", blockage_cfg=baseline_blockage
+        )
+        ref = _geometric_every_candidate(
+            *args, baseline_blockage, phi, trials, mcsim._rng(2, 99)
+        )
+        eta = np_threshold(0.05, baseline_noise)
+        for stat in (lambda y: y > eta, lambda y: y == phi, lambda y: y):
+            a, b = stat(got).astype(float), stat(ref).astype(float)
+            se = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(trials)
+            assert abs(a.mean() - b.mean()) <= 4.0 * se
 
     @pytest.mark.parametrize("v0", [0.0, 4.0])
     def test_mean_without_obstacles_matches_analytic(
@@ -478,9 +531,7 @@ def _in_band_block(channel, g, band, model, phi, trials, seed, p_b, distances):
     # distance, a frequency in [lo, hi] and a fading gain for each of them
     rng = mcsim._rng(seed, mcsim._NS_POWER, 0)
     table = mcsim.upsilon_table(band, model)
-    lo = max(band.f_s, band.f_0 - table.cutoff)
-    hi = min(band.f_e, band.f_0 + table.cutoff)
-    in_band = channel.p * (1.0 - p_b) * (hi - lo) / (band.f_e - band.f_s)
+    lo, hi, in_band = _in_band(channel, band, table, p_b)
     counts = rng.binomial(channel.n, in_band, trials)
     total = int(counts.sum())
     dist = distances(rng, total)
@@ -744,11 +795,13 @@ class TestSimulatedPower:
         assert np.median(geom) < np.median(free)
 
     def test_geometric_requires_blockage_config(self, baseline_channel, baseline_band, baseline_model):
-        with pytest.raises(DomainError):
-            simulate_received_power(
-                baseline_channel, geo(), baseline_band, baseline_model, 0.0, 10, 1,
-                blocking="geometric",
-            )
+        # checked before any trial block runs, so also with no trials
+        for trials in (0, 10):
+            with pytest.raises(DomainError):
+                simulate_received_power(
+                    baseline_channel, geo(), baseline_band, baseline_model, 0.0, trials, 1,
+                    blocking="geometric",
+                )
 
     def test_unknown_mode_rejected(self, baseline_channel, baseline_band, baseline_model):
         with pytest.raises(DomainError):

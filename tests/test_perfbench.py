@@ -19,9 +19,9 @@ def test_perfbench_unit_tests_pass():
     assert proc.returncode == 0, proc.stderr[-4000:]
 
 
-def _load_oracles():
+def _load(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_oracles", REPO_ROOT / "perfbench" / "oracles.py"
+        f"perfbench_{name}", REPO_ROOT / "perfbench" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses look their module up
@@ -32,7 +32,7 @@ def _load_oracles():
 def test_benchmark_oracles_accept_the_analytic_commands(tmp_path):
     # the checks the benchmark applies to blockage, roc and regime-map on the
     # shipped config, so a renamed or reordered column fails here as well
-    oracles = _load_oracles()
+    oracles = _load("oracles")
     raw = json.loads(BASELINE_CONFIG.read_text())
     for command in ("blockage", "roc", "regime-map"):
         assert cli.main([command, "--config", str(BASELINE_CONFIG), "--out", str(tmp_path)]) == 0
@@ -52,3 +52,28 @@ def test_benchmark_oracles_accept_the_analytic_commands(tmp_path):
     outcome.merge(oracles.check_regime_map(rows, raw["sweeps"], reference))
     assert outcome.problems == []
     assert (outcome.ops, outcome.failed) == (93, 0)
+
+
+def test_benchmark_oracles_accept_the_tapered_geometric_workload(tmp_path):
+    # the one workload that runs geometric simulate and a rolloff > 0 filter,
+    # on its own config and CLI seed, checked as the benchmark checks it
+    oracles, workloads = _load("oracles"), _load("workloads")
+    raw = workloads.tapered_config(json.loads(BASELINE_CONFIG.read_text()))
+    config = tmp_path / "tapered_geometric.json"
+    config.write_text(json.dumps(raw))
+    common = ["--config", str(config), "--out", str(tmp_path), "--workers", "2",
+              "--seed", str(workloads.cli_seed(1))]
+    for command in ("regime-map", "simulate"):
+        assert cli.main([command, *common]) == 0
+    reference = oracles.read_csv(
+        REPO_ROOT / "perfbench" / "reference" / "tapered_geometric" / "regime_map.csv"
+    )
+    outcome = oracles.Outcome()
+    outcome.merge(oracles.check_regime_map(
+        oracles.read_csv(tmp_path / "regime_map.csv"), raw["sweeps"], reference
+    ))
+    outcome.merge(oracles.check_simulate(
+        oracles.read_csv(tmp_path / "samples.csv"), raw["trials"], raw["noise"]["phi_watts"]
+    ))
+    assert outcome.problems == []
+    assert (outcome.ops, outcome.failed) == (6, 0)
