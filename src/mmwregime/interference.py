@@ -11,7 +11,7 @@ The fading averages out in closed form, (1 - s*x/m)^(-m) for the power
 x = q*ell^(-alpha)*Upsilon before fading, which leaves the single-interferer
 MGF as a weighted sum over atoms of x: the distance nodes of the one fixed
 rule in numerics on each branch of the distance law, crossed with the
-overlap table's offset rule, the same rule on both offset slabs.  The
+overlap table's offset rule, one node set weighted by the offset law.  The
 pathloss moments kappa_n are closed form on the near branch and take the
 fixed rule on the arccos tail; the overlap moments gamma_n take the offset
 rule.  Thinning by occupancy and blockage then lifts the MGF to the
@@ -121,17 +121,15 @@ def kappa_n(n: int, geo: GeometryConfig, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 def gamma_n(n: int, band: BandConfig, model: SpectralModel) -> float:
-    """n-th overlap moment (Hz): Upsilon^n integrated over both offset slabs.
+    """n-th overlap moment (Hz): (f_e - f_s) * E[Upsilon^n] over the offset law.
 
-    Relates to the offset law through E[Upsilon^n] = gamma_n / (f_e - f_s).
-    Order 0 is exact (the slab lengths sum to the band span); higher orders
-    take the overlap table's offset rule, which stops at the cutoff, past
-    which Upsilon is numerically zero.
+    Order 0 is the band span; higher orders take the overlap table's offset
+    rule, which stops at the cutoff, past which Upsilon is numerically zero.
     """
     if n < 0:
         raise DomainError(f"moment order n must be >= 0, got {n}")
     if n == 0:
-        return sum(band.offset_edges)
+        return band.f_e - band.f_s
     table = upsilon_table(band, model)
     return float(table.rule_weights @ table.rule_values**n)
 
@@ -150,9 +148,9 @@ def _power_atoms(
 
     x = q * ell^(-alpha) * Upsilon on the fixed rule's distance nodes on
     each branch of the conditioned distance law (numerics.rule_piecewise)
-    crossed with the overlap table's offset rule over both slabs; w is the
-    distance weight distance_pdf / mass times the rule weight, times the
-    offset rule's weight over the band span (the weights gamma_n uses).
+    crossed with the overlap table's offset rule; w is the distance weight
+    distance_pdf / mass times the rule weight, times the offset rule's
+    weight over the band span: the offset density times the rule weight.
     The rest of the mass, 1 - sum(w), sits at x = 0: offsets past the
     overlap cutoff, the ones the simulator's in-band count leaves out.
     """

@@ -267,7 +267,8 @@ class UpsilonTable:
     samples on [0, cutoff] that lookup interpolates linearly (0 past the
     grid), cheap on millions of simulated offsets; the MGF reads only their
     maximum.  rule_values and rule_weights (Hz) are Upsilon on the fixed
-    rule of numerics over both offset slabs, [0, min(slab, cutoff)] each:
+    rule of numerics on [0, min(far slab, cutoff)], weights times
+    frequency_offset_pdf * (f_e - f_s): one node set for both offset slabs,
     the package's only integral over the offset, for gamma_n and the atoms.
 
     The grid is uniform, so lookup finds each offset's interval by direct
@@ -282,17 +283,18 @@ class UpsilonTable:
         self.grid = np.linspace(0.0, cutoff, TABLE_POINTS)
         self.values = upsilon(self.grid, band, model)
         self.slopes = np.diff(self.values) / np.diff(self.grid)
-        # rule edges: four equal pieces per slab, and the kinks of Upsilon at
-        # |c -+ w/2| for the breakpoints c and a rectangular PSD's width w
+        # rule edges: four equal pieces, the near slab's end, where the offset
+        # density steps, and the kinks of Upsilon at |c -+ w/2| for the
+        # breakpoints c and a rectangular PSD's width w
+        near, far = band.offset_edges
+        top = min(far, cutoff)
         w = model.psd.width if isinstance(model.psd, RectangularPsd) else 0.0
         breaks = ((1.0 - rolloff) * half, (1.0 + rolloff) * half, 0.5 * band.bandwidth)
-        kinks = [abs(c + 0.5 * w * sign) for c in breaks for sign in (-1, 1)]
-        nodes, weights = zip(*(
-            rule_piecewise(sorted([*np.linspace(0.0, top, 5), *(k for k in kinks if k < top)]))
-            for top in (min(edge, cutoff) for edge in band.offset_edges)
-        ))
-        self.rule_values = upsilon(np.concatenate(nodes), band, model)
-        self.rule_weights = np.concatenate(weights)
+        kinks = [near] + [abs(c + 0.5 * w * s) for c in breaks for s in (-1, 1)]
+        edges = [*np.linspace(0.0, top, 5), *(k for k in kinks if k < top)]
+        nodes, weights = rule_piecewise(sorted(edges))
+        self.rule_values = upsilon(nodes, band, model)
+        self.rule_weights = weights * (frequency_offset_pdf(nodes, band) * (band.f_e - band.f_s))
 
     @property
     def cutoff(self) -> float:

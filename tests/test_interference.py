@@ -150,7 +150,7 @@ class TestPowerAtoms:
         assert x.shape == w.shape and np.all(w > 0.0) and np.all(x >= 0.0)
         assert 0.0 < w.sum() < 1.0
 
-    @pytest.mark.parametrize("f_0_below_f_e", [None, 0.0])
+    @pytest.mark.parametrize("f_0_below_f_e", [None, 0.0, 0.5])
     @pytest.mark.parametrize("v0", (0.0, 9.0))
     def test_in_band_mass_is_the_simulators(
         self, v0, f_0_below_f_e, baseline_band, baseline_model, baseline_channel
@@ -165,9 +165,8 @@ class TestPowerAtoms:
         in_band = min(band.f_e, band.f_0 + cutoff) - max(band.f_s, band.f_0 - cutoff)
         assert w.sum() == pytest.approx(in_band / (band.f_e - band.f_s), rel=1e-13, abs=0.0)
         if f_0_below_f_e is None:
-            # a 4097-point trapezoid on both slabs, the offset rule this one
-            # replaced, gave 524 416 atoms at v0 = 0 and 1 048 832 at v0 > 0
-            assert x.size * 10 <= {0.0: 524_416, 9.0: 1_048_832}[v0]
+            # 320 offset nodes crossed with 64 distance nodes per branch
+            assert x.size == {0.0: 20_480, 9.0: 40_960}[v0]
 
 
 class TestSingleInterfererMgf:

@@ -45,6 +45,14 @@ OFFSET_MODELS = [
     pytest.param(RectangularPsd(width=5e7), 1.0, id="rectangular-1"),
 ]
 
+# receiver tunings in the 58-64 GHz band: both slabs past the cutoff, a near
+# slab (100 MHz) shorter than a Gaussian PSD's 350 MHz cutoff, and none
+OFFSET_TUNINGS = [
+    pytest.param(62e9, id="inside"),
+    pytest.param(63.9e9, id="short-near-slab"),
+    pytest.param(64e9, id="band-edge"),
+]
+
 
 def offset_quad(g, b, model, epsrel=1e-13):
     """scipy quad of g(Upsilon) over both offset slabs, told where Upsilon
@@ -344,15 +352,16 @@ class TestUpsilonTable:
         table = upsilon_table(band(), gaussian_model())
         assert table.lookup(table.cutoff * 2.0) == 0.0
 
+    @pytest.mark.parametrize("f_0", OFFSET_TUNINGS)
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("psd, rolloff", OFFSET_MODELS)
-    def test_gamma_n_against_quadrature(self, psd, rolloff, n):
+    def test_gamma_n_against_quadrature(self, psd, rolloff, n, f_0):
         # gamma_n is the table's offset rule; the reference is scipy quad of
         # the closed-form Upsilon^n over both offset slabs, told where
         # Upsilon has kinks.  Measured: <= 1.6e-15 in every case
         from mmwregime.interference import gamma_n
 
-        b = band()
+        b = band(f_0=f_0)
         model = SpectralModel(psd=psd, filter=RaisedCosineFilter(rolloff=rolloff, width=1e8))
         direct = offset_quad(lambda u: u**n, b, model)
         assert gamma_n(n, b, model) == pytest.approx(direct, rel=1e-13)
@@ -361,13 +370,13 @@ class TestUpsilonTable:
     # noise, which k = 1e9 lifts above the reference's 1e-10 goal: quad then
     # warns of roundoff, and still agrees with its own epsrel-1e-8 value to 1e-9
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    @pytest.mark.parametrize("f_0", [62e9, 64e9], ids=["inside", "band-edge"])
+    @pytest.mark.parametrize("f_0", OFFSET_TUNINGS)
     @pytest.mark.parametrize("psd, rolloff", OFFSET_MODELS)
     def test_offset_rule_on_the_mgf_integrand(self, psd, rolloff, f_0):
         # the single-interferer MGF integrates 1 - (1 + k*Upsilon/m)^-m over
         # the offset for k = -s*q*ell^-alpha.  Measured: <= 9.6e-7 relative
         # (rectangular PSD, rolloff 0, k = 1e6), <= 8.6e-10 for a Gaussian
-        # PSD.  At f_0 = f_e the near slab is empty and must give no nodes
+        # PSD
         m = 3.0
         b = band(f_0=f_0)
         model = SpectralModel(psd=psd, filter=RaisedCosineFilter(rolloff=rolloff, width=1e8))
@@ -379,6 +388,13 @@ class TestUpsilonTable:
             got = float(table.rule_weights @ g(table.rule_values))
             expected = offset_quad(g, b, model, epsrel=1e-10)
             assert got == pytest.approx(expected, rel=1e-5, abs=0.0), k
+
+    def test_one_node_set_for_both_slabs(self):
+        # on the shipped band both slabs outrun the cutoff, so they share
+        # every node: 5 pieces of 64 Gauss nodes, each node once
+        table = upsilon_table(band(), gaussian_model())
+        assert table.rule_values.size == 320
+        assert np.unique(table.rule_values).size == 320
 
     def test_cached_instance_reused(self):
         b = band()
