@@ -130,16 +130,11 @@ def cmd_blockage(run: RunConfig, out: Path, workers: int) -> int:
 
 
 def cmd_regime_map(run: RunConfig, out: Path, workers: int) -> int:
-    net = run.network
-    rows = []
-    for rho in run.sweeps.rho_list:
-        blk = dataclasses.replace(run.blockage, rho=rho)
-        for n in run.sweeps.n_list:
-            chan = dataclasses.replace(net.channel, n=n)
-            rows += detector.regime_map(
-                blk, net.geo, chan, net.band, net.spectral, net.noise,
-                run.sweeps.v0_grid, run.beta_th, fit_mode=run.fit_mode,
-            )
+    net, sweeps = run.network, run.sweeps
+    rows = detector.regime_map(
+        run.blockage, net.geo, net.channel, net.band, net.spectral, net.noise,
+        sweeps.rho_list, sweeps.n_list, sweeps.v0_grid, run.beta_th, fit_mode=run.fit_mode,
+    )
     _write_rows(out / "regime_map.csv", rows, detector.REGIME_COLUMNS, _provenance(run))
     # per-point failures are recorded in the verdict and error columns; an
     # infeasible fit is a noise_limited verdict that also fills error, so

@@ -318,7 +318,6 @@ def roc_curve(
 
 
 def _regime_point(
-    v0: float,
     blockage_cfg: BlockageConfig,
     geo: GeometryConfig,
     channel: ChannelConfig,
@@ -328,19 +327,18 @@ def _regime_point(
     eta_prime: float,
     fit_mode: str,
 ) -> dict:
-    """The regime-map row of one location, keyed by REGIME_COLUMNS.
+    """The regime-map row of the receiver geo places, keyed by REGIME_COLUMNS.
 
-    rho and n come from blockage_cfg and channel, v0_m is v0 as a float.
-    The values the chain did not reach are None, and error holds the
-    reason of a failed point.
+    rho, n and v0_m come from blockage_cfg, channel and geo.  The values
+    the chain did not reach are None, and error holds the reason of a
+    failed point.
     """
-    geo_v = replace(geo, v0_norm=float(v0))
     row = dict.fromkeys(REGIME_COLUMNS)
-    row.update(rho=blockage_cfg.rho, n=channel.n, v0_m=geo_v.v0_norm)
+    row.update(rho=blockage_cfg.rho, n=channel.n, v0_m=geo.v0_norm)
     try:
-        row["p_b"] = blockage_probability(blockage_cfg, geo_v).p_b
+        row["p_b"] = blockage_probability(blockage_cfg, geo).p_b
         row["mean_y_w"] = mean_y = mean_received_power(
-            noise.phi, row["p_b"], channel, geo_v, band, model
+            noise.phi, row["p_b"], channel, geo, band, model
         )
         fit = fit_me_lambda(mean_y, noise.phi, fit_mode)
         p_d = detection_probability(fit, eta_prime, noise.phi)
@@ -362,25 +360,27 @@ def regime_map(
     band: BandConfig,
     model: SpectralModel,
     noise: NoiseConfig,
+    rho_list: Sequence[float],
+    n_list: Sequence[int],
     v0_grid: Sequence[float],
     beta_th: float,
     fit_mode: str = "transcendental",
 ) -> list[dict]:
-    """The regime-map rows of one (rho, N) family, one per receiver offset
-    in grid order, each a dict keyed by REGIME_COLUMNS (see _regime_point).
+    """Every row of the regime map, in the order regime_map.csv writes them:
+    rho outermost, then n, then v0, each in list order.  Each row is a dict
+    keyed by REGIME_COLUMNS (see _regime_point).
 
-    Each point is interference-limited when P_D > 1/2 at the threshold of
-    beta_th, which is computed once (an invalid beta_th raises DomainError).
-    An infeasible fit is noise-limited with its reason in the error column;
-    any other numerical failure gives verdict "error" instead of aborting
-    the sweep.  Serial: a point is a few small numpy evaluations.  For a
-    blockage-free network pass a blockage config with rho 0.
+    The lists replace blockage_cfg.rho, channel.n and geo.v0_norm; a v0
+    outside [0, radius) raises DomainError.  Each point is
+    interference-limited when P_D > 1/2 at the threshold of beta_th, which
+    is computed once (an invalid beta_th raises DomainError).  An infeasible
+    fit is noise-limited with its reason in the error column; any other
+    numerical failure gives verdict "error" instead of aborting the sweep.
     """
-    for v in v0_grid:
-        if not (0.0 <= v < geo.radius):
-            raise DomainError(f"v0 grid value {v} outside [0, radius)")
+    geos = [replace(geo, v0_norm=float(v)) for v in v0_grid]
     eta_prime = np_threshold(beta_th, noise)
     return [
-        _regime_point(v, blockage_cfg, geo, channel, band, model, noise, eta_prime, fit_mode)
-        for v in v0_grid
+        _regime_point(replace(blockage_cfg, rho=rho), g, replace(channel, n=n), band, model,
+                      noise, eta_prime, fit_mode)
+        for rho in rho_list for n in n_list for g in geos
     ]

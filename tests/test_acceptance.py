@@ -149,20 +149,23 @@ def test_07_detection_probability_exceedance():
     report(7, f"detection probability {analytic:.3f} matched within 0.01")
 
 
-def _area_grid(blockage, channel):
-    pts = mw.regime_map(blockage, GEO, channel, BAND, MODEL, NOISE, V0_GRID, beta_th=0.05)
+def _area_grids(rho_list, n_list):
+    """The LRT areas of each (rho, n) family of one sweep, in V0_GRID order."""
+    pts = mw.regime_map(BLOCKAGE, GEO, CHANNEL, BAND, MODEL, NOISE, rho_list, n_list, V0_GRID,
+                        beta_th=0.05)
     assert all(p["error"] is None for p in pts)
-    return [p["lrt_area"] for p in pts]
+    grids = {}
+    for p in pts:
+        grids.setdefault((p["rho"], p["n"]), []).append(p["lrt_area"])
+    return grids
 
 
 def test_08_location_sweep_trends():
     start = time.monotonic()
-    areas = {}
-    for rho in (0.5, 1.0, 2.0):
-        blk = dataclasses.replace(BLOCKAGE, rho=rho)
-        a = _area_grid(blk, CHANNEL)
+    grids = _area_grids([0.5, 1.0, 2.0], [CHANNEL.n])
+    areas = {rho: grids[(rho, CHANNEL.n)] for rho in (0.5, 1.0, 2.0)}
+    for rho, a in areas.items():
         assert all(b <= x for x, b in zip(a, a[1:])), (rho, a)
-        areas[rho] = a
     for i in range(len(V0_GRID)):
         assert areas[0.5][i] >= areas[1.0][i] >= areas[2.0][i], i
     assert time.monotonic() - start < 300.0
@@ -170,11 +173,9 @@ def test_08_location_sweep_trends():
 
 
 def test_09_population_sweep_trends():
-    by_n, free_by_n = {}, {}
-    for n in (50, 100, 200):
-        channel = dataclasses.replace(CHANNEL, n=n)
-        by_n[n] = _area_grid(BLOCKAGE, channel)
-        free_by_n[n] = _area_grid(dataclasses.replace(BLOCKAGE, rho=0.0), channel)
+    grids = _area_grids([BLOCKAGE.rho, 0.0], [50, 100, 200])
+    by_n = {n: grids[(BLOCKAGE.rho, n)] for n in (50, 100, 200)}
+    free_by_n = {n: grids[(0.0, n)] for n in (50, 100, 200)}
     for i in range(len(V0_GRID)):
         assert by_n[50][i] <= by_n[100][i] <= by_n[200][i], i
         for n in (50, 100, 200):

@@ -272,30 +272,51 @@ class TestCli:
         assert len(lines) == 2
 
     def test_regime_map_families_ordered_by_density(self, tmp_path):
+        # rho outermost, then n, then v0, each in the config's list order
+        rho_list, n_list, v0_grid = [1.0, 0.5], [200, 50], [0.0, 6.0, 3.0]
         cfg = write_config(
             tmp_path,
-            sweeps={
-                "v0_grid_m": [0.0, 3.0, 6.0],
-                "rho_list": [0.5, 1.0],
-                "n_list": [200],
-            },
+            sweeps={"v0_grid_m": v0_grid, "rho_list": rho_list, "n_list": n_list},
         )
         out = tmp_path / "out"
         assert run_cli("regime-map", "--config", str(cfg), "--out", str(out)) == 0
-        text = (out / "regime_map.csv").read_text()
-        rows = [
-            dict(zip(
-                "rho,n,v0_m,p_b,mean_y_w,lambda,eta_prime_w,p_d,lrt_area,verdict,error".split(","),
-                line.split(","),
-            ))
-            for line in text.splitlines()
-            if line and not line.startswith("#") and not line.startswith("rho,")
+        rows = csv_rows(out / "regime_map.csv")
+        assert [(float(r["rho"]), int(r["n"]), float(r["v0_m"])) for r in rows] == [
+            (rho, n, v0) for rho in rho_list for n in n_list for v0 in v0_grid
         ]
-        assert len(rows) == 6
-        sparse = {r["v0_m"]: float(r["lrt_area"]) for r in rows if r["rho"] == "0.5"}
-        dense = {r["v0_m"]: float(r["lrt_area"]) for r in rows if r["rho"] == "1.0"}
-        for v0 in sparse:
-            assert dense[v0] <= sparse[v0]
+        area = {(r["rho"], r["n"], r["v0_m"]): float(r["lrt_area"]) for r in rows}
+        for (rho, n, v0), sparse in area.items():
+            if rho == "0.5":
+                assert area[("1.0", n, v0)] <= sparse
+
+    def test_regime_map_pole_at_one_offset_fails_only_its_rows(self, tmp_path, monkeypatch):
+        # E[ell] at the apex length (d_s + d_e)/(4 tan theta) for the
+        # receiver at 3 m only: that offset's row reads "error" at every
+        # (rho, n), the sweep goes on, and every other row is as it was
+        from mmwregime import blockage
+
+        cfg = write_config(tmp_path, sweeps={"v0_grid_m": [0.0, 3.0, 6.0],
+                                             "rho_list": [0.5, 2.0], "n_list": [50, 200]})
+        assert run_cli("regime-map", "--config", str(cfg), "--out", str(tmp_path / "ok")) == 0
+        mean_distance = blockage.mean_distance
+
+        def apex_at_3m(g):
+            if g.v0_norm == 3.0:
+                return 0.5 * (0.2 + 0.8) / (2.0 * math.tan(g.theta))
+            return mean_distance(g)
+
+        monkeypatch.setattr(blockage, "mean_distance", apex_at_3m)
+        out = tmp_path / "pole"
+        assert run_cli("regime-map", "--config", str(cfg), "--out", str(out)) == 0
+        rows = csv_rows(out / "regime_map.csv")
+        failed = [r for r in rows if r["v0_m"] == "3.0"]
+        assert len(failed) == 4
+        for row in failed:
+            assert row["verdict"] == "error" and "pole" in row["error"]
+            assert row["p_b"] == ""
+        expected = [r for r in csv_rows(tmp_path / "ok" / "regime_map.csv") if r["v0_m"] != "3.0"]
+        assert [r for r in rows if r["v0_m"] != "3.0"] == expected
+        assert all(r["verdict"] != "error" for r in expected)
 
     def test_roc_and_regime_map_agree_at_the_shipped_significance(self, tmp_path):
         # the two commands reach P_D by separate chains; at the map's

@@ -32,6 +32,15 @@ from mmwregime.numerics import DomainError, integrate
 NOISE = NoiseConfig(sigma2=5e-3, phi=1e-3)
 
 
+def shipped_map(run, channel=None, noise=None, fit_mode="transcendental"):
+    """The shipped config's whole regime map, with its channel and noise
+    replaceable."""
+    net, sweeps = run.network, run.sweeps
+    return regime_map(run.blockage, net.geo, channel or net.channel, net.band, net.spectral,
+                      noise or net.noise, sweeps.rho_list, sweeps.n_list, sweeps.v0_grid,
+                      run.beta_th, fit_mode)
+
+
 class TestNoiseConfig:
     def test_invariants(self):
         with pytest.raises(DomainError):
@@ -108,24 +117,18 @@ class TestMeFit:
     def test_shipped_fits_converge_to_the_last_bit(self, baseline_run):
         # on every regime-map point of the shipped config, lambda and one of
         # its neighbouring doubles bracket a sign change of the fit equation
-        net = baseline_run.network
-        phi = net.noise.phi
+        phi = baseline_run.network.noise.phi
         fits = 0
-        for rho in baseline_run.sweeps.rho_list:
-            blk = replace(baseline_run.blockage, rho=rho)
-            for n in baseline_run.sweeps.n_list:
-                chan = replace(net.channel, n=n)
-                for pt in regime_map(blk, net.geo, chan, net.band, net.spectral, net.noise,
-                                     baseline_run.sweeps.v0_grid, baseline_run.beta_th):
-                    def f(lam):
-                        lp = lam * phi
-                        return (lp + 1.0) * math.exp(-lp) - pt["mean_y_w"] * lam * lam
+        for pt in shipped_map(baseline_run):
+            def f(lam):
+                lp = lam * phi
+                return (lp + 1.0) * math.exp(-lp) - pt["mean_y_w"] * lam * lam
 
-                    f_lam = f(pt["lambda"])
-                    neighbours = (f(math.nextafter(pt["lambda"], -math.inf)),
-                                  f(math.nextafter(pt["lambda"], math.inf)))
-                    assert f_lam == 0.0 or any((v < 0.0) != (f_lam < 0.0) for v in neighbours)
-                    fits += 1
+            f_lam = f(pt["lambda"])
+            neighbours = (f(math.nextafter(pt["lambda"], -math.inf)),
+                          f(math.nextafter(pt["lambda"], math.inf)))
+            assert f_lam == 0.0 or any((v < 0.0) != (f_lam < 0.0) for v in neighbours)
+            fits += 1
         assert fits == 90
 
     def test_modes_disagree_with_signal_power(self):
@@ -405,7 +408,7 @@ class TestRegimeMap:
     ):
         pts = regime_map(
             baseline_blockage, baseline_geo, baseline_channel, baseline_band, baseline_model,
-            baseline_noise, [0.0, 4.0, 8.0], 0.05,
+            baseline_noise, [baseline_blockage.rho], [baseline_channel.n], [0.0, 4.0, 8.0], 0.05,
         )
         assert [p["v0_m"] for p in pts] == [0.0, 4.0, 8.0]
         for p in pts:
@@ -419,19 +422,21 @@ class TestRegimeMap:
         baseline_noise,
     ):
         # the CLI writes these rows as they are, each value through repr,
-        # which would spell a numpy float np.float64(...)
+        # which would spell a numpy float np.float64(...).  The filled and
+        # the idle family run as one sweep, whose lists override the base
+        # config's rho and n
         numeric = [c for c in REGIME_COLUMNS if c not in ("n", "verdict", "error")]
-        idle = replace(baseline_channel, n=0)
-        for chan, filled in ((baseline_channel, True), (idle, False)):
-            rows = regime_map(baseline_blockage, baseline_geo, chan, baseline_band,
-                              baseline_model, baseline_noise, [0.0, 4.0], 0.05)
-            for row in rows:
-                assert tuple(row) == REGIME_COLUMNS
-                assert (row["rho"], row["n"]) == (baseline_blockage.rho, chan.n)
-                assert type(row["n"]) is int and type(row["verdict"]) is str
-                assert all(row[c] is None or type(row[c]) is float for c in numeric)
-                assert (row["p_d"] is not None) == filled
-                assert (row["error"] is None) == filled
+        base_blk, base_chan = replace(baseline_blockage, rho=3.0), replace(baseline_channel, n=7)
+        rows = regime_map(base_blk, baseline_geo, base_chan, baseline_band, baseline_model,
+                          baseline_noise, [0.5], [200, 0], [0.0, 4.0], 0.05)
+        assert [(row["rho"], row["n"]) for row in rows] == [(0.5, 200)] * 2 + [(0.5, 0)] * 2
+        for row in rows:
+            filled = row["n"] == 200
+            assert tuple(row) == REGIME_COLUMNS
+            assert type(row["n"]) is int and type(row["verdict"]) is str
+            assert all(row[c] is None or type(row[c]) is float for c in numeric)
+            assert (row["p_d"] is not None) == filled
+            assert (row["error"] is None) == filled
 
     def test_idle_network_reports_noise_limited_with_flag(
         self, baseline_blockage, baseline_geo, baseline_band, baseline_model, baseline_noise
@@ -441,7 +446,7 @@ class TestRegimeMap:
         idle = ChannelConfig(alpha=2.5, m=3.0, q=0.5, n=0, p=0.5)
         pts = regime_map(
             baseline_blockage, baseline_geo, idle, baseline_band, baseline_model,
-            baseline_noise, [0.0, 5.0], 0.05,
+            baseline_noise, [baseline_blockage.rho], [idle.n], [0.0, 5.0], 0.05,
         )
         for p in pts:
             assert p["verdict"] == NOISE_LIMITED
@@ -460,7 +465,7 @@ class TestRegimeMap:
         dense = BlockageConfig(rho=1e3, d_s=0.2, d_e=0.8, mode="length_weighted")
         pts = regime_map(
             dense, replace(baseline_geo, radius=1.0), baseline_channel, baseline_band,
-            baseline_model, baseline_noise, [0.0], 0.05,
+            baseline_model, baseline_noise, [dense.rho], [baseline_channel.n], [0.0], 0.05,
         )
         assert pts[0]["p_b"] == 1.0
         assert pts[0]["verdict"] == NOISE_LIMITED
@@ -477,7 +482,7 @@ class TestRegimeMap:
         rare = replace(baseline_channel, p=1e-9 * baseline_channel.p)
         pts = regime_map(
             baseline_blockage, baseline_geo, rare, baseline_band, baseline_model, baseline_noise,
-            [0.0], 0.05, fit_mode="closed_form",
+            [baseline_blockage.rho], [rare.n], [0.0], 0.05, fit_mode="closed_form",
         )
         assert pts[0]["verdict"] == NOISE_LIMITED
         assert pts[0]["error"] is None
@@ -488,7 +493,7 @@ class TestRegimeMap:
         with pytest.raises(DomainError):
             regime_map(
                 baseline_blockage, baseline_geo, baseline_channel, baseline_band, baseline_model,
-                baseline_noise, [11.0], 0.05,
+                baseline_noise, [baseline_blockage.rho], [baseline_channel.n], [11.0], 0.05,
             )
 
     def test_unit_invariance_closed_form(
@@ -498,13 +503,14 @@ class TestRegimeMap:
         # the same scene in mW: every power times 1e3.  The verdict and P_D
         # are dimensionless; the area carries the unit of y.
         v0_grid = baseline_run.sweeps.v0_grid
+        sweep = ([baseline_blockage.rho], [baseline_channel.n], v0_grid, 0.05)
         args = (baseline_geo, baseline_channel, baseline_band, baseline_model, baseline_noise)
-        watts = regime_map(baseline_blockage, *args, v0_grid, 0.05, fit_mode="closed_form")
+        watts = regime_map(baseline_blockage, *args, *sweep, fit_mode="closed_form")
         milli_channel = replace(baseline_channel, q=1e3 * baseline_channel.q)
         milli_noise = NoiseConfig(sigma2=1e3 * baseline_noise.sigma2, phi=1e3 * baseline_noise.phi)
         milli = regime_map(
             baseline_blockage, baseline_geo, milli_channel, baseline_band, baseline_model,
-            milli_noise, v0_grid, 0.05, fit_mode="closed_form",
+            milli_noise, *sweep, fit_mode="closed_form",
         )
         assert len(milli) == len(v0_grid) == 10
         for w, m in zip(watts, milli):
@@ -516,22 +522,16 @@ class TestRegimeMap:
     def test_verdict_threshold_on_the_shipped_map(self, baseline_run):
         # interference-limited exactly when P_D > 1/2; the closed-form fit
         # gives both verdicts on the shipped map
-        net = baseline_run.network
+        phi = baseline_run.network.noise.phi
         verdicts = set()
         for fit_mode in ("transcendental", "closed_form"):
-            for rho in baseline_run.sweeps.rho_list:
-                blk = replace(baseline_run.blockage, rho=rho)
-                for n in baseline_run.sweeps.n_list:
-                    chan = replace(net.channel, n=n)
-                    for pt in regime_map(blk, net.geo, chan, net.band, net.spectral, net.noise,
-                                         baseline_run.sweeps.v0_grid, baseline_run.beta_th,
-                                         fit_mode):
-                        assert pt["error"] is None
-                        assert pt["verdict"] == (
-                            INTERFERENCE_LIMITED if pt["p_d"] > 0.5 else NOISE_LIMITED
-                        )
-                        assert pt["eta_prime_w"] >= net.noise.phi
-                        verdicts.add(pt["verdict"])
+            for pt in shipped_map(baseline_run, fit_mode=fit_mode):
+                assert pt["error"] is None
+                assert pt["verdict"] == (
+                    INTERFERENCE_LIMITED if pt["p_d"] > 0.5 else NOISE_LIMITED
+                )
+                assert pt["eta_prime_w"] >= phi
+                verdicts.add(pt["verdict"])
         assert verdicts == {INTERFERENCE_LIMITED, NOISE_LIMITED}
 
     @pytest.mark.parametrize("fit_mode, in_watts, in_milliwatts", [
@@ -547,19 +547,11 @@ class TestRegimeMap:
         net = baseline_run.network
         milli = (replace(net.channel, q=1e3 * net.channel.q),
                  NoiseConfig(sigma2=1e3 * net.noise.sigma2, phi=1e3 * net.noise.phi))
-        counts = []
-        for chan0, noise in ((net.channel, net.noise), milli):
-            count = 0
-            for rho in baseline_run.sweeps.rho_list:
-                blk = replace(baseline_run.blockage, rho=rho)
-                for n in baseline_run.sweeps.n_list:
-                    count += sum(
-                        pt["verdict"] == INTERFERENCE_LIMITED
-                        for pt in regime_map(blk, net.geo, replace(chan0, n=n), net.band,
-                                             net.spectral, noise, baseline_run.sweeps.v0_grid,
-                                             baseline_run.beta_th, fit_mode)
-                    )
-            counts.append(count)
+        counts = [
+            sum(pt["verdict"] == INTERFERENCE_LIMITED
+                for pt in shipped_map(baseline_run, channel, noise, fit_mode))
+            for channel, noise in ((net.channel, net.noise), milli)
+        ]
         assert counts == [in_watts, in_milliwatts]
 
     @pytest.mark.parametrize("beta_th", [0.0, -0.1, 1.5])
@@ -572,5 +564,5 @@ class TestRegimeMap:
         with pytest.raises(DomainError):
             regime_map(
                 baseline_blockage, baseline_geo, baseline_channel, baseline_band, baseline_model,
-                baseline_noise, [0.0, 5.0], beta_th,
+                baseline_noise, [baseline_blockage.rho], [baseline_channel.n], [0.0, 5.0], beta_th,
             )
