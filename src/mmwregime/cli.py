@@ -23,7 +23,6 @@ from pathlib import Path
 from . import __version__, detector, mcsim
 from .blockage import blockage_probability
 from .config import ConfigError, RunConfig, config_hash, load_config
-from .interference import mean_received_power
 from .numerics import NumericsError
 
 __all__ = ["main", "build_parser"]
@@ -50,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     specs = {
         "blockage": "analytic blockage probability and its ingredients",
         "regime-map": "detection-chain sweep over receiver locations per (rho, N) family",
-        "roc": "detection vs false-alarm curves per interferer count",
+        "roc": "detection vs false-alarm curves per interferer count: the regime-map chain "
+               "at the config's (rho, v0) for each N, its fitted rate expanded over beta_grid",
         "validate": "Monte-Carlo validation of every analytic quantity; its cone-shadow "
                     "blockage check draws min(trials, 2000) scenes of Poisson(rho*pi*R^2) "
                     "obstacles, so its time grows with rho*R^2 (about 10 s at "
@@ -140,32 +140,30 @@ def cmd_regime_map(run: RunConfig, out: Path, workers: int) -> int:
     # infeasible fit is a noise_limited verdict that also fills error, so
     # only a sweep whose every verdict is "error" is a numerical failure
     if rows and all(row["verdict"] == "error" for row in rows):
-        print("numerical failure: every sweep point failed", file=sys.stderr)
+        print(f"numerical failure: every sweep point failed: {rows[0]['error']}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
 def cmd_roc(run: RunConfig, out: Path, workers: int) -> int:
-    net = run.network
-    p_b = blockage_probability(run.blockage, net.geo).p_b
+    net, sweeps = run.network, run.sweeps
+    points = detector.regime_map(
+        run.blockage, net.geo, net.channel, net.band, net.spectral, net.noise,
+        [run.blockage.rho], sweeps.n_list, [net.geo.v0_norm], run.beta_th, fit_mode=run.fit_mode,
+    )
     rows = []
-    for n in run.sweeps.n_list:
-        chan = dataclasses.replace(net.channel, n=n)
-        mean_y = mean_received_power(
-            net.noise.phi, p_b, chan, net.geo, net.band, net.spectral
-        )
-        try:
-            fit = detector.fit_me_lambda(mean_y, net.noise.phi, run.fit_mode)
-        except detector.InfeasibleFitError:
+    for point in points:
+        if point["verdict"] == "error":
+            print(f"numerical failure: {point['error']}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        if point["lambda"] is None:
             # no interference above the signal power, so no P_D: empty cells,
             # as regime-map writes such a point, in roc_curve's order
-            curve = [(beta, None) for beta in sorted(run.sweeps.beta_grid)]
+            curve = [(beta, None) for beta in sorted(sweeps.beta_grid)]
         else:
-            curve = detector.roc_curve(fit, net.noise, run.sweeps.beta_grid)
-        for beta, p_d in curve:
-            rows.append({"n": n, "beta": beta, "p_f": beta, "p_d": p_d})
-    header = ("n", "beta", "p_f", "p_d")
-    _write_rows(out / "roc.csv", rows, header, _provenance(run))
+            curve = detector.roc_curve(detector.MeFit(point["lambda"]), net.noise, sweeps.beta_grid)
+        rows += [{"n": point["n"], "beta": beta, "p_f": beta, "p_d": p_d} for beta, p_d in curve]
+    _write_rows(out / "roc.csv", rows, ("n", "beta", "p_f", "p_d"), _provenance(run))
     return EXIT_OK
 
 

@@ -661,9 +661,10 @@ def _frequency_check(band, trials, seed) -> ValidationCheck:
     return _gof_check("frequency_offset_density", _chi2_pvalue(counts, probs), trials)
 
 
-def _count_check(channel, band, model, p_b, trials, seed) -> ValidationCheck:
+def _count_check(channel, geo, band, model, blockage_cfg, trials, seed) -> ValidationCheck:
     # the in-band counts of the mean-power check's thinning blocks, against
     # the count law with the analytic in-band share of offsets
+    p_b = blockage_probability(blockage_cfg, geo).p_b
     table = upsilon_table(band, model)
     cutoff, in_band = table.cutoff, float(table.rule_weights.sum()) / (band.f_e - band.f_s)
 
@@ -689,7 +690,9 @@ def _count_check(channel, band, model, p_b, trials, seed) -> ValidationCheck:
     )
 
 
-def _mean_power_check(channel, geo, band, model, noise, p_b, trials, seed, workers) -> ValidationCheck:
+def _mean_power_check(channel, geo, band, model, noise, blockage_cfg, trials, seed,
+                      workers) -> ValidationCheck:
+    p_b = blockage_probability(blockage_cfg, geo).p_b
     samples = simulate_received_power(
         channel, geo, band, model, noise.phi, trials, seed,
         blocking="thinning", p_b=p_b, workers=workers,
@@ -730,7 +733,7 @@ def _false_alarm_checks(noise, h0, betas) -> list[ValidationCheck]:
     return out
 
 
-def _geometric_gap_check(channel, geo, blockage_cfg, p_b, trials, seed) -> ValidationCheck:
+def _geometric_gap_check(channel, geo, blockage_cfg, trials, seed) -> ValidationCheck:
     # whole-roster scenes through the simulator's scene path; 2000 shipped
     # scenes take about 0.8 s and give the informational rate 2 digits.  The
     # cost grows with rho*R^2, the mean obstacle count of a scene
@@ -744,8 +747,8 @@ def _geometric_gap_check(channel, geo, blockage_cfg, p_b, trials, seed) -> Valid
     total = trials * channel.n
     rate = blocked / total if total else 0.0
     return ValidationCheck(
-        name="geometric_blockage_gap", analytic=float(p_b), empirical=rate,
-        tolerance=None, passed=True, samples=trials,
+        name="geometric_blockage_gap", analytic=float(blockage_probability(blockage_cfg, geo).p_b),
+        empirical=rate, tolerance=None, passed=True, samples=trials,
         note="informational: cone-shadow simulation vs the closed-form p_b, "
              "which is itself an approximation",
     )
@@ -793,16 +796,15 @@ def validate_suite(
     is identical for any count.
     """
     trials = int(trials)
-    p_b = blockage_probability(blockage_cfg, geo).p_b
     # one set of noise-limited draws serves the KS and false-alarm checks
     h0 = sample_h0_power(noise, trials, seed)
     checks = [
         *_guarded(_distance_check, geo, trials, seed),
         *_guarded(_frequency_check, band, trials, seed),
-        *_guarded(_count_check, channel, band, model, p_b, trials, seed),
-        *_guarded(_mean_power_check, channel, geo, band, model, noise, p_b, trials, seed, workers),
+        *_guarded(_count_check, channel, geo, band, model, blockage_cfg, trials, seed),
+        *_guarded(_mean_power_check, channel, geo, band, model, noise, blockage_cfg, trials, seed, workers),
         *_guarded(_h0_check, noise, h0),
         *_guarded(_false_alarm_checks, noise, h0, (0.1, 0.5, 0.9)),
-        *_guarded(_geometric_gap_check, channel, geo, blockage_cfg, p_b, trials, seed),
+        *_guarded(_geometric_gap_check, channel, geo, blockage_cfg, trials, seed),
     ]
     return ValidationReport(tuple(checks), all(c.passed for c in checks))

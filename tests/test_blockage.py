@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -326,6 +327,15 @@ class TestBlockageProbability:
             blockage_probability(cfg, geo())
         out = tmp_path / "out"
         assert cli.main(["blockage", "--config", str(BASELINE_CONFIG), "--out", str(out)]) == 2
+        # validate fails only the three checks that read p_b and still
+        # writes its report, a validation failure
+        argv = ["validate", "--config", str(BASELINE_CONFIG), "--out", str(out), "--trials", "2000"]
+        assert cli.main(argv) == 3
+        checks = json.loads((out / "validation.json").read_text())["checks"]
+        failed = {c["name"] for c in checks if c["note"].startswith("failed:")}
+        assert failed == {"count_check", "mean_power_check", "geometric_gap_check"}
+        assert all("pole" in c["note"] for c in checks if c["name"] in failed)
+        assert len(checks) - len(failed) == 6
 
     def test_ingredients_in_unit_interval(self):
         rng = np.random.default_rng(3)

@@ -318,19 +318,41 @@ class TestCli:
         assert [r for r in rows if r["v0_m"] != "3.0"] == expected
         assert all(r["verdict"] != "error" for r in expected)
 
-    def test_roc_and_regime_map_agree_at_the_shipped_significance(self, tmp_path):
-        # the two commands reach P_D by separate chains; at the map's
-        # significance level and the shipped density they write the same
-        # string for every receiver at the centre
-        raw = json.loads(BASELINE_CONFIG.read_text())
+    # one-factor variants of the shipped config, each a set of section overrides
+    AGREEMENT_VARIANTS = {
+        "shipped": {},
+        "rho_0": {"blockage": {"rho_per_m2": 0.0}, "sweeps": {"rho_list": [0.0, 1.0]}},
+        "length_weighted": {"blockage": {"mode": "length_weighted"}},
+        "m_0.5": {"channel": {"m": 0.5}},
+        "alpha_4": {"channel": {"alpha": 4.0}},
+        "eps_min_3": {"geometry": {"eps_min_m": 3.0}},
+        "v0_4": {"geometry": {"v0_norm_m": 4.0}},
+        "rolloff_0.25": {"spectral": {"filter": {"shape": "raised_cosine", "rolloff": 0.25,
+                                                 "width_hz": 1e8}}},
+        "rectangular_psd": {"spectral": {"psd": {"shape": "rectangular", "width_hz": 5e7}}},
+        "phi_0": {"noise": {"phi_watts": 0.0}},
+        "closed_form": {"detection": {"fit_mode": "closed_form"}},
+    }
+
+    @pytest.mark.parametrize("variant", list(AGREEMENT_VARIANTS))
+    def test_roc_and_regime_map_agree_at_the_shipped_significance(self, tmp_path, variant):
+        # roc evaluates the regime-map chain at the config's (rho, v0) for
+        # each n, so at the map's significance level the two commands write
+        # the same P_D string, and every value either fills is finite
+        cfg = write_config(tmp_path, **self.AGREEMENT_VARIANTS[variant])
+        raw = json.loads(cfg.read_text())
         assert raw["detection"]["beta_th"] == 0.05 and 0.05 in raw["sweeps"]["beta_grid"]
-        assert (raw["blockage"]["rho_per_m2"], raw["geometry"]["v0_norm_m"]) == (1.0, 0.0)
-        for command in ("roc", "regime-map"):
-            assert run_cli(command, "--config", str(BASELINE_CONFIG), "--out", str(tmp_path)) == 0
-        roc = {r["n"]: r["p_d"] for r in csv_rows(tmp_path / "roc.csv") if r["beta"] == "0.05"}
-        centre = {r["n"]: r["p_d"] for r in csv_rows(tmp_path / "regime_map.csv")
-                  if (r["rho"], r["v0_m"]) == ("1.0", "0.0")}
-        assert sorted(centre, key=int) == ["50", "100", "200"]
+        for command in ("blockage", "roc", "regime-map"):
+            assert run_cli(command, "--config", str(cfg), "--out", str(tmp_path)) == 0
+        roc_rows, map_rows = csv_rows(tmp_path / "roc.csv"), csv_rows(tmp_path / "regime_map.csv")
+        assert all(r["verdict"] != "error" for r in map_rows)
+        cells = [r["p_d"] for r in roc_rows] + [
+            r[col] for r in map_rows for col in ("p_d", "mean_y_w", "lambda")]
+        assert all(math.isfinite(float(c)) for c in cells if c)
+        roc = {r["n"]: r["p_d"] for r in roc_rows if r["beta"] == "0.05"}
+        here = (repr(raw["blockage"]["rho_per_m2"]), repr(raw["geometry"]["v0_norm_m"]))
+        centre = {r["n"]: r["p_d"] for r in map_rows if (r["rho"], r["v0_m"]) == here}
+        assert sorted(centre, key=int) == ["50", "100", "200"] and any(centre.values())
         assert centre == roc
 
     @pytest.mark.parametrize("section, override", [
@@ -567,9 +589,11 @@ class TestCli:
         assert err.startswith("config error: ") and f"sweeps.{field}" in err
         assert not (tmp_path / "out").exists()
 
-    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("command", ["roc", "regime-map"])
+    def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys, command):
         # a numerical failure at every sweep point is a total numerical
-        # failure; no valid config is known to cause one, so it is forced
+        # failure; no valid config is known to cause one, so it is forced.
+        # Both commands reach it through detector's chain
         from mmwregime import detector
         from mmwregime.numerics import NumericsError
 
@@ -582,9 +606,15 @@ class TestCli:
             sweeps={"v0_grid_m": [0.0, 3.0], "rho_list": [1.0], "n_list": [200]},
         )
         out = tmp_path / "out"
-        assert run_cli("regime-map", "--config", str(cfg), "--out", str(out)) == 2
-        text = (out / "regime_map.csv").read_text()
-        assert text.count("forced non-convergence") == 2
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        if command == "roc":
+            assert err == "numerical failure: forced non-convergence\n"
+            assert not (out / "roc.csv").exists()
+        else:
+            assert err == "numerical failure: every sweep point failed: forced non-convergence\n"
+            text = (out / "regime_map.csv").read_text()
+            assert text.count("forced non-convergence") == 2
 
     def test_validation_failure_exit_code(self, tmp_path, monkeypatch):
         from mmwregime.mcsim import ValidationCheck, ValidationReport

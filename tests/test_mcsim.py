@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from mmwregime import mcsim
-from mmwregime.blockage import BlockageConfig, GeometryConfig, nonblocked_count_pmf
+from mmwregime.blockage import (
+    BlockageConfig, GeometryConfig, blockage_probability, nonblocked_count_pmf,
+)
 from mmwregime.detector import np_threshold
 from mmwregime.interference import ChannelConfig, mean_received_power
 from mmwregime.mcsim import (
@@ -311,7 +313,7 @@ class TestKernelEndToEnd:
     def test_gap_check_row_matches_dense_rule(
         self, monkeypatch, baseline_channel, baseline_geo, baseline_blockage
     ):
-        args = (baseline_channel, baseline_geo, baseline_blockage, 0.24, 200, 3)
+        args = (baseline_channel, baseline_geo, baseline_blockage, 200, 3)
         got = mcsim._geometric_gap_check(*args)
         monkeypatch.setattr(mcsim, "_blocked_mask", _dense_blocked_mask)
         assert got == mcsim._geometric_gap_check(*args)
@@ -343,7 +345,7 @@ class TestGapCheckChunks:
         chunk = mcsim._scene_chunk(baseline_channel.n, baseline_blockage, baseline_geo)
         trials = 1 if offset is None else chunk + offset
         got = mcsim._geometric_gap_check(
-            baseline_channel, baseline_geo, baseline_blockage, 0.24, trials, 11
+            baseline_channel, baseline_geo, baseline_blockage, trials, 11
         )
         assert got.samples == trials
         assert got.empirical == _gap_rate_per_scene(
@@ -699,7 +701,7 @@ class TestDistanceCheck:
 
 class TestCountCheck:
     def test_counts_are_the_simulators(
-        self, monkeypatch, baseline_channel, baseline_band, baseline_model
+        self, monkeypatch, baseline_channel, baseline_band, baseline_model, baseline_blockage
     ):
         # the check's counts are the in-band counts _power_block draws: the
         # blocks' counts, captured while simulate_received_power runs, give
@@ -713,7 +715,9 @@ class TestCountCheck:
 
         in_band_counts = mcsim._inband_counts
         monkeypatch.setattr(mcsim, "_inband_counts", recording)
-        trials, seed, p_b = 10_000, 12, 0.3
+        # the check thins by the analytic p_b of its blockage config, 0.239 here
+        trials, seed = 10_000, 12
+        p_b = blockage_probability(baseline_blockage, geo()).p_b
         simulate_received_power(
             baseline_channel, geo(), baseline_band, baseline_model, 1e-3,
             trials=trials, seed=seed, blocking="thinning", p_b=p_b, workers=1,
@@ -721,7 +725,7 @@ class TestCountCheck:
         simulated = np.concatenate(drawn)
         drawn.clear()
         check = mcsim._count_check(
-            baseline_channel, baseline_band, baseline_model, p_b, trials, seed
+            baseline_channel, geo(), baseline_band, baseline_model, baseline_blockage, trials, seed
         )
         assert len(simulated) == trials and simulated.any()
         assert np.array_equal(np.concatenate(drawn), simulated)
