@@ -5,8 +5,12 @@ The pipeline: blockage statistics thin the interferer population, the
 aggregate interference power is characterized through its MGF, a
 maximum-entropy density stands in for the intractable exact law, and a
 Neyman-Pearson likelihood-ratio test issues the regime verdict.  A
-geometric Monte-Carlo simulator validates every analytic piece.
+geometric Monte-Carlo simulator, mcsim, validates every analytic piece.
+mcsim is a lazy module: it loads on first use, in simulate or validate.
 """
+
+import importlib.util
+import sys
 
 from .blockage import (
     BlockageConfig,
@@ -44,12 +48,6 @@ from .interference import (
     mean_interferer_power,
     mean_received_power,
 )
-from .mcsim import (
-    ValidationCheck,
-    ValidationReport,
-    simulate_received_power,
-    validate_suite,
-)
 from .numerics import DomainError, NumericsError, find_root, integrate
 from .spectral import (
     BandConfig,
@@ -63,3 +61,19 @@ from .spectral import (
 )
 
 __version__ = "0.1.0"
+
+
+# the LazyLoader recipe of the importlib documentation: mcsim's body runs
+# at its first attribute access, so the analytic commands never load it
+_spec = importlib.util.find_spec(__name__ + ".mcsim")
+_spec.loader = importlib.util.LazyLoader(_spec.loader)
+mcsim = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(mcsim)
+
+
+def __getattr__(name: str):
+    # the simulator's names, served from mcsim so that only their use loads it
+    if name in ("ValidationCheck", "ValidationReport", "simulate_received_power",
+                "validate_suite"):
+        return getattr(mcsim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

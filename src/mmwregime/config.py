@@ -24,12 +24,12 @@ from typing import Optional
 from .blockage import COMBINE_MODES, BlockageConfig, GeometryConfig
 from .detector import FIT_MODES, NoiseConfig, thermal_noise_power
 from .interference import ChannelConfig, dbm_to_watts
-from .mcsim import BLOCKING_MODES
 from .numerics import DomainError
 from .spectral import BandConfig, GaussianPsd, RaisedCosineFilter, RectangularPsd, SpectralModel
 
 __all__ = [
     "SCHEMA_VERSION",
+    "BLOCKING_MODES",
     "ConfigError",
     "SweepSpec",
     "NetworkConfig",
@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 2
+
+# mcsim's blocking rules, named here so that loading a config does not load it
+BLOCKING_MODES = ("geometric", "thinning")
 
 _DEFAULT_BETA_GRID = (1e-300, 1e-12, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5,
                       0.7, 0.9, 0.99, 1.0)

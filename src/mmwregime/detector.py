@@ -317,9 +317,18 @@ def roc_curve(
     return sorted(pts)
 
 
+def _location_p_b(blockage_cfg: BlockageConfig, geo: GeometryConfig):
+    """p_b at the receiver geo places, or the NumericsError that stopped it."""
+    try:
+        return blockage_probability(blockage_cfg, geo).p_b
+    except numerics.NumericsError as exc:
+        return exc
+
+
 def _regime_point(
     blockage_cfg: BlockageConfig,
     geo: GeometryConfig,
+    p_b: float | numerics.NumericsError,
     channel: ChannelConfig,
     band: BandConfig,
     model: SpectralModel,
@@ -329,14 +338,16 @@ def _regime_point(
 ) -> dict:
     """The regime-map row of the receiver geo places, keyed by REGIME_COLUMNS.
 
-    rho, n and v0_m come from blockage_cfg, channel and geo.  The values
-    the chain did not reach are None, and error holds the reason of a
-    failed point.
+    rho, n and v0_m come from blockage_cfg, channel and geo, and p_b is
+    _location_p_b's value there.  The values the chain did not reach are
+    None, and error holds the reason of a failed point.
     """
     row = dict.fromkeys(REGIME_COLUMNS)
     row.update(rho=blockage_cfg.rho, n=channel.n, v0_m=geo.v0_norm)
     try:
-        row["p_b"] = blockage_probability(blockage_cfg, geo).p_b
+        if isinstance(p_b, numerics.NumericsError):
+            raise p_b
+        row["p_b"] = p_b
         row["mean_y_w"] = mean_y = mean_received_power(
             noise.phi, row["p_b"], channel, geo, band, model
         )
@@ -373,14 +384,16 @@ def regime_map(
     The lists replace blockage_cfg.rho, channel.n and geo.v0_norm; a v0
     outside [0, radius) raises DomainError.  Each point is
     interference-limited when P_D > 1/2 at the threshold of beta_th, which
-    is computed once (an invalid beta_th raises DomainError).  An infeasible
-    fit is noise-limited with its reason in the error column; any other
-    numerical failure gives verdict "error" instead of aborting the sweep.
+    is computed once (an invalid beta_th raises DomainError), and p_b once
+    per (rho, v0).  An infeasible fit is noise-limited with its reason in
+    the error column; any other numerical failure is an "error" row.
     """
     geos = [replace(geo, v0_norm=float(v)) for v in v0_grid]
     eta_prime = np_threshold(beta_th, noise)
-    return [
-        _regime_point(replace(blockage_cfg, rho=rho), g, replace(channel, n=n), band, model,
-                      noise, eta_prime, fit_mode)
-        for rho in rho_list for n in n_list for g in geos
-    ]
+    rows = []
+    for cfg in (replace(blockage_cfg, rho=rho) for rho in rho_list):
+        located = [(g, _location_p_b(cfg, g)) for g in geos]  # before the n loop
+        rows += [_regime_point(cfg, g, p_b, replace(channel, n=n), band, model, noise,
+                               eta_prime, fit_mode)
+                 for n in n_list for g, p_b in located]
+    return rows

@@ -49,6 +49,7 @@ from .blockage import (
     distance_cdf,
     nonblocked_count_pmf,
 )
+from .config import BLOCKING_MODES
 from .detector import NoiseConfig, np_threshold
 from .interference import ChannelConfig, mean_received_power
 from .numerics import DomainError
@@ -57,14 +58,11 @@ from .spectral import BandConfig, SpectralModel, frequency_offset_pdf, upsilon_t
 __all__ = [
     "ValidationCheck",
     "ValidationReport",
-    "BLOCKING_MODES",
     "TRIAL_BLOCK",
     "simulate_received_power",
     "sample_h0_power",
     "validate_suite",
 ]
-
-BLOCKING_MODES = ("geometric", "thinning")
 
 # Trials are carved into fixed blocks, each with its own keyed stream, so
 # the mapping trial -> random numbers is independent of worker count.
@@ -654,7 +652,8 @@ def _frequency_check(band, trials, seed) -> ValidationCheck:
     omega = np.abs(freq - band.f_0)
     near, far = band.offset_edges
     interior = np.linspace(0.0, far, 33)
-    edges = np.unique(np.concatenate((interior, [near])))
+    # np.unique would import numpy.ma, at more cost than this sort
+    edges = interior if near in interior else np.sort(np.append(interior, near))
     counts, _ = np.histogram(omega, bins=edges)
     # near is an edge, so the density is constant on every bin
     probs = frequency_offset_pdf(0.5 * (edges[:-1] + edges[1:]), band) * np.diff(edges)

@@ -216,6 +216,33 @@ def test_analytic_commands_load_no_thread_pool(tmp_path):
     assert run_python(code, str(BASELINE_CONFIG), str(tmp_path)) == "False"
 
 
+def test_analytic_commands_never_compile_or_run_the_simulator(tmp_path):
+    # mcsim is a lazy module: blockage, roc and regime-map neither compile
+    # nor execute mcsim.py, whether or not its bytecode is cached, and
+    # simulate loads it on first use
+    code = (
+        "import os, sys\n"
+        "target = os.path.join('mmwregime', 'mcsim.py')\n"
+        "seen = []\n"
+        "def hook(event, args):\n"
+        "    if event == 'compile':\n"
+        "        seen.append(str(args[1]))\n"
+        "    elif event == 'exec':\n"
+        "        seen.append(getattr(args[0], 'co_filename', ''))\n"
+        "def loaded():\n"
+        "    return any(name.endswith(target) for name in seen)\n"
+        "sys.addaudithook(hook)\n"
+        "from mmwregime import cli\n"
+        "for cmd in ('blockage', 'roc', 'regime-map'):\n"
+        "    assert cli.main([cmd, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0, cmd\n"
+        "print(loaded())\n"
+        "argv = ['simulate', '--config', sys.argv[1], '--out', sys.argv[2], '--trials', '500']\n"
+        "assert cli.main(argv) == 0, 'simulate'\n"
+        "print(loaded())\n"
+    )
+    assert run_python(code, str(BASELINE_CONFIG), str(tmp_path)).split() == ["False", "True"]
+
+
 def run_cli(*args):
     return cli.main(list(args))
 
@@ -288,6 +315,22 @@ class TestCli:
         for (rho, n, v0), sparse in area.items():
             if rho == "0.5":
                 assert area[("1.0", n, v0)] <= sparse
+
+    def test_regime_map_computes_p_b_once_per_location(self, tmp_path, monkeypatch):
+        # p_b depends on (rho, v0) only, so the shipped sweep's 90 points
+        # make one blockage_probability call per (rho, v0)
+        from mmwregime import detector
+
+        original, calls = detector.blockage_probability, []
+
+        def counting(cfg, geo):
+            calls.append((cfg.rho, geo.v0_norm))
+            return original(cfg, geo)
+
+        monkeypatch.setattr(detector, "blockage_probability", counting)
+        assert run_cli("regime-map", "--config", str(BASELINE_CONFIG), "--out", str(tmp_path)) == 0
+        assert len(calls) == len(set(calls)) == 30
+        assert len(csv_rows(tmp_path / "regime_map.csv")) == 90
 
     def test_regime_map_pole_at_one_offset_fails_only_its_rows(self, tmp_path, monkeypatch):
         # E[ell] at the apex length (d_s + d_e)/(4 tan theta) for the
