@@ -31,6 +31,7 @@ __all__ = [
     "BlockageConfig",
     "BlockageResult",
     "COMBINE_MODES",
+    "BLOCKING_MODES",
     "distance_pdf",
     "distance_cdf",
     "mean_distance",
@@ -40,6 +41,8 @@ __all__ = [
 ]
 
 COMBINE_MODES = ("reciprocal_length", "length_weighted")
+# the simulator's blocking rules, named here so that reading a config does not load mcsim
+BLOCKING_MODES = ("geometric", "thinning")
 
 
 @dataclass(frozen=True)

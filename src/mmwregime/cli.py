@@ -124,16 +124,15 @@ def _write_document(path: Path, document: dict, prov: dict) -> None:
 
 
 def cmd_blockage(run: RunConfig, out: Path, workers: int) -> int:
-    doc = dataclasses.asdict(blockage_probability(run.blockage, run.network.geo))
+    doc = dataclasses.asdict(blockage_probability(run.blockage, run.geo))
     _write_document(out / "blockage.json", {"blockage": doc}, _provenance(run))
     return EXIT_OK
 
 
 def cmd_regime_map(run: RunConfig, out: Path, workers: int) -> int:
-    net, sweeps = run.network, run.sweeps
     rows = detector.regime_map(
-        run.blockage, net.geo, net.channel, net.band, net.spectral, net.noise,
-        sweeps.rho_list, sweeps.n_list, sweeps.v0_grid, run.beta_th, fit_mode=run.fit_mode,
+        run.blockage, run.geo, run.channel, run.band, run.spectral, run.noise,
+        run.rho_list, run.n_list, run.v0_grid, run.beta_th, fit_mode=run.fit_mode,
     )
     _write_rows(out / "regime_map.csv", rows, detector.REGIME_COLUMNS, _provenance(run))
     # per-point failures are recorded in the verdict and error columns; an
@@ -146,10 +145,9 @@ def cmd_regime_map(run: RunConfig, out: Path, workers: int) -> int:
 
 
 def cmd_roc(run: RunConfig, out: Path, workers: int) -> int:
-    net, sweeps = run.network, run.sweeps
     points = detector.regime_map(
-        run.blockage, net.geo, net.channel, net.band, net.spectral, net.noise,
-        [run.blockage.rho], sweeps.n_list, [net.geo.v0_norm], run.beta_th, fit_mode=run.fit_mode,
+        run.blockage, run.geo, run.channel, run.band, run.spectral, run.noise,
+        [run.blockage.rho], run.n_list, [run.geo.v0_norm], run.beta_th, fit_mode=run.fit_mode,
     )
     rows = []
     for point in points:
@@ -159,18 +157,17 @@ def cmd_roc(run: RunConfig, out: Path, workers: int) -> int:
         if point["lambda"] is None:
             # no interference above the signal power, so no P_D: empty cells,
             # as regime-map writes such a point, in roc_curve's order
-            curve = [(beta, None) for beta in sorted(sweeps.beta_grid)]
+            curve = [(beta, None) for beta in sorted(run.beta_grid)]
         else:
-            curve = detector.roc_curve(detector.MeFit(point["lambda"]), net.noise, sweeps.beta_grid)
+            curve = detector.roc_curve(detector.MeFit(point["lambda"]), run.noise, run.beta_grid)
         rows += [{"n": point["n"], "beta": beta, "p_f": beta, "p_d": p_d} for beta, p_d in curve]
     _write_rows(out / "roc.csv", rows, ("n", "beta", "p_f", "p_d"), _provenance(run))
     return EXIT_OK
 
 
 def cmd_validate(run: RunConfig, out: Path, workers: int) -> int:
-    net = run.network
     report = mcsim.validate_suite(
-        net.channel, net.geo, net.band, net.spectral, net.noise, run.blockage,
+        run.channel, run.geo, run.band, run.spectral, run.noise, run.blockage,
         trials=run.trials, seed=run.seed, workers=workers,
     )
     _write_document(out / "validation.json", dataclasses.asdict(report), _provenance(run))
@@ -178,12 +175,11 @@ def cmd_validate(run: RunConfig, out: Path, workers: int) -> int:
 
 
 def cmd_simulate(run: RunConfig, out: Path, workers: int) -> int:
-    net = run.network
     p_b = 0.0
     if run.blocking == "thinning":
-        p_b = blockage_probability(run.blockage, net.geo).p_b
+        p_b = blockage_probability(run.blockage, run.geo).p_b
     samples = mcsim.simulate_received_power(
-        net.channel, net.geo, net.band, net.spectral, net.noise.phi,
+        run.channel, run.geo, run.band, run.spectral, run.noise.phi,
         trials=run.trials, seed=run.seed, blocking=run.blocking, p_b=p_b,
         blockage_cfg=run.blockage, workers=workers,
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .blockage import COMBINE_MODES, BlockageConfig, GeometryConfig
+from .blockage import BLOCKING_MODES, COMBINE_MODES, BlockageConfig, GeometryConfig
 from .detector import FIT_MODES, NoiseConfig, thermal_noise_power
 from .interference import ChannelConfig, dbm_to_watts
 from .numerics import DomainError
@@ -29,19 +29,13 @@ from .spectral import BandConfig, GaussianPsd, RaisedCosineFilter, RectangularPs
 
 __all__ = [
     "SCHEMA_VERSION",
-    "BLOCKING_MODES",
     "ConfigError",
-    "SweepSpec",
-    "NetworkConfig",
     "RunConfig",
     "load_config",
     "config_hash",
 ]
 
 SCHEMA_VERSION = 2
-
-# mcsim's blocking rules, named here so that loading a config does not load it
-BLOCKING_MODES = ("geometric", "thinning")
 
 _DEFAULT_BETA_GRID = (1e-300, 1e-12, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5,
                       0.7, 0.9, 0.99, 1.0)
@@ -52,38 +46,19 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """Grids for the experiment commands."""
-
-    v0_grid: tuple[float, ...]
-    beta_grid: tuple[float, ...]
-    rho_list: tuple[float, ...]
-    n_list: tuple[int, ...]
-
-    def __post_init__(self):
-        for name in ("v0_grid", "beta_grid", "rho_list", "n_list"):
-            if len(getattr(self, name)) == 0:
-                raise ConfigError(f"sweeps.{name}: must be a non-empty list")
-
-
-@dataclass(frozen=True)
-class NetworkConfig:
-    """Everything the analytic pipeline needs about one deployment."""
+class RunConfig:
+    """A fully resolved experiment description."""
 
     geo: GeometryConfig
     band: BandConfig
     spectral: SpectralModel
     channel: ChannelConfig
     noise: NoiseConfig
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully resolved experiment description."""
-
-    network: NetworkConfig
     blockage: BlockageConfig
-    sweeps: SweepSpec
+    v0_grid: tuple[float, ...]
+    beta_grid: tuple[float, ...]
+    rho_list: tuple[float, ...]
+    n_list: tuple[int, ...]
     beta_th: float
     fit_mode: str
     blocking: str
@@ -152,11 +127,13 @@ class _Section:
 
     def subsection(self, key: str, optional: bool = False,
                    absent_empty: bool = False) -> Optional["_Section"]:
-        """The named subsection.  An absent optional one is None, or with
-        absent_empty an empty section whose fields all take their defaults."""
+        """The named subsection.  An absent optional one is None and is
+        listed as defaulted by its name, or with absent_empty an empty
+        section whose fields all take their defaults."""
         if key in self._data:
             self._seen.add(key)
         elif optional:
+            self._defaulted.append(self._name(key))
             return None
         elif not absent_empty:
             raise ConfigError(f"{self._name(key)}: required section is missing")
@@ -217,12 +194,8 @@ def load_config(path, seed: Optional[int] = None,
     root._data.update(
         (key, value) for key, value in (("seed", seed), ("trials", trials)) if value is not None
     )
-    version = root.optional("schema_version", int, SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version: value {version!r} violates constraint: "
-            f"this build reads version {SCHEMA_VERSION}"
-        )
+    root.optional("schema_version", int, SCHEMA_VERSION, lambda v: v == SCHEMA_VERSION,
+                  f"this build reads version {SCHEMA_VERSION}")
 
     try:
         geo_sec = root.subsection("geometry")
@@ -260,13 +233,9 @@ def load_config(path, seed: Optional[int] = None,
         psd = GaussianPsd(std=bandwidth / 4.0)
         filt = RaisedCosineFilter(rolloff=0.0, width=bandwidth)
         spec_sec = root.subsection("spectral", optional=True)
-        if spec_sec is None:
-            defaulted.append("spectral")
-        else:
+        if spec_sec is not None:
             psd_sec = spec_sec.subsection("psd", optional=True)
-            if psd_sec is None:
-                defaulted.append("spectral.psd")
-            else:
+            if psd_sec is not None:
                 shape = psd_sec.require(
                     "shape", str, lambda v: v in ("gaussian", "rectangular"),
                     "one of gaussian, rectangular",
@@ -281,9 +250,7 @@ def load_config(path, seed: Optional[int] = None,
                     )
                 psd_sec.reject_unknown()
             filt_sec = spec_sec.subsection("filter", optional=True)
-            if filt_sec is None:
-                defaulted.append("spectral.filter")
-            else:
+            if filt_sec is not None:
                 filt_sec.require(
                     "shape", str, lambda v: v == "raised_cosine", "raised_cosine"
                 )
@@ -335,30 +302,33 @@ def load_config(path, seed: Optional[int] = None,
 
         sweep_sec = root.subsection("sweeps", optional=True)
         if sweep_sec is None:
-            # an absent sweeps section is reported by its name alone
-            defaulted.append("sweeps")
+            # an absent sweeps section is listed by its name alone: its
+            # defaults are echoed but not listed
             sweep_sec = _Section({}, "sweeps", [])
             root.resolved["sweeps"] = sweep_sec.resolved
         v0_grid = sweep_sec.optional(
-            "v0_grid_m", list, [float(v) for v in range(10) if v < geo.radius]
+            "v0_grid_m", list, [float(v) for v in range(10) if v < geo.radius],
+            bool, "a non-empty list",
         )
-        beta_grid = sweep_sec.optional("beta_grid", list, list(_DEFAULT_BETA_GRID))
-        rho_list = sweep_sec.optional("rho_list", list, [blockage.rho])
-        n_list = sweep_sec.optional("n_list", list, [channel.n])
+        beta_grid = sweep_sec.optional(
+            "beta_grid", list, list(_DEFAULT_BETA_GRID), bool, "a non-empty list"
+        )
+        rho_list = sweep_sec.optional("rho_list", list, [blockage.rho], bool, "a non-empty list")
+        n_list = sweep_sec.optional("n_list", list, [channel.n], bool, "a non-empty list")
         sweep_sec.reject_unknown()
         # each element takes the scalar fields' rule (bool and str are
-        # rejected), in SweepSpec's field order, and is echoed converted
+        # rejected), grid by grid, and is echoed converted
         elements = (
             ("v0_grid_m", v0_grid, float, lambda v: 0.0 <= v < geo.radius, "in [0, radius)"),
             ("beta_grid", beta_grid, float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
             ("rho_list", rho_list, float, lambda v: v >= 0.0, ">= 0"),
             ("n_list", n_list, int, lambda v: v >= 0, "integer >= 0"),
         )
-        sweeps = SweepSpec(*(
+        v0_grid, beta_grid, rho_list, n_list = [
             tuple(sweep_sec.keep(key, [sweep_sec._convert(key, v, kind, ok, describe)
                                        for v in values]))
             for key, values, kind, ok, describe in elements
-        ))
+        ]
 
         sim_sec = root.subsection("simulation", absent_empty=True)
         blocking = sim_sec.optional(
@@ -374,9 +344,9 @@ def load_config(path, seed: Optional[int] = None,
         # component invariants re-raised on the config surface
         raise ConfigError(str(exc)) from exc
 
-    network = NetworkConfig(geo=geo, band=band, spectral=model, channel=channel, noise=noise)
     return RunConfig(
-        network=network, blockage=blockage, sweeps=sweeps,
+        geo=geo, band=band, spectral=model, channel=channel, noise=noise, blockage=blockage,
+        v0_grid=v0_grid, beta_grid=beta_grid, rho_list=rho_list, n_list=n_list,
         beta_th=beta_th, fit_mode=fit_mode, blocking=blocking,
         trials=trials, seed=seed, defaulted=tuple(defaulted), resolved=root.resolved,
     )

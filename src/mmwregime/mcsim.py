@@ -42,6 +42,7 @@ import numpy as np
 
 from . import detector, numerics
 from .blockage import (
+    BLOCKING_MODES,
     BlockageConfig,
     GeometryConfig,
     _log_choose,
@@ -49,7 +50,6 @@ from .blockage import (
     distance_cdf,
     nonblocked_count_pmf,
 )
-from .config import BLOCKING_MODES
 from .detector import NoiseConfig, np_threshold
 from .interference import ChannelConfig, mean_received_power
 from .numerics import DomainError

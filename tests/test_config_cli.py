@@ -1,3 +1,4 @@
+import ast
 import importlib
 import json
 import math
@@ -17,14 +18,13 @@ from conftest import BASELINE_CONFIG, REPO_ROOT, write_config
 class TestLoadConfig:
     def test_shipped_defaults_resolve(self):
         run = load_config(BASELINE_CONFIG)
-        net = run.network
-        assert net.geo.radius == 10.0
-        assert net.band.f_0 == 62e9
-        assert net.band.f_s == 58e9 and net.band.f_e == 64e9
-        assert net.channel.alpha == 2.5
-        assert net.channel.m == 3.0
-        assert net.channel.q == pytest.approx(10 ** ((27 - 30) / 10))
-        assert math.degrees(net.geo.theta) == pytest.approx(10.0)
+        assert run.geo.radius == 10.0
+        assert run.band.f_0 == 62e9
+        assert run.band.f_s == 58e9 and run.band.f_e == 64e9
+        assert run.channel.alpha == 2.5
+        assert run.channel.m == 3.0
+        assert run.channel.q == pytest.approx(10 ** ((27 - 30) / 10))
+        assert math.degrees(run.geo.theta) == pytest.approx(10.0)
         assert run.defaulted == ()
 
     def test_missing_density_names_field(self, tmp_path):
@@ -51,7 +51,7 @@ class TestLoadConfig:
         raw["channel"]["q_watts"] = 0.25
         path = tmp_path / "c.json"
         path.write_text(json.dumps(raw))
-        assert load_config(path).network.channel.q == 0.25
+        assert load_config(path).channel.q == 0.25
 
     def test_unknown_field_rejected(self, tmp_path):
         path = write_config(tmp_path, geometry={"radius_km": 1.0})
@@ -69,11 +69,11 @@ class TestLoadConfig:
         assert "band.filter_bandwidth_hz" in run.defaulted
         assert "noise.sigma2_watts" in run.defaulted
         assert "spectral" in run.defaulted
-        assert run.network.band.bandwidth == 1e8
-        assert isinstance(run.network.spectral.psd, GaussianPsd)
-        assert run.network.spectral.psd.std == pytest.approx(2.5e7)
+        assert run.band.bandwidth == 1e8
+        assert isinstance(run.spectral.psd, GaussianPsd)
+        assert run.spectral.psd.std == pytest.approx(2.5e7)
         # thermal floor over 100 MHz
-        assert run.network.noise.sigma2 == pytest.approx(10 ** ((-94 - 30) / 10))
+        assert run.noise.sigma2 == pytest.approx(10 ** ((-94 - 30) / 10))
 
     @pytest.mark.parametrize("section, defaulted, digest", [
         ("spectral", ("spectral",), "55208a59b7529380"),
@@ -176,6 +176,26 @@ def run_python(code, *args):
 def test_every_public_name_resolves(module):
     mod = importlib.import_module(f"mmwregime.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_only_cli_imports_config():
+    # the schema stays at the front end: config builds the components, cli
+    # hands them to the library, and no library module reads config back
+    importers = set()
+    for path in sorted((REPO_ROOT / "src" / "mmwregime").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:  # relative to the flat package
+                    base = "mmwregime." + base if base else "mmwregime"
+                names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if "mmwregime.config" in names:
+                importers.add(path.stem)
+    assert importers == {"cli"}
 
 
 def test_start_up_and_every_command_on_the_shipped_config_load_no_scipy(tmp_path):
@@ -398,6 +418,25 @@ class TestCli:
         assert sorted(centre, key=int) == ["50", "100", "200"] and any(centre.values())
         assert centre == roc
 
+    # the variants whose simulated law differs from the shipped one
+    SIMULATED_VARIANTS = ["rho_0", "m_0.5", "alpha_4", "eps_min_3", "v0_4", "rolloff_0.25",
+                          "rectangular_psd"]
+
+    @pytest.mark.parametrize("variant", SIMULATED_VARIANTS)
+    def test_validate_agrees_at_the_variant(self, tmp_path, variant):
+        # every gated row passes; a goodness-of-fit row (tolerance 0.99)
+        # passes at the Bonferroni level 0.01/(8K) over the K variants, so
+        # the family-wise false-alarm rate of this test stays under 1%
+        cfg = write_config(tmp_path, **self.AGREEMENT_VARIANTS[variant])
+        code = run_cli("validate", "--config", str(cfg), "--out", str(tmp_path), "--trials",
+                       "20000")
+        doc = json.loads((tmp_path / "validation.json").read_text())
+        assert code == (0 if doc["passed"] else 3)
+        level = 0.01 / (8 * len(self.SIMULATED_VARIANTS))
+        failed = [c["name"] for c in doc["checks"]
+                  if not (c["empirical"] > level if c["tolerance"] == 0.99 else c["passed"])]
+        assert failed == []
+
     @pytest.mark.parametrize("section, override", [
         ("noise", None),  # thermal noise floor, 1/(2 sigma2) ~ 1e12 per watt
         ("channel", {"q_dbm": 40.0}),
@@ -537,11 +576,10 @@ class TestCli:
         out = tmp_path / "out"
         assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
         run = load_config(cfg)
-        net = run.network
         samples = mcsim.simulate_received_power(
-            net.channel, net.geo, net.band, net.spectral, net.noise.phi,
+            run.channel, run.geo, run.band, run.spectral, run.noise.phi,
             trials=300, seed=17, blocking="thinning",
-            p_b=blockage_probability(run.blockage, net.geo).p_b,
+            p_b=blockage_probability(run.blockage, run.geo).p_b,
         )
         rows = [
             l for l in (out / "samples.csv").read_text().splitlines()
@@ -557,11 +595,10 @@ class TestCli:
         out = tmp_path / "out"
         assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 0
         run = load_config(cfg)
-        net = run.network
         samples = mcsim.simulate_received_power(
-            net.channel, net.geo, net.band, net.spectral, net.noise.phi,
+            run.channel, run.geo, run.band, run.spectral, run.noise.phi,
             trials=300, seed=17, blocking="thinning",
-            p_b=blockage_probability(run.blockage, net.geo).p_b,
+            p_b=blockage_probability(run.blockage, run.geo).p_b,
         )
         rows = [{"trial": i, "y_watts": y} for i, y in enumerate(samples.tolist())]
         ref = tmp_path / "ref.csv"
@@ -631,6 +668,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"sweeps.{field}" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field", ["v0_grid_m", "beta_grid", "rho_list", "n_list"])
+    def test_empty_sweep_list_names_its_key(self, tmp_path, capsys, field):
+        # the non-empty rule is a field rule, so its message names the JSON key
+        cfg = write_config(tmp_path, sweeps={field: []})
+        assert run_cli("roc", "--config", str(cfg), "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: sweeps.{field}: value [] violates constraint"
+        )
 
     @pytest.mark.parametrize("command", ["roc", "regime-map"])
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys, command):

@@ -35,9 +35,8 @@ NOISE = NoiseConfig(sigma2=5e-3, phi=1e-3)
 def shipped_map(run, channel=None, noise=None, fit_mode="transcendental"):
     """The shipped config's whole regime map, with its channel and noise
     replaceable."""
-    net, sweeps = run.network, run.sweeps
-    return regime_map(run.blockage, net.geo, channel or net.channel, net.band, net.spectral,
-                      noise or net.noise, sweeps.rho_list, sweeps.n_list, sweeps.v0_grid,
+    return regime_map(run.blockage, run.geo, channel or run.channel, run.band, run.spectral,
+                      noise or run.noise, run.rho_list, run.n_list, run.v0_grid,
                       run.beta_th, fit_mode)
 
 
@@ -117,7 +116,7 @@ class TestMeFit:
     def test_shipped_fits_converge_to_the_last_bit(self, baseline_run):
         # on every regime-map point of the shipped config, lambda and one of
         # its neighbouring doubles bracket a sign change of the fit equation
-        phi = baseline_run.network.noise.phi
+        phi = baseline_run.noise.phi
         fits = 0
         for pt in shipped_map(baseline_run):
             def f(lam):
@@ -229,7 +228,7 @@ class TestThreshold:
     def test_inverse_matches_scipy(self, baseline_run):
         from scipy import special
 
-        betas = [b for b in baseline_run.sweeps.beta_grid if b < 1.0]
+        betas = [b for b in baseline_run.beta_grid if b < 1.0]
         betas += [10.0 ** -k for k in range(1, 301)]
         z = [_erfcinv(b) for b in betas]
         np.testing.assert_allclose(z, special.erfcinv(betas), rtol=1e-14, atol=0.0)
@@ -502,7 +501,7 @@ class TestRegimeMap:
     ):
         # the same scene in mW: every power times 1e3.  The verdict and P_D
         # are dimensionless; the area carries the unit of y.
-        v0_grid = baseline_run.sweeps.v0_grid
+        v0_grid = baseline_run.v0_grid
         sweep = ([baseline_blockage.rho], [baseline_channel.n], v0_grid, 0.05)
         args = (baseline_geo, baseline_channel, baseline_band, baseline_model, baseline_noise)
         watts = regime_map(baseline_blockage, *args, *sweep, fit_mode="closed_form")
@@ -522,7 +521,7 @@ class TestRegimeMap:
     def test_verdict_threshold_on_the_shipped_map(self, baseline_run):
         # interference-limited exactly when P_D > 1/2; the closed-form fit
         # gives both verdicts on the shipped map
-        phi = baseline_run.network.noise.phi
+        phi = baseline_run.noise.phi
         verdicts = set()
         for fit_mode in ("transcendental", "closed_form"):
             for pt in shipped_map(baseline_run, fit_mode=fit_mode):
@@ -544,13 +543,13 @@ class TestRegimeMap:
         # the shipped map with every power in W and in mW (q, sigma2 and phi
         # times 1e3): the transcendental rate takes on the power unit and
         # flips every verdict, the closed-form rate does not (README)
-        net = baseline_run.network
-        milli = (replace(net.channel, q=1e3 * net.channel.q),
-                 NoiseConfig(sigma2=1e3 * net.noise.sigma2, phi=1e3 * net.noise.phi))
+        milli = (replace(baseline_run.channel, q=1e3 * baseline_run.channel.q),
+                 NoiseConfig(sigma2=1e3 * baseline_run.noise.sigma2,
+                             phi=1e3 * baseline_run.noise.phi))
         counts = [
             sum(pt["verdict"] == INTERFERENCE_LIMITED
                 for pt in shipped_map(baseline_run, channel, noise, fit_mode))
-            for channel, noise in ((net.channel, net.noise), milli)
+            for channel, noise in ((baseline_run.channel, baseline_run.noise), milli)
         ]
         assert counts == [in_watts, in_milliwatts]
 

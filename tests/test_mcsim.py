@@ -608,6 +608,18 @@ class TestChi2Pvalue:
         probs = np.array([0.0, 0.4, 0.35, 0.25, 0.0])
         assert mcsim._chi2_pvalue(counts, probs) == pytest.approx(1.0)
 
+    def test_small_tail_bin_merges_into_the_last_full_bin(self):
+        # 100 samples: the tail's expected count of 5 is under 10, so it
+        # joins the bin before it instead of forming a bin of its own
+        counts, probs = mcsim._merge_small_bins(np.array([50, 45, 5]),
+                                                np.array([0.5, 0.45, 0.05]))
+        np.testing.assert_array_equal(counts, [50, 50])
+        np.testing.assert_allclose(probs, [0.5, 0.5], rtol=1e-15)
+
+    def test_fewer_than_two_merged_bins_cannot_refute(self):
+        # 7 samples never reach an expected count of 10: no bin, no test
+        assert mcsim._chi2_pvalue(np.array([3, 4]), np.array([0.5, 0.5])) == 1.0
+
     def test_matches_chi2_survival_function(self):
         from scipy import stats
 

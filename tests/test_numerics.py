@@ -124,6 +124,10 @@ class TestFindRoot:
 
     def test_endpoint_root(self):
         assert find_root(lambda x: x, 0.0, 1.0) == 0.0
+        # an exact zero at hi is returned without bisecting
+        calls = []
+        assert find_root(lambda x: calls.append(x) or x - 1.0, -3.0, 1.0) == 1.0
+        assert calls == [-3.0, 1.0]
 
     def test_no_sign_change(self):
         with pytest.raises(DomainError, match="no sign change"):
