@@ -14,7 +14,6 @@ is itself a complete config that loads back to itself with nothing defaulted.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -26,6 +25,15 @@ from .detector import FIT_MODES, NoiseConfig, thermal_noise_power
 from .interference import ChannelConfig, dbm_to_watts
 from .numerics import DomainError
 from .spectral import BandConfig, GaussianPsd, RaisedCosineFilter, RectangularPsd, SpectralModel
+
+# CPython's built-in SHA-256 gives hashlib's digest without loading OpenSSL
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -151,14 +159,14 @@ class _Section:
                 "exactly one unit variant may be given, found both"
             )
         if has_dbm:
-            dbm = self._convert(dbm_key, self._data[dbm_key], float, None, "")
+            dbm = self._convert(dbm_key, self._data[dbm_key], float, _finite_dbm, _POWER_RULE)
             return self.keep(watt_key, dbm_to_watts(dbm))
         if not has_watt and default is None:
             raise ConfigError(
                 f"{self._name(watt_key)}: required power is missing "
                 f"(provide {dbm_key} or {watt_key})"
             )
-        return self.optional(watt_key, float, default, lambda v: v >= 0.0, ">= 0 watts")
+        return self.optional(watt_key, float, default, _finite_power, _POWER_RULE)
 
     def reject_unknown(self):
         unknown = set(self._data) - self._seen
@@ -169,6 +177,21 @@ class _Section:
 
 def _positive(v) -> bool:
     return v > 0
+
+
+# the one range rule of a power, whichever unit the file gives it in
+_POWER_RULE = "finite and >= 0 watts"
+
+
+def _finite_power(watts: float) -> bool:
+    return 0.0 <= watts < math.inf
+
+
+def _finite_dbm(dbm: float) -> bool:
+    try:
+        return _finite_power(dbm_to_watts(dbm))
+    except OverflowError:  # 10 ** x past the largest double
+        return False
 
 
 def load_config(path, seed: Optional[int] = None,
@@ -355,4 +378,4 @@ def load_config(path, seed: Optional[int] = None,
 def config_hash(resolved: dict) -> str:
     """Stable short hash of a resolved configuration."""
     canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return sha256(canonical.encode()).hexdigest()[:16]

@@ -5,11 +5,14 @@ are computed in the modules that use them.  Quadrature is one fixed
 64-node Gauss-Legendre rule under a cosine map of each finite interval: it
 clusters nodes at both ends, never evaluates the integrand on an endpoint
 (the disk-distance density has square-root behaviour there) and takes no
-tolerance.  It serves the disk-distance averages with no closed form and
-every integral over the frequency offset, and its nodes are the package's
-only node set: rule_piecewise hands them out as (x, w) arrays, to the
-MGF's distance atoms and the overlap table's offset rule.  Root finding is
-bisection down to adjacent doubles, which also takes no tolerance.
+tolerance.  Its Legendre nodes and weights are numpy's leggauss(64),
+stored here bit for bit (a test holds them to it), so loading the module
+builds no polynomial and calls no eigenvalue solver.  It serves the
+disk-distance averages with no closed form and every integral over the
+frequency offset, and its nodes are the package's only node set:
+rule_piecewise hands them out as (x, w) arrays, to the MGF's distance
+atoms and the overlap table's offset rule.  Root finding is bisection down
+to adjacent doubles, which also takes no tolerance.
 
 Everything in this module is a pure function; all routines are safe to call
 concurrently from any number of threads.
@@ -44,17 +47,46 @@ class DomainError(NumericsError, ValueError):
 # fixed-rule quadrature
 # ---------------------------------------------------------------------------
 
-def _cosine_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre in u on (0, pi) mapped to [-1, 1] by x = -cos(u).
+# The positive half of numpy.polynomial.legendre.leggauss(64) as (node,
+# weight) pairs, each written by repr, so bit for bit its values.  leggauss
+# symmetrises its output, so the other half is the exact mirror.
+_LEGENDRE_64_HALF = (
+    (0.02435029266342443, 0.048690957009139814), (0.07299312178779904, 0.04857546744150351),
+    (0.12146281929612054, 0.048344762234802996), (0.16964442042399283, 0.04799938859645842),
+    (0.21742364374000708, 0.04754016571483042), (0.2646871622087674, 0.046968182816210076),
+    (0.31132287199021097, 0.04628479658131447), (0.3572201583376681, 0.045491627927418184),
+    (0.4022701579639916, 0.044590558163756566), (0.4463660172534641, 0.04358372452932355),
+    (0.48940314570705296, 0.04247351512365361), (0.5312794640198946, 0.041262563242623576),
+    (0.571895646202634, 0.039953741132720544), (0.6111553551723933, 0.03855015317861564),
+    (0.6489654712546573, 0.03705512854024009), (0.6852363130542333, 0.0354722132568823),
+    (0.7198818501716109, 0.033805161837141794), (0.7528199072605319, 0.032057928354851495),
+    (0.7839723589433414, 0.030234657072402554), (0.8132653151227975, 0.028339672614259535),
+    (0.8406292962525803, 0.02637746971505491), (0.8659993981540928, 0.0243527025687112),
+    (0.8893154459951141, 0.02227017380838297), (0.9105221370785028, 0.020134823153530088),
+    (0.9295691721319396, 0.017951715775697284), (0.9464113748584028, 0.01572603047602503),
+    (0.9610087996520538, 0.01346304789671786), (0.973326827789911, 0.011168139460131028),
+    (0.983336253884626, 0.008846759826363397), (0.9910133714767443, 0.006504457968978502),
+    (0.9963401167719552, 0.004147033260564499), (0.9993050417357722, 0.00178328072169414),
+)
+
+
+def _legendre_64() -> tuple[np.ndarray, np.ndarray]:
+    """The 64-node Gauss-Legendre nodes (ascending) and weights on [-1, 1]."""
+    t, w = np.array(_LEGENDRE_64_HALF).T
+    return np.concatenate((-t[::-1], t)), np.concatenate((w[::-1], w))
+
+
+def _cosine_rule(t: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes t and weights w, taken in u on (0, pi) and
+    mapped to [-1, 1] by x = -cos(u).
 
     The weights carry dx/du = sin(u).
     """
-    t, w = np.polynomial.legendre.leggauss(points)
     u = 0.5 * math.pi * (t + 1.0)
     return -np.cos(u), 0.5 * math.pi * w * np.sin(u)
 
 
-_RULE_NODES, _RULE_WEIGHTS = _cosine_rule(64)
+_RULE_NODES, _RULE_WEIGHTS = _cosine_rule(*_legendre_64())
 
 
 def integrate(f: Callable, a: float, b: float) -> float:

@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +67,14 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     return path
+
+
+def load_perfbench(name):
+    """The benchmark's module perfbench/<name>.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", REPO_ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module

@@ -150,6 +150,27 @@ class TestLoadConfig:
         changed["seed"] = run.seed + 1
         assert config_hash(changed) != h1
 
+    @pytest.mark.parametrize("section, key, value", [
+        (section, f"{base}_{unit}", value)
+        for section, base in (("channel", "q"), ("noise", "sigma2"), ("noise", "phi"))
+        for unit, value in (("dbm", 4000.0), ("watts", math.inf))
+    ])
+    def test_power_out_of_range_names_its_key(self, tmp_path, section, key, value):
+        # one range rule on both unit paths: the watts value is finite and
+        # >= 0, so a dBm value past the largest double is a config error
+        raw = json.loads(BASELINE_CONFIG.read_text())
+        base = key.rsplit("_", 1)[0]
+        for unit in ("dbm", "watts"):
+            raw[section].pop(f"{base}_{unit}", None)
+        raw[section][key] = value
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == (
+            f"{section}.{key}: value {value!r} violates constraint: finite and >= 0 watts"
+        )
+
     def test_beta_grid_validated(self, tmp_path):
         path = write_config(tmp_path, sweeps={"beta_grid": [0.0, 0.5]})
         with pytest.raises(ConfigError, match="beta_grid"):
@@ -234,6 +255,40 @@ def test_analytic_commands_load_no_thread_pool(tmp_path):
         "print('concurrent.futures' in sys.modules)\n"
     )
     assert run_python(code, str(BASELINE_CONFIG), str(tmp_path)) == "False"
+
+
+def test_analytic_commands_load_no_openssl_or_polynomial_package(tmp_path):
+    # the config digest takes CPython's built-in SHA-256 and the quadrature
+    # rule is stored, so neither hashlib's OpenSSL module nor numpy's
+    # polynomial package loads on the way to an analytic output
+    code = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return [m for m in ('_hashlib', 'numpy.polynomial') if m in sys.modules]\n"
+        "from mmwregime import cli\n"
+        "seen = [loaded()]\n"
+        "cli.load_config(sys.argv[1])\n"
+        "seen.append(loaded())\n"
+        "for cmd in ('blockage', 'roc', 'regime-map'):\n"
+        "    assert cli.main([cmd, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0, cmd\n"
+        "    seen.append(loaded())\n"
+        "print(seen)\n"
+    )
+    assert run_python(code, str(BASELINE_CONFIG), str(tmp_path)) == str([[]] * 5)
+
+
+def test_config_hash_falls_back_to_hashlib():
+    # without the built-in module (a Python built without it) the digest
+    # comes from hashlib and is the same pinned value
+    code = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from mmwregime.config import config_hash, load_config, sha256\n"
+        "import hashlib\n"
+        "assert sha256 is hashlib.sha256, sha256\n"
+        "print(config_hash(load_config(sys.argv[1]).resolved))\n"
+    )
+    assert run_python(code, str(BASELINE_CONFIG)) == "55208a59b7529380"
 
 
 def test_analytic_commands_never_compile_or_run_the_simulator(tmp_path):

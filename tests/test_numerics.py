@@ -87,6 +87,22 @@ class TestIntegrate:
             rule_piecewise((0.0, 1.0, np.inf))
 
 
+class TestStoredRule:
+    # the package stores leggauss(64) instead of computing it at import; the
+    # test may load numpy.polynomial, the package must not
+    def test_mirrored_table_is_leggauss(self):
+        t, w = numerics._legendre_64()
+        t_ref, w_ref = np.polynomial.legendre.leggauss(64)
+        assert np.array_equal(t, t_ref)
+        assert np.array_equal(w, w_ref)
+
+    def test_rule_is_the_cosine_map_of_leggauss_bit_for_bit(self):
+        t, w = np.polynomial.legendre.leggauss(64)
+        u = 0.5 * math.pi * (t + 1.0)
+        assert np.array_equal(numerics._RULE_NODES, -np.cos(u))
+        assert np.array_equal(numerics._RULE_WEIGHTS, 0.5 * math.pi * w * np.sin(u))
+
+
 class TestFindRoot:
     def test_linear(self):
         assert find_root(lambda x: x - 1.0, 0.0, 2.0) == pytest.approx(1.0, abs=1e-12)

@@ -1,14 +1,13 @@
 """The benchmark's own tests run with the package's, so that renaming a
 function the benchmark wraps fails here and not only in the benchmark."""
 
-import importlib.util
 import json
 import subprocess
 import sys
 
 from mmwregime import cli
 
-from conftest import BASELINE_CONFIG, REPO_ROOT
+from conftest import BASELINE_CONFIG, REPO_ROOT, load_perfbench
 
 
 def test_perfbench_unit_tests_pass():
@@ -19,20 +18,10 @@ def test_perfbench_unit_tests_pass():
     assert proc.returncode == 0, proc.stderr[-4000:]
 
 
-def _load(name):
-    spec = importlib.util.spec_from_file_location(
-        f"perfbench_{name}", REPO_ROOT / "perfbench" / f"{name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_benchmark_oracles_accept_the_analytic_commands(tmp_path):
     # the checks the benchmark applies to blockage, roc and regime-map on the
     # shipped config, so a renamed or reordered column fails here as well
-    oracles = _load("oracles")
+    oracles = load_perfbench("oracles")
     raw = json.loads(BASELINE_CONFIG.read_text())
     for command in ("blockage", "roc", "regime-map"):
         assert cli.main([command, "--config", str(BASELINE_CONFIG), "--out", str(tmp_path)]) == 0
@@ -57,7 +46,7 @@ def test_benchmark_oracles_accept_the_analytic_commands(tmp_path):
 def test_benchmark_oracles_accept_the_tapered_geometric_workload(tmp_path):
     # the one workload that runs geometric simulate and a rolloff > 0 filter,
     # on its own config and CLI seed, checked as the benchmark checks it
-    oracles, workloads = _load("oracles"), _load("workloads")
+    oracles, workloads = load_perfbench("oracles"), load_perfbench("workloads")
     raw = workloads.tapered_config(json.loads(BASELINE_CONFIG.read_text()))
     config = tmp_path / "tapered_geometric.json"
     config.write_text(json.dumps(raw))
