@@ -7,8 +7,8 @@ and embeds a provenance header (tool version, config hash, seed, defaulted
 fields) so identical config+seed runs are byte-identical regardless of
 worker count.
 
-Exit codes: 0 success, 1 usage or config error, 2 numerical failure,
-3 validation failure.
+Exit codes: 0 success, 1 usage, config or output error, 2 numerical
+failure, 3 validation failure.
 """
 
 from __future__ import annotations
@@ -105,7 +105,6 @@ def _json_text(payload: dict) -> str:
 
 def _write_csv(path: Path, header: tuple[str, ...], prov: dict, body: list[str]) -> None:
     """Provenance comments, the header line, then the formatted data lines."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# {k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(prov.items())]
     lines.append(",".join(header))
     lines += body
@@ -119,7 +118,6 @@ def _write_rows(path: Path, rows: list[dict], header: tuple[str, ...], prov: dic
 
 
 def _write_document(path: Path, document: dict, prov: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(_json_text({"_provenance": prov, **document}))
 
 
@@ -213,11 +211,17 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    out = Path(args.out)
     try:
-        return _COMMANDS[args.command](run, Path(args.out), args.workers)
+        # before the command runs, so that an unusable --out costs no computation
+        out.mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.command](run, out, args.workers)
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:  # the directory or the output file cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

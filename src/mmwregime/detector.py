@@ -146,8 +146,12 @@ def fit_me_lambda(mean_y: float, phi: float, mode: str = "transcendental") -> Me
         lp = lam * phi
         return (lp + 1.0) * math.exp(-lp) - mean_y * lam * lam
 
-    scale = max(phi, mean_y - phi)
-    lam = numerics.find_root(equation, 1e-12 / scale, 1e12 / scale)
+    # the equation falls in lam and crosses 0 below 1/sqrt(mean_y), where
+    # mean_y*lam^2 reaches 1: each end of the power-scale bracket is moved
+    # past that point where it would miss the root
+    scale, root_scale = max(phi, mean_y - phi), 1.0 / math.sqrt(mean_y)
+    lam = numerics.find_root(equation, min(1e-12 / scale, 0.5 * root_scale),
+                             max(1e12 / scale, 2.0 * root_scale))
     return MeFit(lam=lam)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -260,16 +260,21 @@ TABLE_POINTS = 4097
 
 
 class UpsilonTable:
-    """Overlap samples for simulation, and the offset rule for the moments.
+    """The offset rule for the moments, and overlap samples for simulation.
 
     The overlap decays to numerical zero beyond cutoff = (filter stop edge
-    clipped to the window) + (PSD halfwidth).  grid and values are dense
-    samples on [0, cutoff] that lookup interpolates linearly (0 past the
-    grid), cheap on millions of simulated offsets; the MGF reads only their
-    maximum.  rule_values and rule_weights (Hz) are Upsilon on the fixed
-    rule of numerics on [0, min(far slab, cutoff)], weights times
-    frequency_offset_pdf * (f_e - f_s): one node set for both offset slabs,
-    the package's only integral over the offset, for gamma_n and the atoms.
+    clipped to the window) + (PSD halfwidth).  rule_values and rule_weights
+    (Hz) are Upsilon on the fixed rule of numerics on [0, min(far slab,
+    cutoff)], weights times frequency_offset_pdf * (f_e - f_s): one node
+    set for both offset slabs, the package's only integral over the offset,
+    for gamma_n and the atoms.  Both are built with the table.
+
+    grid and values are dense samples on [0, cutoff] that lookup
+    interpolates linearly (0 past the grid), cheap on millions of simulated
+    offsets; the MGF reads only their maximum.  They are built the first
+    time they are read, so a table that only the moments use (blockage,
+    roc and regime-map) never builds them.  Two threads that read them
+    first at once may both build them, to identical arrays.
 
     The grid is uniform, so lookup finds each offset's interval by direct
     index instead of a binary search, and interpolates with the slopes
@@ -279,10 +284,9 @@ class UpsilonTable:
 
     def __init__(self, band: BandConfig, model: SpectralModel):
         rolloff, half = model.filter.rolloff, 0.5 * model.filter.width
-        cutoff = min(0.5 * band.bandwidth, (1.0 + rolloff) * half) + _psd_halfwidth(model.psd)
-        self.grid = np.linspace(0.0, cutoff, TABLE_POINTS)
-        self.values = upsilon(self.grid, band, model)
-        self.slopes = np.diff(self.values) / np.diff(self.grid)
+        self._band, self._model = band, model
+        self.cutoff = cutoff = (min(0.5 * band.bandwidth, (1.0 + rolloff) * half)
+                                + _psd_halfwidth(model.psd))
         # rule edges: four equal pieces, the near slab's end, where the offset
         # density steps, and the kinks of Upsilon at |c -+ w/2| for the
         # breakpoints c and a rectangular PSD's width w
@@ -296,9 +300,17 @@ class UpsilonTable:
         self.rule_values = upsilon(nodes, band, model)
         self.rule_weights = weights * (frequency_offset_pdf(nodes, band) * (band.f_e - band.f_s))
 
-    @property
-    def cutoff(self) -> float:
-        return float(self.grid[-1])
+    @cached_property
+    def grid(self) -> np.ndarray:
+        return np.linspace(0.0, self.cutoff, TABLE_POINTS)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return upsilon(self.grid, self._band, self._model)
+
+    @cached_property
+    def slopes(self) -> np.ndarray:
+        return np.diff(self.values) / np.diff(self.grid)
 
     def lookup(self, omega):
         """Interpolated Upsilon(|omega|); zero beyond the cutoff."""

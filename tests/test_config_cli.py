@@ -773,6 +773,31 @@ class TestCli:
         cfg = write_config(tmp_path, trials=10)
         assert run_cli("validate", "--config", str(cfg), "--out", str(tmp_path)) == 3
 
+    @pytest.mark.parametrize("command, filename, extra", [
+        ("blockage", "blockage.json", ()),
+        ("simulate", "samples.csv", ("--trials", "100")),
+    ])
+    def test_unwritable_out_is_an_output_error(self, tmp_path, monkeypatch, capsys,
+                                               command, filename, extra):
+        # an --out that names a file fails before the command computes anything
+        taken = tmp_path / "taken"
+        taken.write_text("")
+
+        def forbidden(*args):
+            raise AssertionError("the command ran")
+
+        with monkeypatch.context() as patch:
+            patch.setitem(cli._COMMANDS, command, forbidden)
+            assert run_cli(command, "--config", str(BASELINE_CONFIG), "--out", str(taken),
+                           *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and "File exists" in err
+        # a directory where the output file goes fails at the write
+        (tmp_path / "out" / filename).mkdir(parents=True)
+        assert run_cli(command, "--config", str(BASELINE_CONFIG), "--out",
+                       str(tmp_path / "out"), *extra) == 1
+        assert capsys.readouterr().err.startswith("output error: ")
+
 
 class TestReproducibility:
     def test_regime_map_bytes_stable_across_workers(self, tmp_path):

@@ -130,6 +130,19 @@ class TestMeFit:
             fits += 1
         assert fits == 90
 
+    @pytest.mark.parametrize("mean_y, phi", [
+        (1e-30, 0.0), (1e-20, 0.0), (1e20, 0.0), (1e30, 0.0), (1e200, 0.0),
+        (2e-30, 1e-30), (1e30, 1e-3), (1e200, 1e-3),
+    ])
+    def test_transcendental_fit_at_any_power_scale(self, mean_y, phi):
+        # the root lies below 1/sqrt(mean_y), outside the power-scale bracket
+        # [1e-12, 1e12]/max(phi, mean_y - phi) at extreme means; at phi = 0
+        # it is 1/sqrt(mean_y) itself
+        lam = fit_me_lambda(mean_y, phi, "transcendental").lam
+        assert lam == pytest.approx(1.0 / math.sqrt(mean_y), rel=1e-12 if phi == 0.0 else 0.5)
+        resid = (lam * phi + 1.0) * math.exp(-lam * phi) - mean_y * lam * lam
+        assert abs(resid) <= 1e-12
+
     def test_modes_disagree_with_signal_power(self):
         a = fit_me_lambda(0.03, 1e-3, "transcendental").lam
         b = fit_me_lambda(0.03, 1e-3, "closed_form").lam

@@ -103,6 +103,49 @@ class TestStoredRule:
         assert np.array_equal(numerics._RULE_WEIGHTS, 0.5 * math.pi * w * np.sin(u))
 
 
+# (rho, N, v0) at which the rule's error budget in the README is measured
+REFERENCE_POINTS = ((1.0, 200, 0.0), (2.0, 50, 9.0), (0.5, 100, 5.0))
+RULE_COLUMNS = ("p_b", "mean_y_w", "lambda", "p_d")
+# the largest relative changes 64 -> 128 nodes measured on these points are
+# p_b 0, mean_y_w 9.3e-15, lambda 4.6e-15 and p_d 1.2e-15; the bound leaves
+# room for other platforms' rounding
+RULE_ERROR_BOUND = 1e-13
+
+
+def reference_rows(run):
+    from mmwregime import detector
+
+    return [
+        detector.regime_map(run.blockage, run.geo, run.channel, run.band, run.spectral,
+                            run.noise, [rho], [n], [v0], run.beta_th, fit_mode=run.fit_mode)[0]
+        for rho, n, v0 in REFERENCE_POINTS
+    ]
+
+
+def test_analytic_columns_hold_at_twice_the_rule_nodes(baseline_run):
+    # the README's error budget of the fixed rule: each analytic column at
+    # 64 nodes against the same column at 128, the 128-node rule built from
+    # leggauss(128) by the package's own cosine map
+    from mmwregime.spectral import upsilon_table
+
+    stored = numerics._RULE_NODES, numerics._RULE_WEIGHTS
+    upsilon_table.cache_clear()
+    coarse = reference_rows(baseline_run)
+    try:
+        numerics._RULE_NODES, numerics._RULE_WEIGHTS = numerics._cosine_rule(
+            *np.polynomial.legendre.leggauss(128))
+        upsilon_table.cache_clear()
+        fine = reference_rows(baseline_run)
+    finally:
+        numerics._RULE_NODES, numerics._RULE_WEIGHTS = stored
+        upsilon_table.cache_clear()
+    errors = {col: max(abs(f[col] - c[col]) / abs(f[col]) for c, f in zip(coarse, fine))
+              for col in RULE_COLUMNS}
+    assert all(err <= RULE_ERROR_BOUND for err in errors.values()), errors
+    # the rule did change: the interference mean moved in its last digits
+    assert errors["mean_y_w"] > 0.0
+
+
 class TestFindRoot:
     def test_linear(self):
         assert find_root(lambda x: x - 1.0, 0.0, 2.0) == pytest.approx(1.0, abs=1e-12)

@@ -352,6 +352,39 @@ class TestUpsilonTable:
         table = upsilon_table(band(), gaussian_model())
         assert table.lookup(table.cutoff * 2.0) == 0.0
 
+    def test_only_the_simulator_builds_the_dense_samples(self, tmp_path):
+        # blockage, roc and regime-map read the offset rule alone, so the
+        # cached table never builds its grid; simulate's first lookup does
+        from mmwregime import cli
+        from mmwregime.config import load_config
+
+        from conftest import BASELINE_CONFIG
+        from test_golden import CONFIGS, config_path
+
+        upsilon_table.cache_clear()
+        tables = []
+        for config in (config_path(name, tmp_path) for name in CONFIGS):
+            for command in ("blockage", "roc", "regime-map"):
+                argv = [command, "--config", str(config), "--out", str(tmp_path)]
+                assert cli.main(argv) == 0, argv
+            run = load_config(config)
+            hits = upsilon_table.cache_info().hits
+            tables.append(upsilon_table(run.band, run.spectral))
+            assert upsilon_table.cache_info().hits == hits + 1  # roc built it
+        assert [name for t in tables for name in ("grid", "values", "slopes")
+                if name in vars(t)] == []
+
+        argv = ["simulate", "--config", str(BASELINE_CONFIG), "--out", str(tmp_path),
+                "--trials", "2000", "--workers", "2"]
+        assert cli.main(argv) == 0
+        table = tables[0]
+        assert "values" in vars(table) and "values" not in vars(tables[1])
+        g = table.grid
+        omega = np.concatenate([np.linspace(-1.1 * table.cutoff, 1.1 * table.cutoff, 10_001),
+                                g, np.nextafter(g, np.inf)])
+        ref = np.interp(np.abs(omega), g, table.values, right=0.0)
+        assert np.array_equal(table.lookup(omega), ref)
+
     @pytest.mark.parametrize("f_0", OFFSET_TUNINGS)
     @pytest.mark.parametrize("n", [1, 2])
     @pytest.mark.parametrize("psd, rolloff", OFFSET_MODELS)
