@@ -48,7 +48,7 @@ print(f"blockage probability     p_b  = {p_b:.4f}")
 print(f"mean received power      E[y] = {mean_y*1e3:.3f} mW  (signal {phi*1e3:.1f} mW)")
 print()
 
-ups_max = upsilon_table(band, model).values.max()
+ups_max = upsilon_table(band, model).peak
 radius = channel.m / (channel.q * geo.eps_min ** -channel.alpha * ups_max)
 print("single-interferer MGF along the negative axis; a power series in s")
 print(f"converges only for |s| below ~{radius:.2f} 1/W here, the transform")

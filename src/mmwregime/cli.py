@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from . import __version__, detector, mcsim
 from .blockage import blockage_probability
@@ -103,13 +104,13 @@ def _json_text(payload: dict) -> str:
     return json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _write_csv(path: Path, header: tuple[str, ...], prov: dict, body: list[str]) -> None:
-    """Provenance comments, the header line, then the formatted data lines."""
-    lines = [f"# {k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(prov.items())]
-    lines.append(",".join(header))
-    lines += body
-    lines.append("")  # the final newline, without a second copy of the text
-    path.write_text("\n".join(lines))
+def _write_csv(path: Path, header: tuple[str, ...], prov: dict, body: Iterable[str]) -> None:
+    """Provenance comments, the header line, then the formatted data lines,
+    written as body yields them."""
+    with path.open("w") as f:
+        f.writelines(f"# {k}: {json.dumps(v, sort_keys=True)}\n" for k, v in sorted(prov.items()))
+        f.write(",".join(header) + "\n")
+        f.writelines(f"{line}\n" for line in body)
 
 
 def _write_rows(path: Path, rows: list[dict], header: tuple[str, ...], prov: dict) -> None:
@@ -181,9 +182,9 @@ def cmd_simulate(run: RunConfig, out: Path, workers: int) -> int:
         trials=run.trials, seed=run.seed, blocking=run.blocking, p_b=p_b,
         blockage_cfg=run.blockage, workers=workers,
     )
-    # the lines _write_rows would format, without a dict per sample
+    # the lines _write_rows would format, streamed: no dict per sample and no list of lines
     _write_csv(out / "samples.csv", ("trial", "y_watts"), _provenance(run),
-               [f"{i},{y!r}" for i, y in enumerate(samples.tolist())])
+               (f"{i},{y!r}" for i, y in enumerate(samples.tolist())))
     return EXIT_OK
 
 

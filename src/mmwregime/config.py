@@ -149,8 +149,11 @@ class _Section:
         self.resolved[key] = child.resolved
         return child
 
-    def power_watts(self, base: str, default: Optional[float] = None) -> float:
-        """Read a power given as <base>_dbm or <base>_watts (exactly one)."""
+    def power_watts(self, base: str, default: Optional[float] = None,
+                    zero_ok: bool = False) -> float:
+        """Read a power given as <base>_dbm or <base>_watts (exactly one),
+        held in watts to one rule on both unit paths: finite and > 0, or
+        finite and >= 0 with zero_ok."""
         dbm_key, watt_key = f"{base}_dbm", f"{base}_watts"
         has_dbm, has_watt = dbm_key in self._data, watt_key in self._data
         if has_dbm and has_watt:
@@ -158,15 +161,21 @@ class _Section:
                 f"{self._name(dbm_key)} / {self._name(watt_key)}: "
                 "exactly one unit variant may be given, found both"
             )
+        rule = f"finite and {'>=' if zero_ok else '>'} 0 watts"
+
+        def in_range(watts: float) -> bool:
+            return (watts >= 0.0 if zero_ok else watts > 0.0) and watts < math.inf
+
         if has_dbm:
-            dbm = self._convert(dbm_key, self._data[dbm_key], float, _finite_dbm, _POWER_RULE)
+            dbm = self._convert(dbm_key, self._data[dbm_key], float,
+                                lambda v: in_range(_dbm_watts(v)), rule)
             return self.keep(watt_key, dbm_to_watts(dbm))
         if not has_watt and default is None:
             raise ConfigError(
                 f"{self._name(watt_key)}: required power is missing "
                 f"(provide {dbm_key} or {watt_key})"
             )
-        return self.optional(watt_key, float, default, _finite_power, _POWER_RULE)
+        return self.optional(watt_key, float, default, in_range, rule)
 
     def reject_unknown(self):
         unknown = set(self._data) - self._seen
@@ -179,19 +188,11 @@ def _positive(v) -> bool:
     return v > 0
 
 
-# the one range rule of a power, whichever unit the file gives it in
-_POWER_RULE = "finite and >= 0 watts"
-
-
-def _finite_power(watts: float) -> bool:
-    return 0.0 <= watts < math.inf
-
-
-def _finite_dbm(dbm: float) -> bool:
+def _dbm_watts(dbm: float) -> float:
     try:
-        return _finite_power(dbm_to_watts(dbm))
+        return dbm_to_watts(dbm)
     except OverflowError:  # 10 ** x past the largest double
-        return False
+        return math.inf
 
 
 def load_config(path, seed: Optional[int] = None,
@@ -309,7 +310,7 @@ def load_config(path, seed: Optional[int] = None,
         noise_sec = root.subsection("noise", absent_empty=True)
         noise = NoiseConfig(
             sigma2=noise_sec.power_watts("sigma2", default=thermal_noise_power(bandwidth)),
-            phi=noise_sec.power_watts("phi", default=0.0),
+            phi=noise_sec.power_watts("phi", default=0.0, zero_ok=True),
         )
         noise_sec.reject_unknown()
 

@@ -134,6 +134,9 @@ def fit_me_lambda(mean_y: float, phi: float, mode: str = "transcendental") -> Me
     """
     if mode not in FIT_MODES:
         raise DomainError(f"mode must be one of {FIT_MODES}, got {mode!r}")
+    if not math.isfinite(mean_y):
+        raise numerics.NumericsError(f"mean received power {mean_y!r} W is not finite "
+                                     "(past double range); no rate fits")
     if not (mean_y > phi):
         raise InfeasibleFitError(
             f"mean received power {mean_y!r} must exceed the signal power {phi!r} "

@@ -180,7 +180,7 @@ def interferer_power_mgf(
     """
     s = float(s)
     table = upsilon_table(band, model)
-    if s > 0.0 and s >= cfg.m / (cfg.q * geo.eps_min ** -cfg.alpha * table.values.max()):
+    if s > 0.0 and s >= cfg.m / (cfg.q * geo.eps_min ** -cfg.alpha * table.peak):
         raise DomainError(
             f"the interferer-power MGF is infinite at s = {s!r}: s must stay below "
             f"m / (q * eps_min^-alpha * max Upsilon)"

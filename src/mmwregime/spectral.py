@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -255,38 +255,24 @@ def upsilon(omega, band: BandConfig, model: SpectralModel):
     return float(out) if out.ndim == 0 else out
 
 
-# samples per overlap table: 2**12 intervals on [0, cutoff]
-TABLE_POINTS = 4097
-
-
 class UpsilonTable:
-    """The offset rule for the moments, and overlap samples for simulation.
+    """The offset rule for the moments, the overlap cutoff and Upsilon's peak.
 
     The overlap decays to numerical zero beyond cutoff = (filter stop edge
     clipped to the window) + (PSD halfwidth).  rule_values and rule_weights
     (Hz) are Upsilon on the fixed rule of numerics on [0, min(far slab,
     cutoff)], weights times frequency_offset_pdf * (f_e - f_s): one node
     set for both offset slabs, the package's only integral over the offset,
-    for gamma_n and the atoms.  Both are built with the table.
-
-    grid and values are dense samples on [0, cutoff] that lookup
-    interpolates linearly (0 past the grid), cheap on millions of simulated
-    offsets; the MGF reads only their maximum.  They are built the first
-    time they are read, so a table that only the moments use (blockage,
-    roc and regime-map) never builds them.  Two threads that read them
-    first at once may both build them, to identical arrays.
-
-    The grid is uniform, so lookup finds each offset's interval by direct
-    index instead of a binary search, and interpolates with the slopes
-    np.interp would form: its results equal np.interp(|omega|, grid,
-    values, right=0.0) bit for bit, NaN included.
+    for gamma_n and the atoms.  Upsilon is even and non-increasing in
+    |omega|, so peak = Upsilon(0) is its maximum, the one value the MGF's
+    convergence bound reads.
     """
 
     def __init__(self, band: BandConfig, model: SpectralModel):
         rolloff, half = model.filter.rolloff, 0.5 * model.filter.width
-        self._band, self._model = band, model
         self.cutoff = cutoff = (min(0.5 * band.bandwidth, (1.0 + rolloff) * half)
                                 + _psd_halfwidth(model.psd))
+        self.peak = upsilon(0.0, band, model)
         # rule edges: four equal pieces, the near slab's end, where the offset
         # density steps, and the kinks of Upsilon at |c -+ w/2| for the
         # breakpoints c and a rectangular PSD's width w
@@ -299,34 +285,6 @@ class UpsilonTable:
         nodes, weights = rule_piecewise(sorted(edges))
         self.rule_values = upsilon(nodes, band, model)
         self.rule_weights = weights * (frequency_offset_pdf(nodes, band) * (band.f_e - band.f_s))
-
-    @cached_property
-    def grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.cutoff, TABLE_POINTS)
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return upsilon(self.grid, self._band, self._model)
-
-    @cached_property
-    def slopes(self) -> np.ndarray:
-        return np.diff(self.values) / np.diff(self.grid)
-
-    def lookup(self, omega):
-        """Interpolated Upsilon(|omega|); zero beyond the cutoff."""
-        g = self.grid
-        cutoff = g[-1]
-        last = len(g) - 2
-        # clamped so that inf reaches no arithmetic; NaN passes through
-        w = np.minimum(np.abs(np.asarray(omega, dtype=float)), 2.0 * cutoff)
-        # the interval index up to rounding (fmin sends NaN to the last),
-        # then one step each way to g[j] <= w < g[j + 1]
-        j = np.fmin(w * ((last + 1) / cutoff), last).astype(np.intp)
-        j -= g[j] > w
-        j += (g[j + 1] <= w) & (j < last)
-        out = self.slopes[j] * (w - g[j]) + self.values[j]
-        out = np.where(w >= cutoff, np.where(w == cutoff, self.values[-1], 0.0), out)
-        return float(out) if out.ndim == 0 else out
 
 
 @lru_cache(maxsize=64)

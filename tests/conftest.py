@@ -4,6 +4,7 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mmwregime as mw
@@ -67,6 +68,21 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     return path
+
+
+def record_upsilon(monkeypatch):
+    """A list that collects, as an array, every omega spectral.upsilon is
+    evaluated at by the overlap table from here on."""
+    from mmwregime import spectral
+
+    calls, original = [], spectral.upsilon
+
+    def recording(omega, band, model):
+        calls.append(np.asarray(omega, dtype=float))
+        return original(omega, band, model)
+
+    monkeypatch.setattr(spectral, "upsilon", recording)
+    return calls
 
 
 def load_perfbench(name):

@@ -150,14 +150,22 @@ class TestLoadConfig:
         changed["seed"] = run.seed + 1
         assert config_hash(changed) != h1
 
-    @pytest.mark.parametrize("section, key, value", [
-        (section, f"{base}_{unit}", value)
-        for section, base in (("channel", "q"), ("noise", "sigma2"), ("noise", "phi"))
-        for unit, value in (("dbm", 4000.0), ("watts", math.inf))
+    @pytest.mark.parametrize("section, key, value, rule", [
+        *((section, f"{base}_{unit}", value, rule)
+          for section, base, rule in (("channel", "q", "> 0"), ("noise", "sigma2", "> 0"),
+                                      ("noise", "phi", ">= 0"))
+          for unit, value in (("dbm", 4000.0), ("watts", math.inf))),
+        # zero watts, given or underflowed from dBm, is no transmit or noise power
+        ("channel", "q_watts", 0, "> 0"),
+        ("channel", "q_dbm", -4000.0, "> 0"),
+        ("noise", "sigma2_watts", 0, "> 0"),
+        ("noise", "phi_watts", -1e-300, ">= 0"),
     ])
-    def test_power_out_of_range_names_its_key(self, tmp_path, section, key, value):
-        # one range rule on both unit paths: the watts value is finite and
-        # >= 0, so a dBm value past the largest double is a config error
+    def test_power_out_of_range_names_its_key(self, tmp_path, section, key, value, rule):
+        # one range rule per power on both unit paths: the watts value is
+        # finite, and > 0 for q and sigma2 or >= 0 for phi, so a dBm value
+        # past the largest double or one that underflows to 0 W is a config
+        # error that names its key
         raw = json.loads(BASELINE_CONFIG.read_text())
         base = key.rsplit("_", 1)[0]
         for unit in ("dbm", "watts"):
@@ -168,8 +176,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as info:
             load_config(path)
         assert str(info.value) == (
-            f"{section}.{key}: value {value!r} violates constraint: finite and >= 0 watts"
+            f"{section}.{key}: value {float(value)!r} violates constraint: finite and {rule} watts"
         )
+
+    def test_zero_signal_power_is_valid(self, tmp_path):
+        path = write_config(tmp_path, noise={"phi_watts": 0})
+        assert load_config(path).noise.phi == 0.0
 
     def test_beta_grid_validated(self, tmp_path):
         path = write_config(tmp_path, sweeps={"beta_grid": [0.0, 0.5]})
@@ -736,8 +748,8 @@ class TestCli:
     @pytest.mark.parametrize("command", ["roc", "regime-map"])
     def test_numerical_failure_exit_code(self, tmp_path, monkeypatch, capsys, command):
         # a numerical failure at every sweep point is a total numerical
-        # failure; no valid config is known to cause one, so it is forced.
-        # Both commands reach it through detector's chain
+        # failure, forced here at the mean power.  Both commands reach it
+        # through detector's chain
         from mmwregime import detector
         from mmwregime.numerics import NumericsError
 
@@ -759,6 +771,27 @@ class TestCli:
             assert err == "numerical failure: every sweep point failed: forced non-convergence\n"
             text = (out / "regime_map.csv").read_text()
             assert text.count("forced non-convergence") == 2
+
+    @pytest.mark.parametrize("command", ["roc", "regime-map"])
+    def test_overflowed_mean_power_names_itself(self, tmp_path, capsys, command):
+        # a valid config whose q * eps_min^-alpha (about 1e294 W times
+        # 0.028^-7.7) passes double range: the mean received power is inf,
+        # and the failure says so instead of naming an empty fit bracket
+        cfg = write_config(tmp_path, channel={"q_dbm": 2969.9, "alpha": 7.7},
+                           geometry={"eps_min_m": 0.028})
+        out = tmp_path / "out"
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+        reason = "mean received power inf W is not finite (past double range); no rate fits"
+        err = capsys.readouterr().err
+        if command == "roc":
+            assert err == f"numerical failure: {reason}\n"
+            assert not (out / "roc.csv").exists()
+        else:
+            assert err == f"numerical failure: every sweep point failed: {reason}\n"
+            rows = csv_rows(out / "regime_map.csv")
+            assert {(row["mean_y_w"], row["verdict"], row["error"]) for row in rows} == {
+                ("inf", "error", reason)
+            }
 
     def test_validation_failure_exit_code(self, tmp_path, monkeypatch):
         from mmwregime.mcsim import ValidationCheck, ValidationReport

@@ -26,7 +26,7 @@ from mmwregime.detector import (
     roc_curve,
     thermal_noise_power,
 )
-from mmwregime.numerics import DomainError, integrate
+from mmwregime.numerics import DomainError, NumericsError, integrate
 
 
 NOISE = NoiseConfig(sigma2=5e-3, phi=1e-3)
@@ -157,6 +157,18 @@ class TestMeFit:
     def test_unknown_mode(self):
         with pytest.raises(DomainError):
             fit_me_lambda(1.0, 0.0, "bayes")
+
+    @pytest.mark.parametrize("mode", ["transcendental", "closed_form"])
+    @pytest.mark.parametrize("mean_y", [math.inf, math.nan])
+    def test_non_finite_mean_names_itself(self, mode, mean_y):
+        # an overflowed mean is a numerical failure, not an infeasible fit
+        # or an empty root bracket
+        with pytest.raises(NumericsError) as info:
+            fit_me_lambda(mean_y, 1e-3, mode)
+        assert not isinstance(info.value, InfeasibleFitError)
+        assert str(info.value) == (
+            f"mean received power {mean_y!r} W is not finite (past double range); no rate fits"
+        )
 
 
 class TestAlternativeDensity:

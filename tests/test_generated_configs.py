@@ -6,7 +6,7 @@ blockage combine modes, both fit modes, powers in dBm or in watts, and
 random geometry, density, interferer count, pathloss exponent and fading
 shape.  At each config blockage, roc and regime-map exit 0, no row reads
 error, every number they fill is finite, and the overlap table they share
-builds no dense samples.
+evaluates Upsilon only at 0 and on its offset rule.
 """
 
 import json
@@ -20,6 +20,7 @@ from mmwregime import cli
 from mmwregime.config import load_config
 from mmwregime.spectral import upsilon_table
 
+from conftest import record_upsilon
 from test_config_cli import csv_rows
 
 GENERATOR_SEED = 20261021
@@ -123,11 +124,12 @@ def lrt_area_overflows(lam: float, sigma2: float) -> bool:
 
 
 @pytest.mark.parametrize("index", range(N_CONFIGS))
-def test_analytic_commands_at_a_generated_config(index, tmp_path):
+def test_analytic_commands_at_a_generated_config(index, tmp_path, monkeypatch):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(draw_config(index)))
     run = load_config(path)  # the draw is valid
     upsilon_table.cache_clear()
+    calls = record_upsilon(monkeypatch)
     for command in ("blockage", "roc", "regime-map"):
         argv = [command, "--config", str(path), "--out", str(tmp_path)]
         assert cli.main(argv) == 0, argv
@@ -146,4 +148,6 @@ def test_analytic_commands_at_a_generated_config(index, tmp_path):
     assert [row for row in finite_cells(rows, ("lrt_area",)) if row[1] != "inf"] == []
     assert [row for row in rows if row["lrt_area"] == "inf"
             and not lrt_area_overflows(float(row["lambda"]), run.noise.sigma2)] == []
-    assert "values" not in vars(upsilon_table(run.band, run.spectral))
+    # the one table's evaluations of Upsilon: at 0, then on the offset rule
+    rule = upsilon_table(run.band, run.spectral).rule_values
+    assert [w.shape for w in calls] == [(), rule.shape] and calls[0] == 0.0

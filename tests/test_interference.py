@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mmwregime import mcsim
 from mmwregime.blockage import GeometryConfig, distance_cdf, distance_pdf
 from mmwregime.interference import (
     ChannelConfig,
@@ -23,6 +24,11 @@ from mmwregime.spectral import upsilon_table
 
 def geo(v0=0.0, eps=0.1):
     return GeometryConfig(radius=10.0, v0_norm=v0, theta=math.radians(10.0), eps_min=eps)
+
+
+def overlap_lookup(band, model):
+    """The simulator's interpolated overlap for (band, model)."""
+    return mcsim._overlap_lookup(band, model, upsilon_table(band, model).cutoff)
 
 
 def distance_law_cuts(g):
@@ -189,8 +195,7 @@ class TestSingleInterfererMgf:
             bad = r < g.eps_min
         h = rng.gamma(baseline_channel.m, 1.0 / baseline_channel.m, n)
         f = baseline_band.f_s + (baseline_band.f_e - baseline_band.f_s) * rng.random(n)
-        table = upsilon_table(baseline_band, baseline_model)
-        ups = table.lookup(np.abs(f - baseline_band.f_0))
+        ups = overlap_lookup(baseline_band, baseline_model)(np.abs(f - baseline_band.f_0))
         sample = baseline_channel.q * h * r ** (-baseline_channel.alpha) * ups
         se = sample.std() / math.sqrt(n)
         assert sample.mean() == pytest.approx(analytic, abs=max(4 * se, 0.01 * analytic))
@@ -213,7 +218,7 @@ class TestSingleInterfererMgf:
             r[bad] = g.radius * np.sqrt(rng.random(int(bad.sum())))
             bad = r < g.eps_min
         f = baseline_band.f_s + (baseline_band.f_e - baseline_band.f_s) * rng.random(n)
-        ups = upsilon_table(baseline_band, baseline_model).lookup(np.abs(f - baseline_band.f_0))
+        ups = overlap_lookup(baseline_band, baseline_model)(np.abs(f - baseline_band.f_0))
         vals = np.exp(s * heavy.q * r ** (-heavy.alpha) * ups)
         se = vals.std() / math.sqrt(n)
         assert with_fading == pytest.approx(vals.mean(), abs=4 * se)
@@ -238,7 +243,7 @@ class TestSingleInterfererMgf:
         self, baseline_band, baseline_model, baseline_channel
     ):
         g = geo(eps=0.5)
-        ups_max = upsilon_table(baseline_band, baseline_model).values.max()
+        ups_max = upsilon_table(baseline_band, baseline_model).peak
         radius = baseline_channel.m / (
             baseline_channel.q * g.eps_min ** -baseline_channel.alpha * ups_max
         )
@@ -319,7 +324,7 @@ class TestAggregateMgf:
         # (1 - thin + thin*M_P)^n overflows just below the convergence
         # radius, and exp(phi*s) does for a weak interferer at s far below it
         ch, g = baseline_channel, baseline_geo
-        ups_max = upsilon_table(baseline_band, baseline_model).values.max()
+        ups_max = upsilon_table(baseline_band, baseline_model).peak
         radius = ch.m / (ch.q * g.eps_min ** -ch.alpha * ups_max)
         assert radius == pytest.approx(1.1086, rel=1e-4)
         args = (ch, g, baseline_band, baseline_model)

@@ -18,6 +18,9 @@ from mmwregime.mcsim import (
     validate_suite,
 )
 from mmwregime.numerics import DomainError
+from mmwregime.spectral import (
+    BandConfig, GaussianPsd, RaisedCosineFilter, RectangularPsd, SpectralModel, upsilon,
+)
 
 
 V0 = np.array([0.0, 0.0])
@@ -365,6 +368,60 @@ class TestGapCheckChunks:
         assert mcsim._scene_chunk(baseline_channel.n, dense, baseline_geo) == 1
 
 
+def _lookup(band, model):
+    """The simulator's interpolated overlap for (band, model)."""
+    return mcsim._overlap_lookup(band, model, mcsim.upsilon_table(band, model).cutoff)
+
+
+def _overlap_model(psd, rolloff=0.0):
+    return SpectralModel(psd=psd, filter=RaisedCosineFilter(rolloff=rolloff, width=1e8))
+
+
+SHIPPED_BAND = BandConfig(f_s=58e9, f_e=64e9, f_0=62e9, bandwidth=1e8)
+
+
+class TestOverlapLookup:
+    def test_lookup_matches_direct_evaluation(self):
+        model = _overlap_model(GaussianPsd(std=2.5e7))
+        omega = np.array([0.0, 1.7e7, 6.3e7, 2.9e8])
+        np.testing.assert_allclose(_lookup(SHIPPED_BAND, model)(omega),
+                                   upsilon(omega, SHIPPED_BAND, model), rtol=0.0, atol=5e-7)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("model", [
+        pytest.param(_overlap_model(GaussianPsd(std=2.5e7)), id="gaussian-0"),
+        pytest.param(_overlap_model(GaussianPsd(std=2.5e7), 0.25), id="gaussian-0.25"),
+        pytest.param(_overlap_model(RectangularPsd(width=5e7)), id="rectangular-0"),
+        # cutoffs where the first index guess is one low (3.3e7) or one
+        # high (3.1e7) at some grid points or their neighbours
+        pytest.param(_overlap_model(GaussianPsd(std=3.3e7)), id="gaussian-step-up"),
+        pytest.param(_overlap_model(GaussianPsd(std=3.1e7)), id="gaussian-step-down"),
+    ])
+    def test_lookup_equals_np_interp(self, model):
+        # the direct-index lookup is np.interp on |omega| over the samples
+        # of Upsilon on the uniform grid, bit for bit
+        c = mcsim.upsilon_table(SHIPPED_BAND, model).cutoff
+        g = np.linspace(0.0, c, mcsim._LOOKUP_POINTS)
+        values = upsilon(g, SHIPPED_BAND, model)
+        lookup = mcsim._overlap_lookup(SHIPPED_BAND, model, c)
+        omega = np.concatenate([
+            np.random.default_rng(5).uniform(-1.2 * c, 1.2 * c, 200_000),
+            g, np.nextafter(g, np.inf), np.nextafter(g, -np.inf), -g,
+            [0.0, -0.0, c, -c, np.inf, -np.inf, np.nan, 5e-324],
+        ])
+        ref = np.interp(np.abs(omega), g, values, right=0.0)
+        assert np.array_equal(lookup(omega), ref, equal_nan=True)
+        for w in (0.0, 0.3 * c, c, np.inf, np.nan):
+            got = lookup(np.array([w]))
+            assert np.array_equal(got, np.interp([abs(w)], g, values, right=0.0), equal_nan=True)
+        assert lookup(np.empty(0)).shape == (0,)
+
+    def test_lookup_zero_past_cutoff(self):
+        model = _overlap_model(GaussianPsd(std=2.5e7))
+        c = mcsim.upsilon_table(SHIPPED_BAND, model).cutoff
+        assert _lookup(SHIPPED_BAND, model)(np.array([2.0 * c, 1.5 * c])).tolist() == [0.0, 0.0]
+
+
 def _in_band(channel, band, table, p_b=0.0):
     """The slice [lo, hi] of the band within the cutoff of f_0, and a
     candidate's chance to be active, unblocked and in it."""
@@ -380,7 +437,7 @@ def _geometric_per_scene(channel, g, band, model, blockage_cfg, phi, trials, see
     on [lo, hi] and gain.  The kernel runs on each scene's own frames, and
     each trial adds its unblocked power link by link.  Also returns the
     blocked and unblocked link counts."""
-    table = mcsim.upsilon_table(band, model)
+    table, lookup = mcsim.upsilon_table(band, model), _lookup(band, model)
     lo, hi, in_band = _in_band(channel, band, table)
     v0_xy = np.array([g.v0_norm, 0.0])
     chunk = mcsim._scene_chunk(channel.n, blockage_cfg, g)
@@ -401,7 +458,7 @@ def _geometric_per_scene(channel, g, band, model, blockage_cfg, phi, trials, see
         xy, dist = np.concatenate(xy), np.concatenate(dist)
         freq = lo + (hi - lo) * rng.random(len(dist))
         h = rng.gamma(channel.m, 1.0 / channel.m, len(dist))
-        power = channel.q * h * dist ** (-channel.alpha) * table.lookup(np.abs(freq - band.f_0))
+        power = channel.q * h * dist ** (-channel.alpha) * lookup(np.abs(freq - band.f_0))
         for a, end, (o, r) in zip(active, np.cumsum(active), scenes):
             scene = slice(end - a, end)
             total = 0.0
@@ -418,7 +475,7 @@ def _geometric_every_candidate(channel, g, band, model, blockage_cfg, phi, trial
     scenes, a Binomial(n, p) active count per trial and the scenes judged
     by _judge_scenes, then a full-band offset and a gain for every link,
     out-of-band links adding Upsilon = 0."""
-    table = mcsim.upsilon_table(band, model)
+    lookup = _lookup(band, model)
     y = np.full(trials, phi)
     chunk = mcsim._scene_chunk(channel.n, blockage_cfg, g)
     for start in range(0, trials, chunk):
@@ -426,7 +483,7 @@ def _geometric_every_candidate(channel, g, band, model, blockage_cfg, phi, trial
         dist, blocked = mcsim._judge_scenes(rng, active, blockage_cfg, g)
         freq = band.f_s + (band.f_e - band.f_s) * rng.random(len(dist))
         h = rng.gamma(channel.m, 1.0 / channel.m, len(dist))
-        power = channel.q * h * dist ** (-channel.alpha) * table.lookup(np.abs(freq - band.f_0))
+        power = channel.q * h * dist ** (-channel.alpha) * lookup(np.abs(freq - band.f_0))
         y[start:start + len(active)] += mcsim._trial_sums(active, np.where(blocked, 0.0, power))
     return y
 
@@ -521,7 +578,7 @@ def _thinning_reference(channel, g, band, model, phi, trials, rng, p_b):
     dist = mcsim._distances_with_exclusion(rng, total, g)
     freq = band.f_s + (band.f_e - band.f_s) * rng.random(total)
     h = rng.gamma(channel.m, 1.0 / channel.m, total)
-    ups = mcsim.upsilon_table(band, model).lookup(np.abs(freq - band.f_0))
+    ups = _lookup(band, model)(np.abs(freq - band.f_0))
     power = channel.q * h * dist ** (-channel.alpha) * ups
     ids = np.repeat(np.arange(trials), counts)
     return phi + np.bincount(ids, weights=power, minlength=trials)
@@ -532,14 +589,14 @@ def _in_band_block(channel, g, band, model, phi, trials, seed, p_b, distances):
     # `distances`: a Binomial count of in-band survivors per trial, then a
     # distance, a frequency in [lo, hi] and a fading gain for each of them
     rng = mcsim._rng(seed, mcsim._NS_POWER, 0)
-    table = mcsim.upsilon_table(band, model)
+    table, lookup = mcsim.upsilon_table(band, model), _lookup(band, model)
     lo, hi, in_band = _in_band(channel, band, table, p_b)
     counts = rng.binomial(channel.n, in_band, trials)
     total = int(counts.sum())
     dist = distances(rng, total)
     freq = lo + (hi - lo) * rng.random(total)
     h = rng.gamma(channel.m, 1.0 / channel.m, total)
-    power = channel.q * h * dist ** (-channel.alpha) * table.lookup(np.abs(freq - band.f_0))
+    power = channel.q * h * dist ** (-channel.alpha) * lookup(np.abs(freq - band.f_0))
     ids = np.repeat(np.arange(trials), counts)
     return phi + np.bincount(ids, weights=power, minlength=trials)
 

@@ -272,20 +272,19 @@ class TestUpsilon:
         assert upsilon(2e7, b, soft) < upsilon(2e7, b, sharp)
 
 
-class TestUpsilonTable:
-    def test_lookup_matches_direct_evaluation(self):
-        b = band()
-        model = gaussian_model()
-        table = upsilon_table(b, model)
-        for omega in (0.0, 1.7e7, 6.3e7, 2.9e8):
-            assert table.lookup(omega) == pytest.approx(
-                upsilon(omega, b, model), abs=5e-7
-            )
+def dense_grid(b, model):
+    """The uniform grid on [0, cutoff] the simulator samples Upsilon on."""
+    from mmwregime import mcsim
 
+    return np.linspace(0.0, upsilon_table(b, model).cutoff, mcsim._LOOKUP_POINTS)
+
+
+class TestUpsilonTable:
     def test_brick_wall_values_are_closed_form(self):
-        table = upsilon_table(band(), gaussian_model())
-        expected = [brick_overlap(w, 1e8, 2.5e7) for w in table.grid]
-        np.testing.assert_allclose(table.values, expected, rtol=0.0, atol=1e-14)
+        grid = dense_grid(band(), gaussian_model())
+        expected = [brick_overlap(w, 1e8, 2.5e7) for w in grid]
+        np.testing.assert_allclose(upsilon(grid, band(), gaussian_model()), expected,
+                                   rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("std, window", [(2.5e7, 1e8), (2.5e7, 6e7), (4e6, 1e8)])
     def test_rolloff_zero_gaussian_table_matches_faddeeva_form(self, std, window):
@@ -294,20 +293,20 @@ class TestUpsilonTable:
         from scipy.special import wofz
 
         b, model = band(w=window), gaussian_model(std=std)
-        table = upsilon_table(b, model)
+        grid = dense_grid(b, model)
         s = math.sqrt(2.0) * std
         half = min(0.5 * model.filter.width, 0.5 * window)
 
         def edge(u):
-            x = (u - table.grid) / s
+            x = (u - grid) / s
             sign = np.where(x < 0.0, -1.0, 1.0)
             return sign * (1.0 - (np.exp(-x * x) * wofz(1j * np.abs(x))).real)
 
         expected = np.clip(0.5 * (edge(half) - edge(-half)), 0.0, 1.0)
-        np.testing.assert_allclose(table.values, expected, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(upsilon(grid, b, model), expected, rtol=0.0, atol=1e-15)
 
     def test_tapered_table_needs_no_quadrature(self, monkeypatch):
-        from mmwregime import numerics
+        from mmwregime import mcsim, numerics
         from mmwregime.spectral import UpsilonTable
 
         def forbidden(*args, **kwargs):
@@ -315,75 +314,73 @@ class TestUpsilonTable:
 
         monkeypatch.setattr(numerics, "integrate", forbidden)
         monkeypatch.setattr(numerics, "integrate_piecewise", forbidden)
-        table = UpsilonTable(band(), gaussian_model(rolloff=0.25))
-        assert table.values[0] == pytest.approx(upsilon(0.0, band(), gaussian_model(rolloff=0.25)))
-        assert np.all((table.values >= 0.0) & (table.values <= 1.0))
+        model = gaussian_model(rolloff=0.25)
+        table = UpsilonTable(band(), model)
+        assert table.peak == upsilon(0.0, band(), model)
+        values = upsilon(dense_grid(band(), model), band(), model)
+        assert np.all((values >= 0.0) & (values <= 1.0))
+        lookup = mcsim._overlap_lookup(band(), model, table.cutoff)
+        assert lookup(np.array([0.0]))[0] == table.peak
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("model", [
-        pytest.param(gaussian_model(), id="gaussian-0"),
-        pytest.param(gaussian_model(rolloff=0.25), id="gaussian-0.25"),
-        pytest.param(SpectralModel(
-            psd=RectangularPsd(width=5e7), filter=RaisedCosineFilter(rolloff=0.0, width=1e8)
-        ), id="rectangular-0"),
-        # cutoffs where the first index guess is one low (3.3e7) or one
-        # high (3.1e7) at some grid points or their neighbours
-        pytest.param(gaussian_model(std=3.3e7), id="gaussian-step-up"),
-        pytest.param(gaussian_model(std=3.1e7), id="gaussian-step-down"),
-    ])
-    def test_lookup_equals_np_interp(self, model):
-        # the direct-index lookup is np.interp on |omega|, bit for bit
-        table = upsilon_table(band(), model)
-        g, c = table.grid, table.cutoff
-        omega = np.concatenate([
-            np.random.default_rng(5).uniform(-1.2 * c, 1.2 * c, 200_000),
-            g, np.nextafter(g, np.inf), np.nextafter(g, -np.inf), -g,
-            [0.0, -0.0, c, -c, np.inf, -np.inf, np.nan, 5e-324],
-        ])
-        ref = np.interp(np.abs(omega), g, table.values, right=0.0)
-        assert np.array_equal(table.lookup(omega), ref, equal_nan=True)
-        for w in (0.0, 0.3 * c, c, np.inf, np.nan):
-            got = table.lookup(np.array(w))  # 0-d
-            assert type(got) is float
-            assert np.array_equal(got, np.interp(abs(w), g, table.values, right=0.0), equal_nan=True)
-        assert table.lookup(np.empty(0)).shape == (0,)
+    @pytest.mark.parametrize("psd, rolloff", OFFSET_MODELS)
+    def test_peak_is_the_dense_maximum(self, psd, rolloff):
+        # Upsilon is even and non-increasing in |omega|, so Upsilon(0) is the
+        # maximum of the simulator's samples, and their first, bit for bit
+        b = band()
+        model = SpectralModel(psd=psd, filter=RaisedCosineFilter(rolloff=rolloff, width=1e8))
+        values = upsilon(dense_grid(b, model), b, model)
+        peak = upsilon_table(b, model).peak
+        assert type(peak) is float
+        assert peak == values.max() == values[0]
 
-    def test_lookup_zero_past_cutoff(self):
-        table = upsilon_table(band(), gaussian_model())
-        assert table.lookup(table.cutoff * 2.0) == 0.0
-
-    def test_only_the_simulator_builds_the_dense_samples(self, tmp_path):
-        # blockage, roc and regime-map read the offset rule alone, so the
-        # cached table never builds its grid; simulate's first lookup does
-        from mmwregime import cli
+    def test_only_the_simulator_builds_the_dense_samples(self, monkeypatch, tmp_path):
+        # blockage, roc, regime-map and the MGF evaluate Upsilon at 0 and on
+        # the offset rule alone; simulate builds one dense lookup per call
+        from mmwregime import cli, mcsim
         from mmwregime.config import load_config
+        from mmwregime.interference import interferer_power_mgf
 
-        from conftest import BASELINE_CONFIG
+        from conftest import BASELINE_CONFIG, record_upsilon
         from test_golden import CONFIGS, config_path
 
         upsilon_table.cache_clear()
-        tables = []
+        calls = record_upsilon(monkeypatch)
         for config in (config_path(name, tmp_path) for name in CONFIGS):
             for command in ("blockage", "roc", "regime-map"):
                 argv = [command, "--config", str(config), "--out", str(tmp_path)]
                 assert cli.main(argv) == 0, argv
             run = load_config(config)
-            hits = upsilon_table.cache_info().hits
-            tables.append(upsilon_table(run.band, run.spectral))
-            assert upsilon_table.cache_info().hits == hits + 1  # roc built it
-        assert [name for t in tables for name in ("grid", "values", "slopes")
-                if name in vars(t)] == []
+            table, ch = upsilon_table(run.band, run.spectral), run.channel
+            radius = ch.m / (ch.q * run.geo.eps_min ** -ch.alpha * table.peak)
+            args = (ch, run.geo, run.band, run.spectral)
+            assert 1.0 < interferer_power_mgf(0.5 * radius, *args) < math.inf
+            with pytest.raises(DomainError):
+                interferer_power_mgf(radius, *args)
+            # the table's two evaluations, once per config: 0, then the rule
+            assert [w.shape for w in calls] == [(), table.rule_values.shape], config
+            assert calls[0] == 0.0
+            calls.clear()
 
+        built = []
+
+        def recording(band, model, cutoff):
+            lookup = real(band, model, cutoff)
+            built.append((band, model, cutoff, lookup))
+            return lookup
+
+        real = mcsim._overlap_lookup
+        monkeypatch.setattr(mcsim, "_overlap_lookup", recording)
         argv = ["simulate", "--config", str(BASELINE_CONFIG), "--out", str(tmp_path),
                 "--trials", "2000", "--workers", "2"]
         assert cli.main(argv) == 0
-        table = tables[0]
-        assert "values" in vars(table) and "values" not in vars(tables[1])
-        g = table.grid
-        omega = np.concatenate([np.linspace(-1.1 * table.cutoff, 1.1 * table.cutoff, 10_001),
-                                g, np.nextafter(g, np.inf)])
-        ref = np.interp(np.abs(omega), g, table.values, right=0.0)
-        assert np.array_equal(table.lookup(omega), ref)
+        [(b, model, cutoff, lookup)] = built
+        assert cutoff == upsilon_table(b, model).cutoff
+        grid = dense_grid(b, model)
+        values = upsilon(grid, b, model)
+        omega = np.concatenate([np.linspace(-1.1 * cutoff, 1.1 * cutoff, 10_001),
+                                grid, np.nextafter(grid, np.inf), [np.inf, -np.inf, np.nan]])
+        ref = np.interp(np.abs(omega), grid, values, right=0.0)
+        assert np.array_equal(lookup(omega), ref, equal_nan=True)
 
     @pytest.mark.parametrize("f_0", OFFSET_TUNINGS)
     @pytest.mark.parametrize("n", [1, 2])
