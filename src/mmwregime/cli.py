@@ -9,12 +9,17 @@ worker count.
 
 Exit codes: 0 success, 1 usage, config or output error, 2 numerical
 failure, 3 validation failure.
+
+``main`` is the command itself and leaves the interpreter as it found it;
+``entry`` is what a process runs (the ``mmwregime`` script and
+``python -m mmwregime.cli``).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -26,7 +31,7 @@ from .blockage import blockage_probability
 from .config import ConfigError, RunConfig, config_hash, load_config
 from .numerics import NumericsError
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "entry", "build_parser"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,14 +86,6 @@ def _provenance(run: RunConfig) -> dict:
     }
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _finite(value):
     # standard JSON has no inf or nan: write the strings the CSV uses
     if isinstance(value, float) and not math.isfinite(value):
@@ -113,8 +110,18 @@ def _write_csv(path: Path, header: tuple[str, ...], prov: dict, body: Iterable[s
         f.writelines(f"{line}\n" for line in body)
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    text = repr(value) if isinstance(value, float) else str(value)
+    # RFC 4180, quoted only where needed: a failed row's error text may hold a comma
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_rows(path: Path, rows: list[dict], header: tuple[str, ...], prov: dict) -> None:
-    body = [",".join([_fmt(row.get(col)) for col in header]) for row in rows]
+    body = [",".join([_cell(row.get(col)) for col in header]) for row in rows]
     _write_csv(path, header, prov, body)
 
 
@@ -225,5 +232,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def entry() -> int:
+    """``main`` on the process's arguments, then ``gc.freeze()``: the
+    interpreter's shutdown collections skip the frozen objects (mostly
+    numpy's), which the OS reclaims with the process anyway.  Exit handlers,
+    the stdio flush and tracebacks keep their normal path."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

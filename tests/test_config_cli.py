@@ -1,10 +1,14 @@
 import ast
+import csv
+import gc
 import importlib
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -189,16 +193,19 @@ class TestLoadConfig:
             load_config(path)
 
 
-def run_python(code, *args):
-    """stdout of code run in a fresh interpreter with src/ on the path."""
+def run_interpreter(*args):
+    """A fresh interpreter with src/ on the path, run to completion."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
-        timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def run_python(code, *args):
+    """stdout of code run in a fresh interpreter with src/ on the path."""
+    proc = run_interpreter("-c", code, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
@@ -335,10 +342,13 @@ def run_cli(*args):
 
 
 def csv_rows(path):
-    """The data rows of a CSV the CLI wrote, as dicts keyed by its header."""
-    lines = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
-    header = lines[0].split(",")
-    return [dict(zip(header, l.split(","))) for l in lines[1:]]
+    """The data rows of a CSV the CLI wrote, as dicts keyed by its header,
+    read past the '# key: value' provenance lines; a row whose field count
+    differs from the header's fails."""
+    with path.open(newline="") as f:
+        rows = csv.reader(itertools.dropwhile(lambda line: line.startswith("#"), f))
+        header = next(rows)
+        return [dict(zip(header, row, strict=True)) for row in rows]
 
 
 class TestCli:
@@ -519,11 +529,8 @@ class TestCli:
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "out"
         assert run_cli("regime-map", "--config", str(cfg), "--out", str(out)) == 0
-        lines = [l for l in (out / "regime_map.csv").read_text().splitlines()
-                 if l and not l.startswith("#")]
-        header, rows = lines[0].split(","), [dict(zip(lines[0].split(","), l.split(",")))
-                                             for l in lines[1:]]
-        assert "lrt_area" in header and len(rows) == 90
+        rows = csv_rows(out / "regime_map.csv")
+        assert "lrt_area" in rows[0] and len(rows) == 90
         assert [r for r in rows if r["error"] or r["verdict"] == "error"] == []
         assert any(r["lrt_area"] == "inf" for r in rows)
 
@@ -793,6 +800,25 @@ class TestCli:
                 ("inf", "error", reason)
             }
 
+    def test_error_text_with_a_comma_round_trips(self, tmp_path, monkeypatch, capsys):
+        # a reason with a comma, a quote and a line break is one quoted cell
+        # (RFC 4180), so every row keeps the header's 11 fields
+        from mmwregime import detector
+        from mmwregime.numerics import NumericsError
+
+        reason = 'the window rounds to phi = 0.001, got "lo >= hi"\nat 3 m'
+
+        def failing(*args, **kwargs):
+            raise NumericsError(reason)
+
+        monkeypatch.setattr(detector, "mean_received_power", failing)
+        out = tmp_path / "out"
+        assert run_cli("regime-map", "--config", str(BASELINE_CONFIG), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"numerical failure: every sweep point failed: {reason}\n"
+        rows = csv_rows(out / "regime_map.csv")
+        assert [len(row) for row in rows] == [len(detector.REGIME_COLUMNS)] * 90
+        assert {(row["verdict"], row["error"]) for row in rows} == {("error", reason)}
+
     def test_validation_failure_exit_code(self, tmp_path, monkeypatch):
         from mmwregime.mcsim import ValidationCheck, ValidationReport
 
@@ -830,6 +856,58 @@ class TestCli:
         assert run_cli(command, "--config", str(BASELINE_CONFIG), "--out",
                        str(tmp_path / "out"), *extra) == 1
         assert capsys.readouterr().err.startswith("output error: ")
+
+
+class TestProcessEntry:
+    """The process entry shared by the mmwregime script and python -m."""
+
+    def test_entry_freezes_the_heap_before_exit(self, tmp_path):
+        # the shutdown collections skip the permanent generation, so the
+        # heap the command leaves is frozen by the time the exit handlers run
+        code = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print(gc.get_freeze_count()))\n"
+            "sys.argv[1:] = ['blockage', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
+            "runpy.run_module('mmwregime.cli', run_name='__main__', alter_sys=True)\n"
+        )
+        assert int(run_python(code, str(BASELINE_CONFIG), str(tmp_path))) > 0
+
+    def test_main_leaves_the_collector_alone(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert run_cli("blockage", "--config", str(BASELINE_CONFIG), "--out", str(tmp_path)) == 0
+        assert gc.get_freeze_count() == before
+
+    def test_console_script_is_the_entry_of_python_m(self):
+        tomllib = pytest.importorskip("tomllib")
+        scripts = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+        module, name = scripts["mmwregime"].split(":")
+        assert module == cli.__name__
+        tree = ast.parse(Path(cli.__file__).read_text())
+        block = next(node for node in tree.body if isinstance(node, ast.If)
+                     and ast.unparse(node.test) == "__name__ == '__main__'")
+        assert [ast.unparse(stmt) for stmt in block.body] == [f"sys.exit({name}())"]
+        assert getattr(cli, name) is cli.entry
+
+    @pytest.mark.parametrize("argv, filename, code, err", [
+        (["blockage", "--config", str(BASELINE_CONFIG)], "blockage.json", 0, ""),
+        (["blockage"], None, 1, "usage: mmwregime blockage "),
+        (["blockage", "--config", "{bad}"], None, 1, "config error: "),
+        (["regime-map", "--config", "{overflow}"], "regime_map.csv", 2, "numerical failure: "),
+    ], ids=["ok", "usage_error", "config_error", "overflow"])
+    def test_process_exit_matches_main(self, tmp_path, capsys, argv, filename, code, err):
+        # exit code, stderr and output bytes of python -m equal main's in-process
+        bad = tmp_path / "bad.json"
+        bad.write_text("{}")
+        overflow = write_config(tmp_path, channel={"q_dbm": 2969.9, "alpha": 7.7},
+                                geometry={"eps_min_m": 0.028})
+        argv = [a.format(bad=bad, overflow=overflow) for a in argv]
+        proc = run_interpreter("-m", "mmwregime.cli", *argv, "--out", str(tmp_path / "proc"))
+        assert run_cli(*argv, "--out", str(tmp_path / "main")) == proc.returncode == code
+        assert proc.stderr == capsys.readouterr().err
+        assert proc.stderr.startswith(err) and bool(proc.stderr) == bool(err)
+        if filename:
+            assert ((tmp_path / "proc" / filename).read_bytes()
+                    == (tmp_path / "main" / filename).read_bytes())
 
 
 class TestReproducibility:
